@@ -22,7 +22,6 @@ BACKEND = _impl.BACKEND
 
 split_pair_children = _impl.split_pair_children
 scaled_children = _impl.scaled_children
-repeat_multiply = _impl.repeat_multiply
 
 
 def available_backends():

@@ -59,15 +59,3 @@ def scaled_children(object weights, double scale, object rng):
             out[i] = w[i] * (scale * bg.next_double(bg.state))
     return out
 
-
-def repeat_multiply(object weights, object counts, object factors):
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] w = np.ascontiguousarray(weights, dtype=np.float64)
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] c = np.ascontiguousarray(counts, dtype=np.int64)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] f = np.ascontiguousarray(factors, dtype=np.float64)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] out = np.empty(f.shape[0], dtype=np.float64)
-    cdef Py_ssize_t i, j, k = 0
-    for i in range(w.shape[0]):
-        for j in range(c[i]):
-            out[k] = w[i] * f[k]
-            k += 1
-    return out

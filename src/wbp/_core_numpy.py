@@ -37,12 +37,3 @@ def scaled_children(weights, scale, rng):
     u = rng.random(w.size)
     return w * (scale * u)
 
-
-def repeat_multiply(weights, counts, factors):
-    """Child weights for a generic progeny batch.
-
-    ``counts[i]`` children for parent ``i``; ``factors`` holds the offspring
-    weight factors flattened in parent order.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    return np.repeat(w, counts) * factors

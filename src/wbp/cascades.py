@@ -77,12 +77,9 @@ class DeterministicCascade(CascadeLaw):
         return [(float(u), 0) for u in self._v], 0.0
 
     def sample_generation(self, weights, types, rng):
-        p = len(weights)
-        k = self._v.size
-        child_w = _backend.repeat_multiply(
-            weights, np.full(p, k, dtype=np.int64), np.tile(self._v, p)
-        )
-        return self._batch(child_w, np.repeat(np.arange(p, dtype=np.int64), k))
+        w = np.asarray(weights, dtype=np.float64)
+        child_w = (w[:, None] * self._v).ravel()
+        return self._batch(child_w, np.repeat(np.arange(w.size, dtype=np.int64), self._v.size))
 
     def factor_moment(self, q):
         return float(np.sum(self._v[self._v > 0] ** q))
@@ -224,12 +221,11 @@ class MixtureCascade(CascadeLaw):
         return [(float(u), 0) for u in self.atoms[j]], 0.0
 
     def sample_generation(self, weights, types, rng):
-        p = len(weights)
-        idx = self._draw_atoms(p, rng)
-        factors = self._padded[idx].ravel()
-        k = self._padded.shape[1]
-        child_w = _backend.repeat_multiply(weights, np.full(p, k, dtype=np.int64), factors)
-        return self._batch(child_w, np.repeat(np.arange(p, dtype=np.int64), k))
+        w = np.asarray(weights, dtype=np.float64)
+        child_w = (w[:, None] * self._padded[self._draw_atoms(w.size, rng)]).ravel()
+        return self._batch(
+            child_w, np.repeat(np.arange(w.size, dtype=np.int64), self._padded.shape[1])
+        )
 
     def factor_moment(self, q):
         pr = np.asarray(self.probs)

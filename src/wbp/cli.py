@@ -1,8 +1,14 @@
 """Command-line front end.
 
 One subcommand per pipeline; common flags override the config file.
-Exit codes: 0 success, 2 configuration error, 3 particle cap exceeded,
-4 inconclusive verdict under --strict.
+Exit codes:
+
+- 0 success;
+- 2 refusal with a named reason on stderr, and no result files: a
+  configuration error, spectral data that cannot be computed (for
+  example a periodic kernel) or a certificate that cannot be established;
+- 3 particle cap exceeded by some replicates (result files are written);
+- 4 inconclusive verdict under --strict.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ import argparse
 import sys
 import time
 
+from .certify import CertificationError
 from .harness import ConfigError, ExperimentConfig, run_experiment
+from .spectral import SpectralConvergenceError
 
 _COMMANDS = (
     "simulate",
@@ -43,6 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(reason: str, exc: Exception) -> int:
+    print(f"{reason}: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -56,16 +69,18 @@ def main(argv=None) -> int:
             raw["threads"] = args.threads
         cfg = ExperimentConfig.from_dict(raw)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse("config error", exc)
 
     outdir = args.out or cfg.raw.get("out", ".")
     t0 = time.perf_counter()
     try:
         result = run_experiment(cfg, args.command)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse("config error", exc)
+    except SpectralConvergenceError as exc:
+        return _refuse("no spectral data", exc)
+    except CertificationError as exc:
+        return _refuse("no certificate", exc)
     elapsed = time.perf_counter() - t0
     paths = result.write(outdir)
     # timing goes to the console only; result files stay reproducible

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .population import Generation, ProgenyBatch, ReproductionLaw, initial_generation
 
 
@@ -28,15 +27,19 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
 
     def __post_init__(self):
         self.n_types = len(self.atoms_per_type)
-        self._cums = []
+        cums = []
         width = 1
         for atoms in self.atoms_per_type:
             probs = np.array([a[0] for a in atoms], dtype=np.float64)
             if np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
                 raise ValueError("atom probabilities must form a probability vector")
-            self._cums.append(np.cumsum(probs))
+            cums.append(np.cumsum(probs))
             width = max(width, max(len(a[1]) for a in atoms))
         max_atoms = max(len(a) for a in self.atoms_per_type)
+        # +inf padding: a short row never counts as "<= u"
+        self._cum_table = np.full((self.n_types, max_atoms), np.inf)
+        for t, cum in enumerate(cums):
+            self._cum_table[t, : cum.size] = cum
         self._fac = np.zeros((self.n_types, max_atoms, width))
         self._typ = np.zeros((self.n_types, max_atoms, width), dtype=np.int64)
         for t, atoms in enumerate(self.atoms_per_type):
@@ -52,21 +55,17 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
 
     def sample_progeny(self, x, rng):
         t = int(x)
-        j = int(np.searchsorted(self._cums[t], rng.random(), side="right"))
+        j = int(np.searchsorted(self._cum_table[t], rng.random(), side="right"))
         return [(float(u), int(y)) for _, offspring in [self.atoms_per_type[t][j]] for u, y in offspring], 0.0
 
     def sample_generation(self, weights, types, rng):
-        p = len(weights)
         t = np.asarray(types, dtype=np.int64)
+        p = t.shape[0]
         u = rng.random(p)
-        idx = np.empty(p, dtype=np.int64)
-        for tv in np.unique(t):
-            mask = t == tv
-            idx[mask] = np.searchsorted(self._cums[tv], u[mask], side="right")
-        factors = self._fac[t, idx].ravel()
+        # counting cum <= u is searchsorted(cum, u, side="right") per row
+        idx = (self._cum_table[t] <= u[:, None]).sum(axis=1)
+        child_w = (np.asarray(weights, dtype=np.float64)[:, None] * self._fac[t, idx]).ravel()
         child_types = self._typ[t, idx].ravel()
-        counts = np.full(p, self._width, dtype=np.int64)
-        child_w = _backend.repeat_multiply(weights, counts, factors)
         parent = np.repeat(np.arange(p, dtype=np.int64), self._width)
         return ProgenyBatch(child_w, child_types, parent)
 

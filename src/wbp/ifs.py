@@ -202,6 +202,10 @@ def ifs_convergence_probe(
     attach_alpha(k1, fvec, sd, ones, n_max)
     alpha = sd.alpha
 
+    # all maps constant (every a = 0): the rate bound is log 0 = -inf
+    c = law.max_contraction
+    slope_bound = float(np.log(c) + slack) if c > 0 else -np.inf
+
     # usable window: above the discretization floor
     floor = max(alpha.max() * 1e-8, 1e-13)
     usable = np.nonzero(alpha > floor)[0]
@@ -215,11 +219,11 @@ def ifs_convergence_probe(
         coeffs = np.polyfit(ns, np.log(alpha[usable]), 1)
         slope = float(coeffs[0])
         window = (int(ns[0]), int(ns[-1]))
-        contraction_ok = slope <= np.log(law.max_contraction) + slack
+        contraction_ok = bool(slope <= slope_bound)
         verdict = "holds" if contraction_ok else "fails"
 
     gamma_bar = law.L(p) / (sd.theta ** (p - 1.0) * law.L(1.0))
-    gamma_bar_ok = gamma_bar < 1.0
+    gamma_bar_ok = bool(gamma_bar < 1.0)
 
     certificate = None
     rhs_samples = {}
@@ -230,12 +234,14 @@ def ifs_convergence_probe(
         f_norm = weighted_sup_norm(fvec, ones)
         eta_f_norm = weighted_sup_norm(sd.eta_f(fvec), ones)
         for m, n in mn_samples:
+            if n > n_max:
+                continue  # the deviation sequence stops at n_max
             rhs_samples[(m, n)] = theorem1_rhs(
                 certificate, sd, f_norm, eta_f_norm, 1.0, 1.0, m, n
             )
     return IfsProbeReport(
         slope=slope,
-        slope_bound=float(np.log(law.max_contraction) + slack),
+        slope_bound=slope_bound,
         contraction_ok=contraction_ok,
         gamma_bar=float(gamma_bar),
         gamma_bar_ok=gamma_bar_ok,

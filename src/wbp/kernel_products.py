@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .population import Generation, ReproductionLaw, initial_generation
+from .population import Generation, ProgenyBatch, ReproductionLaw, initial_generation
 
 _RESCALE_THRESHOLD = 2.0**512
 
@@ -33,6 +33,12 @@ class KernelProductLaw(ReproductionLaw):
     the drawn list, carrying ``T @ A``. When a product's magnitude
     explodes, the excess scale is moved into the weight channel so the
     weighted observable stays exact (see ``kernel_product_observable``).
+
+    ``sample_generation`` is the batch path: one uniform per parent, the
+    drawn lists read from a padded ``(atoms, max_len, d, d)`` table, all
+    child products in one stacked ``matmul``, and the rescale applied to
+    every child at once. ``sample_progeny`` is its per-parent reference;
+    on the same stream both give bit-identical children.
     """
 
     atom_lists: tuple
@@ -52,6 +58,11 @@ class KernelProductLaw(ReproductionLaw):
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("matrices must be square")
         self.dim = shape[0]
+        self._lens = np.array([len(lst) for lst in self.atom_lists], dtype=np.int64)
+        self._table = np.zeros((len(self.atom_lists), int(self._lens.max()), self.dim, self.dim))
+        for j, lst in enumerate(self.atom_lists):
+            for k, a in enumerate(lst):
+                self._table[j, k] = a
 
     def sample_progeny(self, x, rng):
         j = int(np.searchsorted(self._cum, rng.random(), side="right"))
@@ -65,6 +76,24 @@ class KernelProductLaw(ReproductionLaw):
                 prod = prod / scale
             out.append((scale, prod))
         return out, 0.0
+
+    def sample_generation(self, weights, types, rng):
+        w = np.asarray(weights, dtype=np.float64)
+        p = w.shape[0]
+        j = np.searchsorted(self._cum, rng.random(p), side="right")
+        counts = self._lens[j]
+        parent = np.repeat(np.arange(p, dtype=np.int64), counts)
+        first = np.cumsum(counts) - counts
+        rank = np.arange(parent.size) - first[parent]
+        prod = np.matmul(np.asarray(types, dtype=np.float64)[parent], self._table[j[parent], rank])
+        child_w = w[parent]
+        mag = np.abs(prod).max(axis=(1, 2))
+        big = mag > _RESCALE_THRESHOLD
+        if big.any():
+            scale = 2.0 ** np.ceil(np.log2(mag[big]))
+            prod[big] /= scale[:, None, None]
+            child_w[big] *= scale
+        return ProgenyBatch(child_w, prod, parent)
 
     def mean_matrix(self) -> np.ndarray:
         """``P = E(sum_i A_i)`` over one progeny draw."""

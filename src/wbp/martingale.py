@@ -15,6 +15,28 @@ import numpy as np
 
 from .population import Generation, integrate
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+class TooFewReplicatesError(ValueError):
+    """Fewer than the required replicate rows are finite (capped ones are NaN)."""
+
+
+def rounding_slack(exact: float) -> float:
+    """Allowance for float rounding in a Monte Carlo check: ``64 eps max(1, |exact|)``."""
+    return 64.0 * _EPS * max(1.0, abs(exact))
+
+
+def mean_agrees(mean: float, se: float, exact: float) -> bool:
+    """Monte Carlo mean against an exact value: within 4 SE plus rounding.
+
+    ``|mean - exact| <= 4 SE + 64 eps max(1, |exact|)``. The rounding term
+    makes deterministic rows work both ways: an SE at rounding level no
+    longer turns a last-bit difference into a failure, and an SE of 0 no
+    longer passes a mean that is simply wrong. A NaN mean never agrees.
+    """
+    return bool(abs(mean - exact) <= 4.0 * se + rounding_slack(exact))
+
 
 @dataclass
 class MartingaleTrack:
@@ -62,7 +84,7 @@ def martingale_increment_test(tracks, sigmas: float = 4.0) -> IncrementReport:
     """Mean of ``W_{n+1} - W_n`` per step; flags steps drifting beyond 4 SE."""
     w = track_matrix(tracks)
     if w.shape[0] < 100:
-        raise ValueError("need at least 100 tracks for the increment test")
+        raise TooFewReplicatesError("need at least 100 tracks for the increment test")
     inc = np.diff(w, axis=1)
     means = inc.mean(axis=0)
     stderrs = inc.std(axis=0, ddof=1) / np.sqrt(w.shape[0])
@@ -87,7 +109,8 @@ class LpErrorReport:
     def bound_holds(self, sigmas: float = 4.0) -> Optional[bool]:
         if self.rhs_bound is None:
             return None
-        return self.lhs_estimate - sigmas * self.stderr <= self.rhs_bound
+        slack = rounding_slack(self.rhs_bound)
+        return self.lhs_estimate - sigmas * self.stderr <= self.rhs_bound + slack
 
 
 def lp_error(
@@ -118,7 +141,9 @@ def lp_error(
     alive = np.isfinite(diff)
     diff = diff[alive]
     if diff.shape[0] < 100:
-        raise ValueError(f"only {diff.shape[0]} replicates survived the cap; need >= 100")
+        raise TooFewReplicatesError(
+            f"only {diff.shape[0]} replicates survived the cap; need >= 100"
+        )
     devs = np.abs(diff) ** p
     lhs = float(devs.mean() ** (1.0 / p))
     if rng is None:
@@ -144,5 +169,5 @@ def degeneracy_probe(tracks, epsilon: float, n: int) -> float:
     if n >= w.shape[1]:
         raise ValueError("tracks are shorter than the probed generation")
     col = w[:, n]
-    alive = np.isfinite(col)
-    return float(np.mean(col[alive] < epsilon))
+    col = col[np.isfinite(col)]
+    return float(np.mean(col < epsilon)) if col.size else np.nan

@@ -117,9 +117,15 @@ class ProgenyBatch:
 class ReproductionLaw:
     """Base reproduction law.
 
-    Subclasses implement ``sample_progeny`` (one parent) and may override
-    ``sample_generation`` with a vectorized batch path. Laws that know
-    their first / p-th moment kernels expose them through ``moment_row``.
+    Subclasses implement ``sample_progeny`` (one parent). Populations
+    advance through ``sample_generation`` (a whole generation), which
+    here loops ``sample_progeny`` over the parents; every law in this
+    package overrides it with a vectorized batch path, and its
+    ``sample_progeny`` stays as the per-parent reference for that path:
+    on the same stream both give bit-identical children, except for
+    ``IfsLaw``, whose batch path draws all weights before all maps. Laws
+    that know their first / p-th moment kernels expose them through
+    ``moment_row``.
     """
 
     truncation: TruncationPolicy = TruncationPolicy.exact_finite()
@@ -191,7 +197,7 @@ class Generation:
         return int(self.weights.shape[0])
 
     def total_mass(self) -> float:
-        return float(np.sum(self.weights))
+        return float(self.weights.sum())
 
     def individual(self, i: int) -> Individual:
         return Individual(self.label_of(i), float(self.weights[i]), _type_at(self.types, i))
@@ -243,22 +249,19 @@ def advance_generation(
     generation would exceed ``cap`` particles.
     """
     batch = law.sample_generation(g.weights, g.types, rng)
-    w = batch.weights
-    if w.size and (not np.all(np.isfinite(w)) or np.any(w < 0)):
+    w, types, parent = batch.weights, batch.types, batch.parent_index
+    lowest = w.min() if w.size else np.inf
+    # NaN fails both comparisons, so NaN, +-inf and negative weights are all rejected
+    if w.size and not (lowest >= 0.0 and w.max() < np.inf):
         raise ProgenyError("sampled offspring produced a negative or non-finite weight")
     if law.truncation.mode == "tail-bounded" and batch.discarded_mass > law.truncation.epsilon:
         raise ProgenyError(
             f"discarded tail mass {batch.discarded_mass} exceeds bound "
             f"{law.truncation.epsilon}"
         )
-    keep = w > 0.0
-    if not keep.all():
-        w = w[keep]
-        types = batch.types[keep]
-        parent = batch.parent_index[keep]
-    else:
-        types = batch.types
-        parent = batch.parent_index
+    if lowest == 0.0:
+        keep = w > 0.0
+        w, types, parent = w[keep], types[keep], parent[keep]
     if w.size > cap:
         raise PopulationCapError(w.size, cap, g.index + 1)
     rank = _sibling_ranks(parent) if retain else None

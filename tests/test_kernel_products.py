@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wbp.kernel_products import KernelProductLaw, kernel_norm, kernel_product_observable
-from wbp.population import simulate_trajectory
+from wbp.population import ReproductionLaw, simulate_trajectory
 from wbp.streams import derive_stream
 
 
@@ -83,3 +83,62 @@ def test_probability_validation():
         KernelProductLaw(((np.eye(2),),), (0.5,))
     with pytest.raises(ValueError):
         KernelProductLaw(((np.eye(2),), (np.eye(3),)), (0.5, 0.5))
+
+
+def _batch_against_reference(law, weights, types, seed):
+    """The batch path and the per-parent reference loop on the same stream."""
+    batch = law.sample_generation(weights, types, derive_stream(seed, 0))
+    ref = ReproductionLaw.sample_generation(law, weights, types, derive_stream(seed, 0))
+    assert np.array_equal(batch.weights, ref.weights)
+    assert np.array_equal(batch.types, ref.types)
+    assert np.array_equal(batch.parent_index, ref.parent_index)
+    return batch
+
+
+def test_batch_path_matches_per_parent_reference_on_ragged_lists():
+    rng = np.random.default_rng(8)
+    atoms = (
+        tuple(rng.normal(size=(3, 3)) for _ in range(3)),
+        (rng.normal(size=(3, 3)),),
+        tuple(rng.normal(size=(3, 3)) for _ in range(2)),
+    )
+    law = KernelProductLaw(atoms, (0.2, 0.5, 0.3))
+    sizes = set()
+    for seed, p in enumerate((1, 2, 7, 64, 300)):
+        weights = rng.uniform(0.1, 2.0, p)
+        types = rng.normal(size=(p, 3, 3))
+        batch = _batch_against_reference(law, weights, types, seed)
+        assert batch.types.shape == (batch.weights.size, 3, 3)
+        sizes.update(np.bincount(batch.parent_index, minlength=p).tolist())
+    assert sizes == {1, 2, 3}  # every list length was drawn
+
+
+def test_batch_path_matches_reference_through_the_rescale_branch():
+    # only some children cross 2^512 (about 1.3e154), so rescaled and plain
+    # children share one batch
+    big = np.array([[1e100, 1.0], [0.0, 3e99]])
+    small = np.array([[0.5, 0.25], [0.125, 0.5]])
+    law = KernelProductLaw(((big, small), (small,), (big, big, small)), (0.4, 0.3, 0.3))
+    weights = np.array([1.0, 0.5, 2.0, 1.5])
+    types = np.stack([np.eye(2), 1e60 * np.eye(2), big, np.array([[7e150, 0.0], [1.0, 1.0]])])
+    rescaled = []
+    for seed in range(6):
+        batch = _batch_against_reference(law, weights, types, seed)
+        assert np.max(np.abs(batch.types)) <= 2.0**512
+        rescaled.extend(batch.weights != weights[batch.parent_index])
+    assert any(rescaled) and not all(rescaled)
+
+
+def test_trajectory_through_batch_path_matches_reference_loop():
+    a1 = np.array([[0.6, 0.2], [0.1, 0.5]])
+    a2 = np.array([[0.3, 0.4], [0.2, 0.6]])
+    law = KernelProductLaw(((a1, a2), (a2,)), (0.5, 0.5))
+    g = law.root_generation()
+    rng_batch, rng_ref = derive_stream(4, 0), derive_stream(4, 0)
+    w, t = g.weights, g.types
+    for _ in range(8):
+        batch = law.sample_generation(w, t, rng_batch)
+        ref = ReproductionLaw.sample_generation(law, w, t, rng_ref)
+        assert np.array_equal(batch.weights, ref.weights)
+        assert np.array_equal(batch.types, ref.types)
+        w, t = batch.weights, batch.types

@@ -92,6 +92,31 @@ def test_advance_validates_factors():
         advance_generation(g, BadFactorLaw(), derive_stream(0, 0))
 
 
+class FixedBatchLaw(ReproductionLaw):
+    """Batch path that returns the given child weights, unchecked."""
+
+    def __init__(self, child_weights):
+        self.child_weights = np.asarray(child_weights, dtype=np.float64)
+
+    def sample_generation(self, weights, types, rng):
+        n = self.child_weights.size
+        return ProgenyBatch(self.child_weights, np.zeros(n, dtype=np.int64), np.zeros(n))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, -1e-300])
+def test_advance_rejects_nonfinite_or_negative_batch_weights(bad):
+    g = initial_generation([1.0], np.array([0]))
+    for weights in ([bad], [0.5, bad, 0.0], [bad, 2.0]):
+        with pytest.raises(ProgenyError):
+            advance_generation(g, FixedBatchLaw(weights), derive_stream(0, 0))
+
+
+def test_advance_keeps_signed_zero_out_and_positive_weights_in():
+    g = initial_generation([1.0], np.array([0]))
+    h = advance_generation(g, FixedBatchLaw([0.25, -0.0, 0.0, 5e-324]), derive_stream(0, 0))
+    assert np.array_equal(h.weights, [0.25, 5e-324])
+
+
 def test_deterministic_binary_tree_enumeration():
     # after n steps: 2^n particles of weight 2^-n, total mass exactly 1
     law = DeterministicCascade((0.5, 0.5))

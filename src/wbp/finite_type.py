@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import Generation, ProgenyBatch, ReproductionLaw, initial_generation
+from .population import (
+    Generation,
+    ProgenyBatch,
+    ReproductionLaw,
+    cumulative_probs,
+    initial_generation,
+)
 
 
 @dataclass
@@ -30,10 +36,7 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
         cums = []
         width = 1
         for atoms in self.atoms_per_type:
-            probs = np.array([a[0] for a in atoms], dtype=np.float64)
-            if np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
-                raise ValueError("atom probabilities must form a probability vector")
-            cums.append(np.cumsum(probs))
+            cums.append(cumulative_probs([a[0] for a in atoms], "atom probabilities"))
             width = max(width, max(len(a[1]) for a in atoms))
         max_atoms = max(len(a) for a in self.atoms_per_type)
         # +inf padding: a short row never counts as "<= u"

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _backend
 from .cascades import (
     CascadeLaw,
     DeterministicCascade,
@@ -44,15 +43,7 @@ from .population import (
     PopulationCapError,
     advance_generation,
 )
-from .spectral import (
-    SpectralData,
-    TypeGrid,
-    attach_alpha,
-    build_mean_kernel,
-    estimate_beta,
-    kernel_power_apply,
-    power_iteration,
-)
+from .spectral import TypeGrid, attach_alpha, build_mean_kernel, estimate_beta, power_iteration
 from .streams import derive_stream
 
 SCHEMA_VERSION = 1
@@ -269,17 +260,17 @@ _SUMMARIES = {
 }
 
 
-def _run_chunk(model: dict, mode: str, horizon: int, start: int, stop: int, seed: int, cap: int):
+def _replicate_rows(model: dict, mode: str, horizon: int, start: int, stop: int, seed: int, cap: int):
+    """Summary rows of replicates ``start..stop``; a capped replicate's row is NaN."""
     bundle = make_model(model)
     fn, width = _SUMMARIES[mode]
     block = np.empty((stop - start, width(bundle, horizon)))
     for i in range(start, stop):
-        rng = derive_stream(seed, i)
         try:
-            block[i - start] = fn(bundle, horizon, rng, cap)
+            block[i - start] = fn(bundle, horizon, derive_stream(seed, i), cap)
         except PopulationCapError:
             block[i - start] = np.nan
-    return start, block
+    return block
 
 
 @dataclass
@@ -305,67 +296,20 @@ def run_replicates(
     cap: int = DEFAULT_PARTICLE_CAP,
 ) -> ReplicateBlock:
     """Run independent replicates; identical output for any ``threads``."""
-    bundle = make_model(model)
-    fn, width = _SUMMARIES[mode]
-    out = np.empty((replicates, width(bundle, horizon)))
-    if threads <= 1:
-        for i in range(replicates):
-            rng = derive_stream(seed, i)
-            try:
-                out[i] = fn(bundle, horizon, rng, cap)
-            except PopulationCapError:
-                out[i] = np.nan
+    n_chunks = min(replicates, threads * 4) if threads > 1 else 1
+    if n_chunks <= 1:
+        out = _replicate_rows(model, mode, horizon, 0, replicates, seed, cap)
     else:
-        n_chunks = min(replicates, threads * 4)
         bounds = np.linspace(0, replicates, n_chunks + 1).astype(int)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_run_chunk, model, mode, horizon, int(lo), int(hi), seed, cap)
+                pool.submit(_replicate_rows, model, mode, horizon, int(lo), int(hi), seed, cap)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
             ]
-            for fut in futures:
-                start, block = fut.result()
-                out[start : start + block.shape[0]] = block
+            out = np.concatenate([fut.result() for fut in futures])
     capped = np.isnan(out[:, -1])
     particle_total = int(np.nansum(out[~capped, -1])) if (~capped).any() else 0
     return ReplicateBlock(out[:, :-1], int(capped.sum()), particle_total)
-
-
-# ---------------------------------------------------------------------------
-# rate fitting
-
-
-@dataclass
-class RateFit:
-    slope: float
-    intercept: float
-    r2: float
-
-
-def fit_rate(ns, values, window: Optional[tuple] = None) -> RateFit:
-    """Ordinary least squares of ``log(value)`` on ``n``.
-
-    ``window = (lo, hi)`` restricts to ``lo <= n <= hi``; at least 5
-    positive points are required.
-    """
-    ns = np.asarray(ns, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if window is not None:
-        keep = (ns >= window[0]) & (ns <= window[1])
-        ns, values = ns[keep], values[keep]
-    if ns.size < 5:
-        raise ValueError("rate fit needs at least 5 points in the window")
-    if np.any(values <= 0):
-        raise ValueError("rate fit needs strictly positive values")
-    y = np.log(values)
-    design = np.column_stack([ns, np.ones_like(ns)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-28 else 1.0 - ss_res / ss_tot if ss_tot else 0.0
-    return RateFit(float(coef[0]), float(coef[1]), r2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,20 @@ contraction rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cascades import CascadeLaw
 from .certify import MDCertificate, certify_md, theorem1_rhs, weighted_sup_norm
-from .population import Generation, ProgenyBatch, ReproductionLaw, initial_generation
+from .population import (
+    Generation,
+    ProgenyBatch,
+    ReproductionLaw,
+    cumulative_probs,
+    initial_generation,
+)
 from .spectral import (
     MeanKernel,
     SpectralData,
@@ -51,12 +57,9 @@ class IfsLaw(ReproductionLaw):
     weights: CascadeLaw
 
     def __post_init__(self):
-        probs = np.asarray(self.map_probs, dtype=np.float64)
-        if len(self.maps) != probs.size:
+        if len(self.maps) != len(self.map_probs):
             raise ValueError("maps and map_probs must align")
-        if np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
-            raise ValueError("map_probs must form a probability vector")
-        self._cum = np.cumsum(probs)
+        self._cum = cumulative_probs(self.map_probs, "map_probs")
         for m in self.maps:
             if m.lipschitz >= 1.0:
                 raise ValueError(f"map {m} is not a strict contraction")

@@ -14,7 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .population import Generation, ProgenyBatch, ReproductionLaw, initial_generation
+from .population import (
+    Generation,
+    ProgenyBatch,
+    ReproductionLaw,
+    cumulative_probs,
+    initial_generation,
+)
 
 _RESCALE_THRESHOLD = 2.0**512
 
@@ -45,12 +51,9 @@ class KernelProductLaw(ReproductionLaw):
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        pr = np.asarray(self.probs, dtype=np.float64)
-        if len(self.atom_lists) != pr.size:
+        if len(self.atom_lists) != len(self.probs):
             raise ValueError("atom_lists and probs must align")
-        if np.any(pr < 0) or not np.isclose(pr.sum(), 1.0):
-            raise ValueError("probs must form a probability vector")
-        self._cum = np.cumsum(pr)
+        self._cum = cumulative_probs(self.probs)
         dims = {np.asarray(a).shape for lst in self.atom_lists for a in lst}
         if len(dims) != 1:
             raise ValueError("all matrices must share one square shape")

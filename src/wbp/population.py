@@ -11,8 +11,8 @@ children and enforces a hard particle cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -114,6 +114,22 @@ class ProgenyBatch:
         self.discarded_mass = float(discarded_mass)
 
 
+def cumulative_probs(probs, name: str = "probs") -> np.ndarray:
+    """Cumulative table of a probability vector, for ``searchsorted(side="right")``.
+
+    The entries from the last positive probability on are set to exactly
+    1.0: a sum that reaches 1 only up to rounding (ten atoms of 0.1 add up
+    to 0.9999999999999999) would otherwise let a uniform in ``[cum[-1], 1)``
+    index one past the last atom.
+    """
+    pr = np.asarray(probs, dtype=np.float64)
+    if np.any(pr < 0) or not np.isclose(pr.sum(), 1.0):
+        raise ValueError(f"{name} must form a probability vector")
+    cum = np.minimum(np.cumsum(pr), 1.0)
+    cum[np.flatnonzero(pr)[-1] :] = 1.0
+    return cum
+
+
 class ReproductionLaw:
     """Base reproduction law.
 
@@ -140,7 +156,7 @@ class ReproductionLaw:
         parent = []
         discarded = 0.0
         for i in range(len(weights)):
-            offspring, lost = self.sample_progeny(_type_at(types, i), rng)
+            offspring, lost = self.sample_progeny(types[i], rng)
             discarded += lost
             for u, y in offspring:
                 if not np.isfinite(u) or u < 0:
@@ -162,11 +178,6 @@ class ReproductionLaw:
         estimation is used instead).
         """
         return None
-
-
-def _type_at(types, i):
-    t = types[i]
-    return t
 
 
 @dataclass
@@ -200,7 +211,7 @@ class Generation:
         return float(self.weights.sum())
 
     def individual(self, i: int) -> Individual:
-        return Individual(self.label_of(i), float(self.weights[i]), _type_at(self.types, i))
+        return Individual(self.label_of(i), float(self.weights[i]), self.types[i])
 
     def label_of(self, i: int) -> Label:
         """Full label of particle ``i`` (needs the retained parent chain)."""
@@ -343,7 +354,7 @@ def lineage_types(g: Generation, i: int) -> np.ndarray:
     out = []
     gen = g
     while gen.index > 0:
-        out.append(_type_at(gen.types, i))
+        out.append(gen.types[i])
         if gen.parent is None or gen.parent_index is None:
             raise AncestryUnavailableError(
                 "ancestry was discarded (generation-only storage); "

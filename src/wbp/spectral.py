@@ -9,7 +9,7 @@ quantify how fast ``theta^-n Q^n f`` stabilizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

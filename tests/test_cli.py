@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wbp.cli import _COMMANDS, main
-from wbp.harness import _jsonable
+from wbp.harness import _jsonable, run_replicates
 from wbp.martingale import LpErrorReport, mean_agrees
 
 MODELS = {
@@ -125,6 +125,20 @@ def test_capped_lp_error_exits_3_with_an_inconclusive_result(tmp_path, capsys):
     results = _result(out)["results"]
     assert results["capped_replicates"] == 100
     assert results["bound_holds_everywhere"] is None
+
+
+def test_replicate_rows_match_for_any_worker_count_with_capped_replicates():
+    # one or two children per parent: the cap catches some replicates and not others;
+    # 13 replicates split into uneven chunks for 2 and for 3 workers
+    model = {"kind": "cascade", "spec": "mixture", "atoms": [[0.5, 0.5], [1.0]], "probs": [0.5, 0.5]}
+    serial = run_replicates(model, "mass_track", 6, 13, seed=3, threads=1, cap=12)
+    assert 0 < serial.n_capped < serial.replicates == 13
+    assert np.isnan(serial.data).any(axis=1).sum() == serial.n_capped
+    for threads in (2, 3):
+        pooled = run_replicates(model, "mass_track", 6, 13, seed=3, threads=threads, cap=12)
+        assert np.array_equal(pooled.data, serial.data, equal_nan=True)
+        assert pooled.n_capped == serial.n_capped
+        assert pooled.particle_total == serial.particle_total
 
 
 def test_ifs_pipeline_writes_its_boolean_verdicts(tmp_path):

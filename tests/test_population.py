@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbp.cascades import DeterministicCascade, UniformSplitCascade
+from wbp.cascades import DeterministicCascade, MixtureCascade, UniformSplitCascade
+from wbp.finite_type import MixtureFiniteTypeLaw
+from wbp.ifs import AffineMap, IfsLaw
+from wbp.kernel_products import KernelProductLaw
 from wbp.population import (
     AncestryUnavailableError,
     Generation,
@@ -14,6 +17,7 @@ from wbp.population import (
     ReproductionLaw,
     TruncationPolicy,
     advance_generation,
+    cumulative_probs,
     initial_generation,
     integrate,
     lineage_measure,
@@ -292,3 +296,58 @@ def test_individual_view():
     ind = traj[2].individual(3)
     assert ind.weight == 0.25
     assert ind.label.path == (1, 1)
+
+
+class _AlmostOneRng:
+    """Stand-in generator whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
+
+
+def _tenths_mixture_cascade():
+    law = MixtureCascade(tuple((0.05 * (j + 1),) for j in range(10)), (0.1,) * 10)
+    return law, np.zeros(1, dtype=np.int64), lambda b: b.weights.tolist() == [0.5]
+
+
+def _tenths_finite_type():
+    # type 0's row (ten atoms) is shorter than type 1's (eleven)
+    law = MixtureFiniteTypeLaw(
+        (
+            [(0.1, [(0.05 * (j + 1), 1)]) for j in range(10)],
+            [(0.5, [(1.0, 0)])] + [(0.05, [(1.0, 1)])] * 10,
+        )
+    )
+    return law, np.zeros(1, dtype=np.int64), lambda b: b.weights.tolist() == [0.5] and b.types.tolist() == [1]
+
+
+def _tenths_kernel_product():
+    law = KernelProductLaw(tuple((np.array([[j + 1.0]]),) for j in range(10)), (0.1,) * 10)
+    return law, np.eye(1)[None, :, :], lambda b: b.types.tolist() == [[[10.0]]]
+
+
+def _tenths_ifs():
+    maps = tuple(AffineMap(0.5, 0.05 * j) for j in range(10))
+    law = IfsLaw(maps, (0.1,) * 10, DeterministicCascade((1.0,)))
+    return law, np.zeros(1), lambda b: b.types.tolist() == [0.05 * 9]
+
+
+@pytest.mark.parametrize(
+    "make", [_tenths_mixture_cascade, _tenths_finite_type, _tenths_kernel_product, _tenths_ifs]
+)
+def test_uniform_just_below_one_draws_last_atom(make):
+    # ten atoms of 0.1 sum to 0.9999999999999999; u in [that, 1) must still hit atom 10
+    law, types, drew_last_atom = make()
+    batch = law.sample_generation(np.ones(1), types, _AlmostOneRng())
+    assert drew_last_atom(batch)
+
+
+def test_cumulative_probs_ends_at_one_on_last_positive_atom():
+    assert np.cumsum([0.1] * 10)[-1] < 1.0
+    assert cumulative_probs([0.1] * 10)[-1] == 1.0
+    assert cumulative_probs([0.1] * 10 + [0.0]).tolist()[-2:] == [1.0, 1.0]
+    with pytest.raises(ValueError, match="map_probs"):
+        cumulative_probs([0.5, 0.6], "map_probs")
+    with pytest.raises(ValueError):
+        cumulative_probs([1.5, -0.5])

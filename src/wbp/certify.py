@@ -12,12 +12,13 @@ horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .population import ReproductionLaw
-from .spectral import MeanKernel, SpectralData
+from .spectral import MeanKernel, SpectralData, _progeny_table
 
 _Z99 = 2.3263478740408408  # one-sided 99% normal quantile
 
@@ -117,32 +118,56 @@ def estimate_c3(
     indicators and ``+-psi1``) at a spread of grid points, and the Monte
     Carlo mean of each ``E|sum_i u_i g(Y_i) - Qg(x)|^p`` is inflated by
     2.33 standard errors.
+
+    Each probe point draws its ``budget`` progenies one ``sample_progeny``
+    call at a time and then evaluates all test functions on the flattened
+    draws at once. For broods of fewer than 16 children the result is
+    bit-identical to taking one ``np.dot`` per draw and test function,
+    because:
+
+    - indicator sums add each child's factor to its cell's column in draw
+      order (``np.add.at``); the products a dot product would add are
+      exact (``u * 1`` and ``u * 0``), and ``np.dot`` sums a brood of
+      fewer than 16 children in that same order (BLAS unrolls longer
+      vectors, so such broods may differ in the last bit);
+    - the ``psi1`` column still takes one ``np.dot`` per draw: BLAS fuses
+      its multiply-adds, and no vectorised form (``gemv``, ``einsum``,
+      multiply plus ``bincount``) rounds the same way; ``-psi1`` is that
+      value negated, which is exact;
+    - ``|z - Qg(x)|^p`` goes through the builtin ``pow`` (libm), because
+      ``np.power`` rounds differently in the last bit.
     """
     grid = k1.grid
     d = grid.size
     psi1 = np.asarray(psi1, dtype=np.float64)
     psi2 = np.asarray(psi2, dtype=np.float64)
     cells = np.unique(np.linspace(0, d - 1, min(d, max_cells)).astype(int))
-    dictionary = [np.eye(d)[j] for j in cells] + [psi1, -psi1]
+    n_cells = cells.size
+    dictionary = np.zeros((n_cells + 2, d))
+    dictionary[np.arange(n_cells), cells] = 1.0
+    dictionary[n_cells] = psi1
+    dictionary[n_cells + 1] = -psi1
+    column = np.full(d, -1, dtype=np.int64)  # dictionary column of each grid cell
+    column[cells] = np.arange(n_cells)
+    norms = [float(np.max(np.abs(g / psi1))) for g in dictionary]
     points = np.unique(np.linspace(0, d - 1, min(d, max_points)).astype(int))
 
     c3 = 0.0
     for i in points:
-        x = grid.points[i]
-        exact = [float(k1.matrix[i] @ g) for g in dictionary]
-        norms = [float(np.max(np.abs(g / psi1))) for g in dictionary]
-        devs = np.zeros((budget, len(dictionary)))
-        for b in range(budget):
-            offspring, _ = law.sample_progeny(x, rng)
-            if offspring:
-                us = np.array([u for u, _ in offspring])
-                ys = grid.locate([y for _, y in offspring])
-            else:
-                us = np.zeros(0)
-                ys = np.zeros(0, dtype=np.int64)
-            for j, g in enumerate(dictionary):
-                z = float(np.dot(us, g[ys])) if us.size else 0.0
-                devs[b, j] = abs(z - exact[j]) ** p
+        exact = np.array([float(k1.matrix[i] @ g) for g in dictionary])
+        us, ys, counts = _progeny_table(law, grid.points[i], grid, budget, rng)
+        owner = np.repeat(np.arange(budget), counts)
+        z = np.zeros((budget, dictionary.shape[0]))
+        col = column[ys]
+        hit = col >= 0
+        np.add.at(z, (owner[hit], col[hit]), us[hit])
+        psi_y = psi1[ys]
+        ends = np.cumsum(counts).tolist()
+        starts = [0] + ends[:-1]
+        z[:, n_cells] = [np.dot(us[s:e], psi_y[s:e]) for s, e in zip(starts, ends)]
+        z[:, n_cells + 1] = -z[:, n_cells]
+        dev = np.abs(z - exact).ravel().tolist()
+        devs = np.fromiter(map(pow, dev, repeat(p)), dtype=np.float64, count=z.size).reshape(z.shape)
         means = devs.mean(axis=0)
         ses = devs.std(axis=0, ddof=1) / np.sqrt(budget)
         for j in range(len(dictionary)):

@@ -9,6 +9,7 @@ contraction rate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,6 +69,10 @@ class IfsLaw(ReproductionLaw):
                 raise ValueError(f"map {m} leaves [0, 1]")
         self._a = np.array([m.a for m in self.maps])
         self._b = np.array([m.b for m in self.maps])
+        # Python-scalar copies for the per-parent draw
+        self._cum_list = self._cum.tolist()
+        self._a_list = self._a.tolist()
+        self._b_list = self._b.tolist()
 
     @property
     def max_contraction(self) -> float:
@@ -77,11 +82,14 @@ class IfsLaw(ReproductionLaw):
         return np.searchsorted(self._cum, rng.random(n), side="right")
 
     def sample_progeny(self, x, rng):
+        # one map per child: rng.random() is the double random(1) would
+        # draw, and bisect_right picks the index searchsorted would
         offspring, lost = self.weights.sample_progeny(0, rng)
+        x = float(x)
         out = []
         for u, _ in offspring:
-            z = int(self._draw_maps(1, rng)[0])
-            out.append((u, float(self._a[z] * float(x) + self._b[z])))
+            z = bisect_right(self._cum_list, rng.random())
+            out.append((u, self._a_list[z] * x + self._b_list[z]))
         return out, lost
 
     def sample_generation(self, weights, types, rng):

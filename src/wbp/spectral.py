@@ -10,6 +10,7 @@ quantify how fast ``theta^-n Q^n f`` stabilizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -113,15 +114,34 @@ def build_mean_kernel(
     matrix = np.zeros((d, d))
     stderr = np.zeros((d, d))
     for i in range(d):
+        us, ys, counts = _progeny_table(law, grid.points[i], grid, mc_budget, rng)
+        owner = np.repeat(np.arange(mc_budget), counts)
+        # builtin pow (libm) and draw-order sums: bit-identical to adding
+        # u**order child by child
+        powers = np.fromiter(map(pow, us.tolist(), repeat(order)), dtype=np.float64, count=us.size)
         acc = np.zeros((mc_budget, d))
-        for b in range(mc_budget):
-            offspring, _ = law.sample_progeny(grid.points[i], rng)
-            for u, y in offspring:
-                acc[b, grid.locate([y])[0]] += u**order
+        np.add.at(acc, (owner, ys), powers)
         matrix[i] = acc.mean(axis=0)
         stderr[i] = acc.std(axis=0, ddof=1) / np.sqrt(mc_budget)
     _check_row_masses(matrix)
     return MeanKernel(matrix, grid, order, stderr=stderr)
+
+
+def _progeny_table(law: ReproductionLaw, x, grid: TypeGrid, budget: int, rng):
+    """``budget`` progenies of a parent at ``x``, flattened in draw order.
+
+    Returns the children's factors ``us`` (float64), their grid cells
+    ``ys`` and the number of children of each draw ``counts``; draw ``b``
+    owns the ``counts[b]`` entries after those of draws ``0..b-1``.
+    """
+    us, ys, counts = [], [], []
+    for _ in range(budget):
+        offspring, _ = law.sample_progeny(x, rng)
+        counts.append(len(offspring))
+        for u, y in offspring:
+            us.append(u)
+            ys.append(y)
+    return np.array(us, dtype=np.float64), grid.locate(ys), np.array(counts, dtype=np.int64)
 
 
 def _check_row_masses(matrix):
@@ -189,13 +209,20 @@ class SpectralData:
 def power_iteration(k: MeanKernel, tol: float = 1e-12, max_iter: int = 100_000) -> SpectralData:
     """Dominant eigentriple ``(theta, eta, nu)`` of a non-negative kernel.
 
-    Raises :class:`SpectralConvergenceError` when the iteration does not
-    settle (periodic or nearly reducible kernels), and rejects the zero
-    kernel outright.
+    Rejects the zero kernel and irreducible kernels of period 2 or more
+    outright (their scaled powers oscillate, so there is no limit to
+    iterate to), and raises :class:`SpectralConvergenceError` when the
+    iteration does not settle (nearly reducible kernels).
     """
     m = k.matrix
     if not np.any(m > 0):
         raise SpectralConvergenceError("zero kernel has no dominant eigenvalue")
+    period = support_period(m)
+    if period is not None and period > 1:
+        raise SpectralConvergenceError(
+            f"periodic kernel: its support graph is irreducible with period {period}, "
+            "so theta^-n Q^n f oscillates instead of converging"
+        )
     d = m.shape[0]
     theta, eta = _power_iterate(m, np.ones(d), tol, max_iter)
     if d > 1:
@@ -220,6 +247,35 @@ def power_iteration(k: MeanKernel, tol: float = 1e-12, max_iter: int = 100_000) 
         residual_right=resid_r,
         residual_left=resid_l,
     )
+
+
+def support_period(m) -> Optional[int]:
+    """Period of the support graph of ``m > 0``, or ``None`` if it is reducible.
+
+    A level BFS from type 0 gives each type its distance from 0. The graph
+    is irreducible when every type is reached both forwards and on the
+    transpose; its period is then the gcd of ``level[i] + 1 - level[j]``
+    over its edges ``i -> j``.
+    """
+    adj = np.asarray(m) > 0
+    level = _bfs_levels(adj)
+    if np.any(level < 0) or np.any(_bfs_levels(adj.T) < 0):
+        return None
+    src, dst = np.nonzero(adj)
+    return int(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])))
+
+
+def _bfs_levels(adj):
+    """Distance of each type from type 0 along ``adj``; -1 where unreachable."""
+    level = np.full(adj.shape[0], -1, dtype=np.int64)
+    level[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
+        level[frontier] = depth
+    return level
 
 
 def _power_iterate(m, start, tol, max_iter):

@@ -9,12 +9,13 @@ from wbp.certify import (
     estimate_c1,
     estimate_c3,
     fit_tail_ratio,
-    gamma_witness,
     proxy_gap_bound,
     theorem1_rhs,
     weighted_sup_norm,
 )
-from wbp.spectral import MeanKernel, TypeGrid, attach_alpha, power_iteration
+from wbp.ifs import ifs_weighted_law
+from wbp.population import ReproductionLaw
+from wbp.spectral import MeanKernel, TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
 
 ONE_POINT = TypeGrid.finite(1)
@@ -59,6 +60,94 @@ def test_c3_upper_bound_close_to_variance():
     k1 = scalar_kernel(1.0)
     c3 = estimate_c3(law, k1, np.ones(1), np.ones(1), 2.0, derive_stream(1, 0), budget=4000)
     assert 1.0 / 6.0 <= c3 <= 1.0 / 6.0 * 1.25  # inflated, but not by much
+
+
+def per_draw_c3(law, k1, psi1, psi2, p, rng, budget=2000, max_points=32, max_cells=16):
+    # reference: the per-draw, per-test-function loop estimate_c3 batches
+    grid = k1.grid
+    d = grid.size
+    psi1 = np.asarray(psi1, dtype=np.float64)
+    psi2 = np.asarray(psi2, dtype=np.float64)
+    cells = np.unique(np.linspace(0, d - 1, min(d, max_cells)).astype(int))
+    dictionary = [np.eye(d)[j] for j in cells] + [psi1, -psi1]
+    points = np.unique(np.linspace(0, d - 1, min(d, max_points)).astype(int))
+
+    c3 = 0.0
+    for i in points:
+        x = grid.points[i]
+        exact = [float(k1.matrix[i] @ g) for g in dictionary]
+        norms = [float(np.max(np.abs(g / psi1))) for g in dictionary]
+        devs = np.zeros((budget, len(dictionary)))
+        for b in range(budget):
+            offspring, _ = law.sample_progeny(x, rng)
+            if offspring:
+                us = np.array([u for u, _ in offspring])
+                ys = grid.locate([y for _, y in offspring])
+            else:
+                us = np.zeros(0)
+                ys = np.zeros(0, dtype=np.int64)
+            for j, g in enumerate(dictionary):
+                z = float(np.dot(us, g[ys])) if us.size else 0.0
+                devs[b, j] = abs(z - exact[j]) ** p
+        means = devs.mean(axis=0)
+        ses = devs.std(axis=0, ddof=1) / np.sqrt(budget)
+        for j in range(len(dictionary)):
+            bound = (means[j] + 2.3263478740408408 * ses[j]) / (psi2[i] ** p * norms[j] ** p)
+            c3 = max(c3, float(bound))
+    return c3
+
+
+class RaggedBroods(ReproductionLaw):
+    """0 to 3 children per draw, on random cells of a finite grid (repeats allowed)."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def sample_progeny(self, x, rng):
+        n = int(rng.integers(0, 4))
+        return [(float(rng.random()), int(rng.integers(0, self.d))) for _ in range(n)], 0.0
+
+
+def assert_c3_matches_per_draw(law, k1, psi1, psi2, p, seed, **kw):
+    fast = estimate_c3(law, k1, psi1, psi2, p, derive_stream(seed, 0), **kw)
+    slow = per_draw_c3(law, k1, psi1, psi2, p, derive_stream(seed, 0), **kw)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_c3_bit_identical_to_per_draw_loop_on_halving_ifs(p):
+    law = ifs_weighted_law([(0.5, 0.0), (0.5, 0.5)], (0.5, 0.5), UniformSplitCascade())
+    grid = TypeGrid.interval(0.0, 1.0, 2.0**-6)
+    k1 = build_mean_kernel(law, grid, 1.0)
+    psi1 = 1.0 + grid.points  # non-constant, so the psi1 column is a real dot product
+    psi2 = 2.0 - grid.points**2
+    assert_c3_matches_per_draw(law, k1, psi1, psi2, p, seed=7, budget=150)
+
+
+def test_c3_bit_identical_to_per_draw_loop_on_ragged_broods():
+    d = 24  # more cells than indicators: some children fall outside the dictionary
+    rng = np.random.default_rng(5)
+    k1 = MeanKernel(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
+    psi1 = rng.uniform(0.5, 2.0, size=d)
+    psi2 = rng.uniform(0.5, 2.0, size=d)
+    assert_c3_matches_per_draw(RaggedBroods(d), k1, psi1, psi2, 1.5, seed=8, budget=300)
+
+
+def test_c3_bit_identical_to_per_draw_loop_at_tiny_budgets():
+    # at budget 3 a last-bit change in one draw's deviation reaches c3, which
+    # a mean over thousands of draws would round away
+    d = 24
+    rng = np.random.default_rng(6)
+    k1 = MeanKernel(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
+    psi1 = rng.uniform(0.5, 2.0, size=d)
+    psi2 = rng.uniform(0.5, 2.0, size=d)
+    for seed in range(40):
+        assert_c3_matches_per_draw(RaggedBroods(d), k1, psi1, psi2, 1.5, seed=seed, budget=3)
+
+
+def test_c3_bit_identical_to_per_draw_loop_on_one_point_cascade():
+    law = UniformSplitCascade(independent=True)
+    assert_c3_matches_per_draw(law, scalar_kernel(1.0), np.ones(1), np.ones(1), 2.0, seed=1, budget=4000)
 
 
 def test_deterministic_one_child_certificate():

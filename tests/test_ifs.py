@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wbp.cascades import DeterministicCascade, ScaledUniformCascade, UniformSplitCascade
-from wbp.ifs import AffineMap, doob_transition, ifs_convergence_probe, ifs_weighted_law
-from wbp.population import advance_generation, sample_progeny, simulate_trajectory
-from wbp.spectral import MeanKernel, TypeGrid, build_mean_kernel, power_iteration
+from wbp.cascades import DeterministicCascade, UniformSplitCascade
+from wbp.ifs import doob_transition, ifs_convergence_probe, ifs_weighted_law
+from wbp.population import advance_generation, sample_progeny
+from wbp.spectral import MeanKernel, TypeGrid, build_mean_kernel
 from wbp.streams import derive_stream
 
 
@@ -18,6 +18,41 @@ def test_single_map_single_child():
     law = ifs_weighted_law([(0.5, 0.0)], (1.0,), DeterministicCascade((1.0,)))
     offspring = sample_progeny(law, 1.0, derive_stream(0, 0))
     assert offspring == [(1.0, 0.5)]
+
+
+def test_sample_progeny_stream_matches_array_map_draw():
+    # the scalar map draw consumes the same double and picks the same map
+    # as the array draw it replaced
+    law = ifs_weighted_law(
+        [(0.5, 0.0), (0.25, 0.5), (0.3, 0.7)], (0.2, 0.3, 0.5), UniformSplitCascade()
+    )
+
+    def array_draw(x, rng):
+        offspring, lost = law.weights.sample_progeny(0, rng)
+        out = []
+        for u, _ in offspring:
+            z = int(law._draw_maps(1, rng)[0])
+            out.append((u, float(law._a[z] * float(x) + law._b[z])))
+        return out, lost
+
+    fast, slow = derive_stream(9, 0), derive_stream(9, 0)
+    xs = np.linspace(0.0, 1.0, 1000)
+    assert [law.sample_progeny(x, fast) for x in xs] == [array_draw(x, slow) for x in xs]
+    assert fast.random() == slow.random()
+
+    # a uniform equal to a table entry picks the next map in both
+    class Scripted:
+        def __init__(self):
+            self.values = iter([0.2, 0.2, 0.5, 0.5, np.nextafter(0.2, 0.0), 0.0] * 20)
+
+        def random(self, size=None):
+            u = next(self.values)
+            return u if size is None else np.full(size, u)
+
+    fast, slow = Scripted(), Scripted()
+    assert [law.sample_progeny(0.5, fast) for _ in range(20)] == [
+        array_draw(0.5, slow) for _ in range(20)
+    ]
 
 
 def test_map_validation():

@@ -1,5 +1,10 @@
+import time
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbp.cascades import UniformSplitCascade
 from wbp.finite_type import two_type_flip_law
@@ -16,6 +21,7 @@ from wbp.spectral import (
     kernel_power_apply,
     kernel_power_expect,
     power_iteration,
+    support_period,
 )
 from wbp.streams import derive_stream
 
@@ -67,6 +73,42 @@ def test_build_monte_carlo_fallback():
     assert abs(k.matrix[0, 0] - 0.5) <= 4 * k.stderr[0, 0]
 
 
+class RaggedBroods(ReproductionLaw):
+    """0 to 3 children per draw, on random types of a finite grid (repeats allowed)."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def sample_progeny(self, x, rng):
+        n = int(rng.integers(0, 4))
+        return [(float(rng.random()), int(rng.integers(0, self.d))) for _ in range(n)], 0.0
+
+
+def per_child_kernel(law, grid, order, mc_budget, rng):
+    # reference: the child-by-child Monte Carlo loop build_mean_kernel batches
+    d = grid.size
+    matrix = np.zeros((d, d))
+    stderr = np.zeros((d, d))
+    for i in range(d):
+        acc = np.zeros((mc_budget, d))
+        for b in range(mc_budget):
+            offspring, _ = law.sample_progeny(grid.points[i], rng)
+            for u, y in offspring:
+                acc[b, grid.locate([y])[0]] += u**order
+        matrix[i] = acc.mean(axis=0)
+        stderr[i] = acc.std(axis=0, ddof=1) / np.sqrt(mc_budget)
+    return matrix, stderr
+
+
+@pytest.mark.parametrize("order", [1.0, 1.5, 2.0])
+def test_monte_carlo_kernel_bit_identical_to_per_child_loop(order):
+    law, grid = RaggedBroods(6), TypeGrid.finite(6)
+    k = build_mean_kernel(law, grid, order, mc_budget=400, rng=derive_stream(3, 1))
+    matrix, stderr = per_child_kernel(law, grid, order, 400, derive_stream(3, 1))
+    assert np.array_equal(k.matrix, matrix)
+    assert np.array_equal(k.stderr, stderr)
+
+
 def test_kernel_power_apply_examples():
     jordan = K([[2.0, 1.0], [0.0, 2.0]])
     assert np.array_equal(kernel_power_apply(jordan, [1.0, 1.0], 0), [1.0, 1.0])
@@ -108,6 +150,37 @@ def test_power_iteration_ones_matrix():
 def test_power_iteration_periodic_raises():
     with pytest.raises(SpectralConvergenceError):
         power_iteration(K([[0.0, 1.0], [1.0, 0.0]]), max_iter=5000)
+
+
+def test_power_iteration_refuses_period_two_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(SpectralConvergenceError, match="period 2"):
+        power_iteration(K([[0.0, 1.0], [1.0, 0.0]]))
+    assert time.perf_counter() - t0 < 0.05
+
+
+def brute_force_period(a):
+    """gcd of the return times n <= 3 d^2 to type 0, or None if ``a`` is reducible."""
+    d = a.shape[0]
+    reach = np.eye(d, dtype=np.int64) + a
+    for _ in range(d):
+        reach = np.minimum(reach @ (np.eye(d, dtype=np.int64) + a), 1)
+    if not np.all(reach > 0):
+        return None
+    period, power = 0, np.eye(d, dtype=np.int64)
+    for n in range(1, 3 * d * d + 1):
+        power = np.minimum(power @ a, 1)
+        if power[0, 0]:
+            period = gcd(period, n)
+    return period
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(st.booleans(), min_size=d * d, max_size=d * d)))
+def test_support_period_matches_brute_force(bits):
+    d = int(round(len(bits) ** 0.5))
+    a = np.array(bits, dtype=np.int64).reshape(d, d)
+    assert support_period(a) == brute_force_period(a)
 
 
 def test_power_iteration_zero_raises():

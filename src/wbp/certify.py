@@ -11,6 +11,7 @@ horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -117,7 +118,8 @@ def estimate_c3(
     unit ``psi1`` norm; it is probed over a finite dictionary (grid-cell
     indicators and ``+-psi1``) at a spread of grid points, and the Monte
     Carlo mean of each ``E|sum_i u_i g(Y_i) - Qg(x)|^p`` is inflated by
-    2.33 standard errors.
+    2.33 standard errors. A non-finite bound (a budget below 2 leaves no
+    standard error) raises :class:`CertificationError`.
 
     Each probe point draws its ``budget`` progenies one ``sample_progeny``
     call at a time and then evaluates all test functions on the flattened
@@ -171,8 +173,13 @@ def estimate_c3(
         means = devs.mean(axis=0)
         ses = devs.std(axis=0, ddof=1) / np.sqrt(budget)
         for j in range(len(dictionary)):
-            bound = (means[j] + _Z99 * ses[j]) / (psi2[i] ** p * norms[j] ** p)
-            c3 = max(c3, float(bound))
+            bound = float((means[j] + _Z99 * ses[j]) / (psi2[i] ** p * norms[j] ** p))
+            if not math.isfinite(bound):
+                raise CertificationError(
+                    f"dispersion bound {bound} at grid point {i}, test function {j}: "
+                    f"mean {means[j]}, standard error {ses[j]} from {budget} draws"
+                )
+            c3 = max(c3, bound)
     return c3
 
 

@@ -1,5 +1,10 @@
 """Experiment orchestration: configs, replicate running, pipelines, reports.
 
+Run assembly lives here. A pipeline gets a model's grid kernels, their
+spectral data and its certificate from ``_spectral_for`` and
+``_certificate_for``, which build each of them once per run; the law
+modules (``ifs``, ``llogl``, ...) only read what they are given.
+
 Every run is fully determined by (config, seed): replicate ``i`` always
 draws from its own derived stream, aggregation touches per-replicate
 rows in index order, and result files carry no volatile fields, so
@@ -146,6 +151,20 @@ def make_model(model: dict) -> ModelBundle:
         raise ConfigError(f"invalid model ({type(exc).__name__}): {exc}") from exc
 
 
+def _start_type(model: dict, d: int) -> int:
+    x0 = int(model.get("x0", 0))
+    if not 0 <= x0 < d:
+        raise ConfigError(f"x0 = {x0} is not one of the model's {d} types")
+    return x0
+
+
+def _table(values, d: int, name: str) -> np.ndarray:
+    table = np.asarray(values, dtype=np.float64)
+    if table.shape != (d,):
+        raise ConfigError(f"{name} needs one value per type: {d}, got shape {table.shape}")
+    return table
+
+
 def _build_model(model: dict) -> ModelBundle:
     kind = model.get("kind")
     if kind == "cascade":
@@ -153,23 +172,20 @@ def _build_model(model: dict) -> ModelBundle:
         return ModelBundle(law, TypeGrid.finite(1), law.root_generation(), kind)
     if kind == "two_type_flip":
         law = two_type_flip_law()
-        g0 = law.root_generation(int(model.get("x0", 0)))
-        return ModelBundle(law, TypeGrid.finite(2), g0, kind)
+        return ModelBundle(law, TypeGrid.finite(2), law.root_generation(_start_type(model, 2)), kind)
     if kind == "markov_chain":
         transition = model["transition"]
         law = markov_chain_law(transition)
-        g0 = law.root_generation(int(model.get("x0", 0)))
-        grid = TypeGrid.finite(len(transition))
-        return ModelBundle(law, grid, g0, kind, {"transition": np.asarray(transition)})
+        d = len(transition)
+        return ModelBundle(law, TypeGrid.finite(d), law.root_generation(_start_type(model, d)), kind)
     if kind == "lineage_chain":
         transition = model["transition"]
-        f_table = np.asarray(model["f"], dtype=np.float64)
-        base = markov_chain_law(transition)
-        law = LineageLaw(base, f_table)
-        g0 = law.root_generation(int(model.get("x0", 0)))
-        grid = TypeGrid.finite(len(transition))
+        d = len(transition)
+        f_table = _table(model["f"], d, "model.f")
+        law = LineageLaw(markov_chain_law(transition), f_table)
+        g0 = law.root_generation(_start_type(model, d))
         return ModelBundle(
-            law, grid, g0, kind, {"transition": np.asarray(transition), "f": f_table}
+            law, TypeGrid.finite(d), g0, kind, {"transition": np.asarray(transition), "f": f_table}
         )
     if kind == "ifs":
         weights = _cascade_law({"kind": "cascade", **model.get("weights", {"spec": "uniform_split"})})
@@ -178,21 +194,18 @@ def _build_model(model: dict) -> ModelBundle:
             tuple(model.get("map_probs", [1.0 / len(model["maps"])] * len(model["maps"]))),
             weights,
         )
-        h = float(model.get("h", 2.0**-10))
-        grid = TypeGrid.interval(0.0, 1.0, h)
-        g0 = law.root_generation(float(model.get("x0", 0.5)))
-        return ModelBundle(law, grid, g0, kind, {"h": h})
+        grid = TypeGrid.interval(0.0, 1.0, float(model.get("h", 2.0**-10)))
+        return ModelBundle(law, grid, law.root_generation(float(model.get("x0", 0.5))), kind)
     if kind == "kernel_product":
         atoms = tuple(
             tuple(np.asarray(a, dtype=np.float64) for a in lst) for lst in model["atoms"]
         )
         law = KernelProductLaw(atoms, tuple(model["probs"]))
-        g0 = law.root_generation()
-        extras = {
-            "x_index": int(model.get("x_index", 0)),
-            "f": np.asarray(model.get("f", np.ones(law.dim)), dtype=np.float64),
-        }
-        return ModelBundle(law, None, g0, kind, extras)
+        x_index = int(model.get("x_index", 0))
+        if not 0 <= x_index < law.dim:
+            raise ConfigError(f"x_index = {x_index} is not a row of the {law.dim}x{law.dim} matrices")
+        extras = {"x_index": x_index, "f": _table(model.get("f", np.ones(law.dim)), law.dim, "model.f")}
+        return ModelBundle(law, None, law.root_generation(), kind, extras)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -200,76 +213,53 @@ def _build_model(model: dict) -> ModelBundle:
 # replicate running
 
 
-def _summary_mass_track(bundle: ModelBundle, horizon: int, rng, cap: int) -> np.ndarray:
-    g = bundle.g0
-    out = np.empty(horizon + 2)
-    out[0] = g.total_mass()
-    particles = g.size
-    for n in range(1, horizon + 1):
-        g = advance_generation(g, bundle.law, rng, cap=cap)
-        out[n] = g.total_mass()
-        particles += g.size
-    out[horizon + 1] = particles
-    return out
-
-
-def _summary_type_mass_track(bundle: ModelBundle, horizon: int, rng, cap: int) -> np.ndarray:
-    d = bundle.grid.size
-    g = bundle.g0
-    out = np.empty((horizon + 1) * d + 1)
-    particles = 0
-    for n in range(horizon + 1):
-        if n > 0:
-            g = advance_generation(g, bundle.law, rng, cap=cap)
-        out[n * d : (n + 1) * d] = np.bincount(
-            np.asarray(g.types, dtype=np.int64), weights=g.weights, minlength=d
-        )
-        particles += g.size
-    out[-1] = particles
-    return out
-
-
-def _summary_kernel_product_track(bundle: ModelBundle, horizon: int, rng, cap: int) -> np.ndarray:
-    from .population import simulate_trajectory
-
-    traj = simulate_trajectory(bundle.law, bundle.g0, horizon, rng, cap=cap)
-    obs = kernel_product_observable(traj, bundle.extras["x_index"], bundle.extras["f"])
-    particles = sum(g.size for g in traj)
-    return np.concatenate([obs, [particles]])
-
-
-def _summary_lineage_track(bundle: ModelBundle, horizon: int, rng, cap: int) -> np.ndarray:
-    g = bundle.g0
-    masses = np.empty(horizon + 1)
-    averages = np.empty(horizon)
-    masses[0] = g.total_mass()
-    particles = g.size
-    for n in range(1, horizon + 1):
-        g = advance_generation(g, bundle.law, rng, cap=cap)
-        masses[n] = g.total_mass()
-        averages[n - 1] = lineage_average_increment(g)
-        particles += g.size
-    return np.concatenate([masses, averages, [particles]])
-
-
-_SUMMARIES = {
-    "mass_track": (_summary_mass_track, lambda b, h: h + 2),
-    "type_mass_track": (_summary_type_mass_track, lambda b, h: (h + 1) * b.grid.size + 1),
-    "kernel_product_track": (_summary_kernel_product_track, lambda b, h: h + 2),
-    "lineage_track": (_summary_lineage_track, lambda b, h: 2 * h + 2),
-}
+_MODES = ("mass_track", "type_mass_track", "kernel_product_track", "lineage_track")
 
 
 def _replicate_rows(model: dict, mode: str, horizon: int, start: int, stop: int, seed: int, cap: int):
-    """Summary rows of replicates ``start..stop``; a capped replicate's row is NaN."""
+    """Summary rows of replicates ``start..stop``; a capped replicate's row is NaN.
+
+    A row holds one observation of each generation ``n = 0..horizon`` and
+    ends with the replicate's particle count. The observation is, by mode:
+
+    - ``mass_track``: the total mass, in column ``n``;
+    - ``type_mass_track``: the mass on each of the ``d`` types, in columns
+      ``n d .. n d + d - 1``;
+    - ``kernel_product_track``: ``kernel_product_observable``, in column ``n``;
+    - ``lineage_track``: the total mass in column ``n`` and, from generation
+      1 on, the lineage average in column ``horizon + n``.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"unknown summary mode {mode!r}")
     bundle = make_model(model)
-    fn, width = _SUMMARIES[mode]
-    block = np.empty((stop - start, width(bundle, horizon)))
-    for i in range(start, stop):
+    law = bundle.law
+    d = bundle.grid.size if mode == "type_mass_track" else 1
+    x_index, f = bundle.extras.get("x_index"), bundle.extras.get("f")
+    width = (horizon + 1) * d + (horizon if mode == "lineage_track" else 0) + 1
+    block = np.empty((stop - start, width))
+    for i, row in zip(range(start, stop), block):
+        rng = derive_stream(seed, i)
+        g = bundle.g0
+        particles = 0
         try:
-            block[i - start] = fn(bundle, horizon, derive_stream(seed, i), cap)
+            for n in range(horizon + 1):
+                if n:
+                    g = advance_generation(g, law, rng, cap=cap)
+                particles += g.size
+                if mode == "type_mass_track":
+                    row[n * d : (n + 1) * d] = np.bincount(
+                        np.asarray(g.types, dtype=np.int64), weights=g.weights, minlength=d
+                    )
+                elif mode == "kernel_product_track":
+                    row[n] = kernel_product_observable(g, x_index, f)
+                else:
+                    row[n] = g.total_mass()
+                    if n and mode == "lineage_track":
+                        row[horizon + n] = lineage_average_increment(g)
         except PopulationCapError:
-            block[i - start] = np.nan
+            row[:] = np.nan
+            continue
+        row[-1] = particles
     return block
 
 
@@ -429,22 +419,32 @@ def pipeline_simulate(cfg: ExperimentConfig) -> RunResult:
     )
 
 
-def _spectral_for(cfg: ExperimentConfig, bundle: ModelBundle, order: float = 1.0):
-    if bundle.kind == "kernel_product":
+def _grid_law(bundle: ModelBundle):
+    """The law whose mean kernels live on the model's grid."""
+    if bundle.grid is None:
         raise ConfigError("kernel_product models use the mean matrix, not a grid kernel")
-    grid = bundle.grid
-    law = bundle.law.base_law if isinstance(bundle.law, LineageLaw) else bundle.law
-    return build_mean_kernel(law, grid, order)
+    return bundle.law.base_law if isinstance(bundle.law, LineageLaw) else bundle.law
+
+
+def _spectral_for(cfg: ExperimentConfig, bundle: ModelBundle, horizon: int, f=None):
+    """First-moment kernel, its eigendata and ``alpha_1..alpha_horizon`` of ``f``.
+
+    ``f`` defaults to the config's observable, or ones if it names none.
+    Returns ``(k1, sd, f)``.
+    """
+    law = _grid_law(bundle)
+    if f is None:
+        f = _table(cfg.raw.get("f", np.ones(bundle.grid.size)), bundle.grid.size, "f")
+    k1 = build_mean_kernel(law, bundle.grid, 1.0)
+    sd = power_iteration(k1)
+    attach_alpha(k1, f, sd, np.ones(k1.size), horizon)
+    return k1, sd, f
 
 
 def pipeline_spectral(cfg: ExperimentConfig) -> RunResult:
     """Kernel construction, dominant eigendata, deviation sequence."""
     bundle = make_model(cfg.model)
-    k1 = _spectral_for(cfg, bundle)
-    sd = power_iteration(k1)
-    f = np.asarray(cfg.raw.get("f", np.ones(k1.size)), dtype=np.float64)
-    psi1 = np.ones(k1.size)
-    attach_alpha(k1, f, sd, psi1, cfg.n_max)
+    k1, sd, f = _spectral_for(cfg, bundle, cfg.n_max)
     results = {
         "theta": sd.theta,
         "beta": sd.beta,
@@ -472,32 +472,46 @@ def pipeline_spectral(cfg: ExperimentConfig) -> RunResult:
     )
 
 
-def _certificate_for(cfg: ExperimentConfig, bundle: ModelBundle):
-    k1 = _spectral_for(cfg, bundle)
-    kp = _spectral_for(cfg, bundle, order=cfg.p)
-    sd = power_iteration(k1)
+def _certificate_for(
+    cfg: ExperimentConfig,
+    bundle: ModelBundle,
+    horizon: int,
+    f=None,
+    stream: int = 2**32,
+    budget: int = 2000,
+):
+    """The one path from a model to its certificate, with flat weights ``psi = 1``.
+
+    Builds the first- and p-th moment kernels once, the eigendata of the
+    first (see :func:`_spectral_for`), and certifies up to ``horizon`` with
+    ``dispersion_budget`` draws (default ``budget``) from
+    ``derive_stream(seed, stream)``. Returns ``(k1, sd, cert, f)``.
+    """
+    budget = int(cfg.raw.get("dispersion_budget", budget))
+    if budget < 2:
+        raise ConfigError(f"dispersion_budget must be at least 2 for a standard error, got {budget}")
+    k1, sd, f = _spectral_for(cfg, bundle, horizon, f)
+    law = _grid_law(bundle)
+    kp = build_mean_kernel(law, bundle.grid, cfg.p)
     psi = np.ones(k1.size)
-    f = np.asarray(cfg.raw.get("f", np.ones(k1.size)), dtype=np.float64)
-    attach_alpha(k1, f, sd, psi, max(cfg.n_max, cfg.proxy_horizon or cfg.n_max))
-    law = bundle.law.base_law if isinstance(bundle.law, LineageLaw) else bundle.law
     cert = certify_md(
         k1,
         kp,
         sd,
         psi,
         psi,
-        max(cfg.n_max, cfg.proxy_horizon or cfg.n_max),
+        horizon,
         law=law,
-        rng=derive_stream(cfg.seed, 2**32),
-        dispersion_budget=int(cfg.raw.get("dispersion_budget", 2000)),
+        rng=derive_stream(cfg.seed, stream),
+        dispersion_budget=budget,
     )
-    return k1, kp, sd, cert, f
+    return k1, sd, cert, f
 
 
 def pipeline_certify(cfg: ExperimentConfig) -> RunResult:
     """Full moment-drift certificate for the configured model."""
     bundle = make_model(cfg.model)
-    k1, kp, sd, cert, f = _certificate_for(cfg, bundle)
+    _, sd, cert, _ = _certificate_for(cfg, bundle, cfg.proxy_horizon or cfg.n_max)
     results = {
         "theta": sd.theta,
         "beta": sd.beta,
@@ -527,14 +541,19 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError("verify-theorem1 needs at least 100 replicates")
     horizon = cfg.proxy_horizon or cfg.n_max
     mn = cfg.raw.get("mn_grid", {"m": [2, 4, 6, 8, 10], "n": [2, 4, 6, 8, 10]})
-    if max(mn["m"]) + max(mn["n"]) > horizon:
-        raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
-    k1, kp, sd, cert, f = _certificate_for(cfg, bundle)
+    try:
+        if min(mn["m"] + mn["n"]) < 1:
+            raise ConfigError(f"mn_grid needs m >= 1 and n >= 1, got {mn}")
+        if max(mn["m"]) + max(mn["n"]) > horizon:
+            raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"mn_grid needs non-empty lists m and n of integers: {exc!r}") from exc
+    _, sd, cert, f = _certificate_for(cfg, bundle, horizon)
     mode = "mass_track" if bundle.kind == "cascade" else "type_mass_track"
     block = run_replicates(
         cfg.model, mode, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
     )
-    d = k1.size
+    d = bundle.grid.size
     if mode == "type_mass_track":
         per_type = block.data.reshape(block.replicates, horizon + 1, d)
         raw_w = per_type @ sd.eta_f(f)
@@ -601,6 +620,9 @@ def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
     bundle = make_model(cfg.model)
     if bundle.kind != "cascade":
         raise ConfigError("llogl runs on cascade models")
+    mc_budget = int(cfg.raw.get("mc_budget", 2000))
+    if mc_budget < 2:
+        raise ConfigError(f"mc_budget must be at least 2 for a standard error, got {mc_budget}")
     law = bundle.law
     reports = liu_conditions(law, cfg.p)
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
@@ -621,7 +643,9 @@ def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
         theta1,
         cfg.p,
         cfg.n_max,
-        mc_budget=int(cfg.raw.get("mc_budget", 2000)),
+        k1,
+        kp,
+        mc_budget=mc_budget,
         rng=derive_stream(cfg.seed, 2**32 + 2),
     )
     probe_cfg = cfg.raw.get("probe", {"epsilon": 1e-3, "n": cfg.n_max})
@@ -755,24 +779,27 @@ def pipeline_kernel_products(cfg: ExperimentConfig) -> RunResult:
 
 
 def pipeline_ifs(cfg: ExperimentConfig) -> RunResult:
-    """Contraction-rate probe and killing-profile identity for an IFS model."""
+    """Contraction-rate probe, certificate and killing-profile identity for an IFS model.
+
+    The observable is the position ``f(x) = x``; the certificate runs to
+    ``n_max`` on its own stream, with 200 dispersion draws by default.
+    """
     bundle = make_model(cfg.model)
     if bundle.kind != "ifs":
         raise ConfigError("ifs pipeline needs an ifs model")
-    law = bundle.law
-    probe = ifs_convergence_probe(
-        law,
-        lambda xs: xs,
-        h=bundle.extras["h"],
-        p=cfg.p,
-        n_max=cfg.n_max,
-        rng=derive_stream(cfg.seed, 2**32 + 3),
-        dispersion_budget=int(cfg.raw.get("dispersion_budget", 200)),
+    k1, sd, cert, f = _certificate_for(
+        cfg, bundle, cfg.n_max, f=bundle.grid.points, stream=2**32 + 3, budget=200
     )
-    grid = TypeGrid.interval(0.0, 1.0, bundle.extras["h"])
-    k1 = build_mean_kernel(law, grid, 1.0)
-    doob = doob_transition(k1)
-    rows = [(n + 1, float(a)) for n, a in enumerate(probe.spectral.alpha)]
+    probe = ifs_convergence_probe(bundle.law, sd, p=cfg.p)
+    doob = doob_transition(k1, sd.theta)
+    f_norm = weighted_sup_norm(f, cert.psi1)
+    eta_norm = weighted_sup_norm(sd.eta_f(f), cert.psi1)
+    rhs_samples = {
+        f"{m},{n}": theorem1_rhs(cert, sd, f_norm, eta_norm, 1.0, 1.0, m, n)
+        for m, n in ((5, 5), (10, 10))
+        if n <= cfg.n_max  # the deviation sequence stops at n_max
+    }
+    rows = [(n + 1, float(a)) for n, a in enumerate(sd.alpha)]
     results = {
         "alpha_slope": probe.slope,
         "alpha_slope_bound": probe.slope_bound,
@@ -781,15 +808,14 @@ def pipeline_ifs(cfg: ExperimentConfig) -> RunResult:
         "gamma_bar_ok": probe.gamma_bar_ok,
         "verdict": probe.verdict,
         "fit_window": list(probe.fit_window),
-        "theta": probe.spectral.theta,
+        "theta": sd.theta,
         "doob_theta0": doob.theta0,
         "doob_sup_mass": doob.sup_mass,
         "doob_identity_residual": doob.identity_residual,
+        "c0": cert.c0,
+        "Gamma0": cert.Gamma(0),
+        "rhs_samples": rhs_samples,
     }
-    if probe.certificate is not None:
-        results["c0"] = probe.certificate.c0
-        results["Gamma0"] = probe.certificate.Gamma(0)
-        results["rhs_samples"] = {f"{m},{n}": v for (m, n), v in probe.rhs_samples.items()}
     return RunResult(
         "ifs",
         cfg.raw,

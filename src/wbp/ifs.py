@@ -5,18 +5,22 @@ weight factor from a type-independent offspring law; because every map
 has Lipschitz constant below 1, the mean kernel contracts in Wasserstein
 distance and the deviation sequence of its iterates decays at the
 contraction rate.
+
+This module holds the law, the Doob (killing-profile) check of a kernel
+and the IFS-specific reading of spectral data it is given: the
+contraction-rate fit and the dispersion ratio. Building the kernels and
+the certificate of a run is the job of ``harness``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cascades import CascadeLaw
-from .certify import MDCertificate, certify_md, theorem1_rhs, weighted_sup_norm
 from .population import (
     Generation,
     ProgenyBatch,
@@ -24,14 +28,7 @@ from .population import (
     cumulative_probs,
     initial_generation,
 )
-from .spectral import (
-    MeanKernel,
-    SpectralData,
-    TypeGrid,
-    attach_alpha,
-    build_mean_kernel,
-    power_iteration,
-)
+from .spectral import MeanKernel, SpectralData, power_iteration
 
 
 @dataclass(frozen=True)
@@ -61,6 +58,11 @@ class IfsLaw(ReproductionLaw):
         if len(self.maps) != len(self.map_probs):
             raise ValueError("maps and map_probs must align")
         self._cum = cumulative_probs(self.map_probs, "map_probs")
+        self._probs = np.array(self.map_probs, dtype=np.float64)
+        # the sampler's table ends at exactly 1.0; the mean kernel uses map_probs
+        # as given, so the two may differ only by rounding
+        if abs(self._probs.sum() - 1.0) > len(self._probs) * np.finfo(np.float64).eps:
+            raise ValueError("map_probs must sum to 1 up to rounding")
         for m in self.maps:
             if m.lipschitz >= 1.0:
                 raise ValueError(f"map {m} is not a strict contraction")
@@ -103,8 +105,7 @@ class IfsLaw(ReproductionLaw):
         row = np.zeros(grid.size)
         mass = self.weights.factor_moment(order)
         cells = grid.locate(self._a * float(x) + self._b)
-        probs = np.diff(np.concatenate([[0.0], self._cum]))
-        np.add.at(row, cells, mass * probs)
+        np.add.at(row, cells, mass * self._probs)
         return row
 
     # progeny-mass functionals (constant in x for type-independent weights)
@@ -148,14 +149,15 @@ class DoobData:
         return abs(self.theta1_product - self.theta1_direct)
 
 
-def doob_transition(k: MeanKernel, tol: float = 1e-12) -> DoobData:
+def doob_transition(k: MeanKernel, theta1: float, tol: float = 1e-12) -> DoobData:
     """Normalize a non-conservative kernel by its largest row mass.
 
     Returns the killing profile ``p(x) = rowmass(x) / sup rowmass``, the
     normalized sub-Markov chain kernel, its dominant eigenvalue
     ``theta0``, and the independently computed dominant eigenvalue of the
     original kernel (the two must satisfy
-    ``theta1 = theta0 * sup rowmass``).
+    ``theta1 = theta0 * sup rowmass``). ``theta1`` is that eigenvalue as
+    the caller computed it, e.g. ``power_iteration(k).theta``.
     """
     masses = k.matrix.sum(axis=1)
     sup_mass = float(masses.max())
@@ -164,53 +166,34 @@ def doob_transition(k: MeanKernel, tol: float = 1e-12) -> DoobData:
     profile = masses / sup_mass
     chain = MeanKernel(k.matrix / sup_mass, k.grid, k.order)
     theta0 = power_iteration(chain, tol=tol).theta
-    theta1 = power_iteration(k, tol=tol).theta
     return DoobData(profile, sup_mass, theta0, theta1, chain)
 
 
 @dataclass
 class IfsProbeReport:
-    """Outcome of the contraction / convergence probe for one IFS model."""
+    """Outcome of the contraction probe for one IFS model."""
 
     slope: float
     slope_bound: float
     contraction_ok: bool
     gamma_bar: float
     gamma_bar_ok: bool
-    certificate: Optional[MDCertificate]
-    spectral: SpectralData
-    rhs_samples: dict
     verdict: str
     fit_window: tuple[int, int]
 
 
 def ifs_convergence_probe(
-    law: IfsLaw,
-    f,
-    h: float = 2.0**-10,
-    p: float = 2.0,
-    n_max: int = 30,
-    rng: Optional[np.random.Generator] = None,
-    slack: float = 0.1,
-    mn_samples: tuple = ((5, 5), (10, 10)),
-    dispersion_budget: int = 500,
+    law: IfsLaw, sd: SpectralData, p: float = 2.0, slack: float = 0.1
 ) -> IfsProbeReport:
-    """Fit the deviation-decay rate of the discretized kernel and certify it.
+    """Fit the deviation-decay rate of the discretized kernel's spectral data ``sd``.
 
-    The fitted slope of ``log alpha_n`` must not exceed
-    ``log(max contraction) + slack``; the probe also evaluates the
-    dispersion ratio condition ``L_p <= gamma_bar theta^(p-1) L_1`` and
-    runs the error-bound pipeline with flat weight functions. The verdict
-    is inconclusive when discretization error floors the deviation
-    sequence before a rate can be read off.
+    ``sd`` must carry its deviation sequence (``attach_alpha``). The fitted
+    slope of ``log alpha_n`` must not exceed ``log(max contraction) +
+    slack``; the probe also evaluates the dispersion ratio condition
+    ``L_p <= gamma_bar theta^(p-1) L_1``. The verdict is inconclusive when
+    discretization error floors the deviation sequence before a rate can
+    be read off.
     """
-    grid = TypeGrid.interval(0.0, 1.0, h)
-    fvec = np.asarray(f(grid.points) if callable(f) else f, dtype=np.float64)
-    k1 = build_mean_kernel(law, grid, 1.0)
-    kp = build_mean_kernel(law, grid, p)
-    sd = power_iteration(k1)
-    ones = np.ones(grid.size)
-    attach_alpha(k1, fvec, sd, ones, n_max)
     alpha = sd.alpha
 
     # all maps constant (every a = 0): the rate bound is log 0 = -inf
@@ -234,31 +217,12 @@ def ifs_convergence_probe(
         verdict = "holds" if contraction_ok else "fails"
 
     gamma_bar = law.L(p) / (sd.theta ** (p - 1.0) * law.L(1.0))
-    gamma_bar_ok = bool(gamma_bar < 1.0)
-
-    certificate = None
-    rhs_samples = {}
-    if rng is not None:
-        certificate = certify_md(
-            k1, kp, sd, ones, ones, n_max, law=law, rng=rng, dispersion_budget=dispersion_budget
-        )
-        f_norm = weighted_sup_norm(fvec, ones)
-        eta_f_norm = weighted_sup_norm(sd.eta_f(fvec), ones)
-        for m, n in mn_samples:
-            if n > n_max:
-                continue  # the deviation sequence stops at n_max
-            rhs_samples[(m, n)] = theorem1_rhs(
-                certificate, sd, f_norm, eta_f_norm, 1.0, 1.0, m, n
-            )
     return IfsProbeReport(
         slope=slope,
         slope_bound=slope_bound,
         contraction_ok=contraction_ok,
         gamma_bar=float(gamma_bar),
-        gamma_bar_ok=gamma_bar_ok,
-        certificate=certificate,
-        spectral=sd,
-        rhs_samples=rhs_samples,
+        gamma_bar_ok=bool(gamma_bar < 1.0),
         verdict=verdict,
         fit_window=window,
     )

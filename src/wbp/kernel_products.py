@@ -10,7 +10,6 @@ mean matrix summed over one progeny draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -110,18 +109,12 @@ class KernelProductLaw(ReproductionLaw):
         return initial_generation([1.0], np.eye(self.dim)[None, :, :])
 
 
-def kernel_product_observable(trajectory: Sequence[Generation], x_index: int, f) -> np.ndarray:
-    """Generation sums of ``<e_x, (product along ancestry) f>``.
+def kernel_product_observable(g: Generation, x_index: int, f: np.ndarray) -> float:
+    """Generation sum of ``<e_x, (product along ancestry) f>`` for a float64 ``f``.
 
     Each particle contributes ``w_e * (T_e f)[x]``; the weight carries any
     magnitude factored out of the stored product, so the value is exact.
     """
-    fvec = np.asarray(f, dtype=np.float64)
-    out = np.empty(len(trajectory))
-    for k, g in enumerate(trajectory):
-        if g.size == 0:
-            out[k] = 0.0
-            continue
-        vals = g.types[:, x_index, :] @ fvec
-        out[k] = float(np.dot(g.weights, vals))
-    return out
+    if g.size == 0:
+        return 0.0
+    return float(np.dot(g.weights, g.types[:, x_index, :] @ f))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cascades import CascadeLaw
 from .population import ReproductionLaw, initial_generation, integrate, simulate_trajectory
-from .spectral import MeanKernel, TypeGrid, build_mean_kernel, kernel_power_apply
+from .spectral import MeanKernel, TypeGrid, kernel_power_apply
 
 _E = math.e
 
@@ -171,18 +171,19 @@ def hfk_partial_sums(
     theta1: float,
     p: float,
     n_max: int,
+    kernel1: MeanKernel,
+    kernelp: MeanKernel,
     mc_budget: int = 2000,
     rng: Optional[np.random.Generator] = None,
     init_measure=None,
-    kernel1: Optional[MeanKernel] = None,
-    kernelp: Optional[MeanKernel] = None,
 ) -> LlogLReport:
     """Partial sums of the truncated-moment series behind uniform integrability.
 
     Per grid point, the centered functional ``X_k^f(x)`` is sampled
     ``mc_budget`` times; the series terms contract the truncated first /
-    p-th moments with the iterated (p-th moment) kernels and the
-    geometric weights. The verdict reads the tail trend: clearly decaying
+    p-th moments with the iterated first- and p-th moment kernels
+    ``kernel1`` and ``kernelp`` of the law on ``grid`` and the geometric
+    weights. The verdict reads the tail trend: clearly decaying
     geometrically -> holds, clearly growing -> fails, else inconclusive.
     """
     if rng is None:
@@ -190,10 +191,6 @@ def hfk_partial_sums(
     if rho <= 1.0:
         raise ValueError("truncation base rho must exceed 1")
     d = grid.size
-    if kernel1 is None:
-        kernel1 = build_mean_kernel(law, grid, 1.0)
-    if kernelp is None:
-        kernelp = build_mean_kernel(law, grid, p)
     if init_measure is None:
         init_measure = np.eye(d)[0]
     init_measure = np.asarray(init_measure, dtype=np.float64)

@@ -62,6 +62,15 @@ def test_c3_upper_bound_close_to_variance():
     assert 1.0 / 6.0 <= c3 <= 1.0 / 6.0 * 1.25  # inflated, but not by much
 
 
+@pytest.mark.parametrize("budget", [0, 1])
+def test_c3_refuses_a_budget_without_a_standard_error(budget):
+    # the NaN bound of a budget below 2 once fell out of max(c3, nan), leaving c3 = 0
+    law = UniformSplitCascade(independent=True)
+    k1 = scalar_kernel(1.0)
+    with pytest.warns(RuntimeWarning), pytest.raises(CertificationError, match=f"from {budget} draws"):
+        estimate_c3(law, k1, np.ones(1), np.ones(1), 2.0, derive_stream(1, 0), budget=budget)
+
+
 def per_draw_c3(law, k1, psi1, psi2, p, rng, budget=2000, max_points=32, max_cells=16):
     # reference: the per-draw, per-test-function loop estimate_c3 batches
     grid = k1.grid

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from wbp import harness
 from wbp.cli import _COMMANDS, main
 from wbp.harness import _jsonable, run_replicates
 from wbp.martingale import LpErrorReport, mean_agrees
@@ -102,6 +103,10 @@ def test_unit_weight_chain_certificate_is_refused_with_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("no certificate: ")
 
 
+def _with(model, **fields):
+    return {**MODELS[model], **fields}
+
+
 @pytest.mark.parametrize(
     "pipeline,model,extra",
     [
@@ -109,10 +114,33 @@ def test_unit_weight_chain_certificate_is_refused_with_exit_2(tmp_path, capsys):
         ("simulate", {"kind": "markov_chain", "transition": [[0.5, 0.4], [0.2, 0.8]]}, {}),
         ("cascade", {"kind": "cascade", "spec": "mixture", "atoms": [[0.5]], "probs": [0.5]}, {}),
         ("simulate", {"kind": "ifs", "maps": [[1.5, 0.0]]}, {}),
+        ("simulate", _with("ifs", map_probs=[0.5, 0.49999999]), {}),
         ("spectral", MODELS["markov_chain"], {"beta_window": [1, 3]}),
+        # an observable, start type or budget that does not fit the model
+        ("spectral", MODELS["markov_chain"], {"f": [1, 2, 3]}),
+        ("certify", MODELS["markov_chain"], {"f": [1, 2, 3]}),
+        ("kernel-products", {"kind": "kernel_product", "atoms": [[[[0.5]]]], "probs": [1.0], "x_index": 3}, {}),
+        ("kernel-products", _with("kernel_product", f=[1.0, 2.0, 3.0]), {}),
+        ("lineage", _with("lineage_chain", f=[1.0]), {}),
+        ("simulate", _with("markov_chain", x0=5), {}),
+        ("simulate", _with("two_type_flip", x0=2), {}),
+        ("lineage", _with("lineage_chain", x0=5), {}),
+        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [0, 1], "n": [2, 3]}}),
+        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1, 2], "n": [0, 3]}}),
+        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [], "n": [2]}}),
+        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"n": [2]}}),
+        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": ["a"], "n": [2]}}),
+        ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 0}),
+        ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 1}),
+        ("ifs", MODELS["ifs"], {"dispersion_budget": 1}),
+        ("llogl", MODELS["cascade-mixture"], {"mc_budget": 1}),
     ],
 )
-def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, pipeline, model, extra):
+def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, pipeline, model, extra):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran before the refusal")
+
+    monkeypatch.setattr(harness, "run_replicates", no_replicates)
     assert _run(pipeline, _config(tmp_path, model, **extra), tmp_path / "out") == 2
     assert capsys.readouterr().err.startswith("config error: ")
 

@@ -6,6 +6,10 @@ from wbp.population import ReproductionLaw, simulate_trajectory
 from wbp.streams import derive_stream
 
 
+def observable_track(traj, x_index, f):
+    return np.array([kernel_product_observable(g, x_index, f) for g in traj])
+
+
 def test_kernel_norm_reference_values():
     assert kernel_norm(np.eye(4)) == 1.0
     assert kernel_norm([[1.0, -2.0], [0.0, 3.0]]) == 3.0
@@ -23,7 +27,7 @@ def test_identity_atoms_observable_constant():
     law = KernelProductLaw(((np.eye(2),),), (1.0,))
     traj = simulate_trajectory(law, law.root_generation(), 5, derive_stream(0, 0))
     f = np.array([3.0, 7.0])
-    obs = kernel_product_observable(traj, 0, f)
+    obs = observable_track(traj, 0, f)
     assert np.array_equal(obs, np.full(6, 3.0))
 
 
@@ -32,7 +36,7 @@ def test_two_half_children_observable_constant():
     half = 0.5 * np.eye(2)
     law = KernelProductLaw(((half, half),), (1.0,))
     traj = simulate_trajectory(law, law.root_generation(), 6, derive_stream(0, 0))
-    obs = kernel_product_observable(traj, 1, np.array([2.0, 4.0]))
+    obs = observable_track(traj, 1, np.array([2.0, 4.0]))
     assert np.allclose(obs, 4.0)
 
 
@@ -49,7 +53,7 @@ def test_replicate_mean_matches_mean_matrix_powers():
     obs = np.empty((reps, horizon + 1))
     for r in range(reps):
         traj = simulate_trajectory(law, law.root_generation(), horizon, derive_stream(31, r))
-        obs[r] = kernel_product_observable(traj, 0, f)
+        obs[r] = observable_track(traj, 0, f)
     for n in range(horizon + 1):
         exact = float((np.linalg.matrix_power(pmat, n) @ f)[0])
         col = obs[:, n]
@@ -61,7 +65,7 @@ def test_signed_matrices_allowed():
     a = np.array([[0.5, -0.25], [0.0, 0.5]])
     law = KernelProductLaw(((a,),), (1.0,))
     traj = simulate_trajectory(law, law.root_generation(), 3, derive_stream(0, 1))
-    obs = kernel_product_observable(traj, 0, np.array([1.0, 1.0]))
+    obs = observable_track(traj, 0, np.array([1.0, 1.0]))
     exact = [float((np.linalg.matrix_power(a, n) @ [1.0, 1.0])[0]) for n in range(4)]
     assert np.allclose(obs, exact)
 
@@ -74,7 +78,7 @@ def test_magnitude_rescaling_keeps_observable_exact():
     child = traj[1]
     assert np.max(np.abs(child.types)) < 1e200  # rescaled representation
     assert child.weights[0] > 1.0  # scale moved into the weight
-    obs = kernel_product_observable(traj, 0, np.array([1.0, 0.0]))
+    obs = observable_track(traj, 0, np.array([1.0, 0.0]))
     assert obs[1] == 1e200
 
 

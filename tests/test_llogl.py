@@ -141,11 +141,15 @@ def test_liu_conditions_monte_carlo_path():
     assert reports["p-moment-contraction"].verdict == "holds"
 
 
+def hfk(law, k, rho, theta1, p, n_max, **kw):
+    # f = 1 on the one-point grid, with the law's exact kernels
+    kernels = (build_mean_kernel(law, ONE_POINT, 1.0), build_mean_kernel(law, ONE_POINT, p))
+    return hfk_partial_sums(law, ONE_POINT, np.ones(1), k, rho, theta1, p, n_max, *kernels, **kw)
+
+
 def test_hfk_deterministic_all_zero_holds():
     law = DeterministicCascade((0.5, 0.5))
-    rep = hfk_partial_sums(
-        law, ONE_POINT, np.ones(1), 1, 2.0, 1.0, 2.0, 10, mc_budget=200, rng=derive_stream(4, 0)
-    )
+    rep = hfk(law, 1, 2.0, 1.0, 2.0, 10, mc_budget=200, rng=derive_stream(4, 0))
     assert rep.verdict == "holds"
     assert rep.numbers["partial_sum_first"] == 0.0
     assert rep.numbers["partial_sum_p"] == 0.0
@@ -153,9 +157,7 @@ def test_hfk_deterministic_all_zero_holds():
 
 def test_hfk_uniform_split_exact_null_holds():
     law = UniformSplitCascade(independent=False)
-    rep = hfk_partial_sums(
-        law, ONE_POINT, np.ones(1), 1, 2.0, 1.0, 2.0, 10, mc_budget=200, rng=derive_stream(5, 0)
-    )
+    rep = hfk(law, 1, 2.0, 1.0, 2.0, 10, mc_budget=200, rng=derive_stream(5, 0))
     assert rep.verdict == "holds"
     assert rep.numbers["partial_sum_p"] <= 1e-12
 
@@ -163,9 +165,7 @@ def test_hfk_uniform_split_exact_null_holds():
 def test_hfk_scaled_uniform_diverges():
     # terms grow like (4/3)^n * E(2U-1)^2: geometric divergence
     law = ScaledUniformCascade(c=2.0)
-    rep = hfk_partial_sums(
-        law, ONE_POINT, np.ones(1), 1, 2.0, 1.0, 2.0, 12, mc_budget=1500, rng=derive_stream(6, 0)
-    )
+    rep = hfk(law, 1, 2.0, 1.0, 2.0, 12, mc_budget=1500, rng=derive_stream(6, 0))
     assert rep.verdict == "fails"
     terms1 = rep.numbers["terms_first_moment"]
     assert np.allclose(terms1, 0.0, atol=1e-14)  # |X| <= 1 < rho^n for n >= 1
@@ -178,15 +178,4 @@ def test_hfk_scaled_uniform_diverges():
 
 def test_hfk_rho_must_exceed_one():
     with pytest.raises(ValueError):
-        hfk_partial_sums(
-            DeterministicCascade((1.0,)),
-            ONE_POINT,
-            np.ones(1),
-            1,
-            0.9,
-            1.0,
-            2.0,
-            5,
-            mc_budget=10,
-            rng=derive_stream(0, 0),
-        )
+        hfk(DeterministicCascade((1.0,)), 1, 0.9, 1.0, 2.0, 5, mc_budget=10, rng=derive_stream(0, 0))

@@ -53,10 +53,10 @@ class CascadeLaw(ReproductionLaw):
         """``E(sum_i u_i log u_i)`` (signed; its sign decides limit degeneracy)."""
         raise NotImplementedError
 
-    def moment_row(self, x, grid, order: float):
+    def moment_rows(self, grid, order: float):
         if grid.size != 1:
             raise ValueError("cascade laws live on a one-point grid")
-        return np.array([self.factor_moment(order)])
+        return np.zeros((1, 1), dtype=np.int64), np.array([[self.factor_moment(order)]])
 
     def root_generation(self, weight: float = 1.0) -> Generation:
         return initial_generation([weight], np.zeros(1, dtype=np.int64))

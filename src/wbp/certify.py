@@ -82,7 +82,7 @@ def gamma_witness(kp: MeanKernel, theta: float, psi2, n_max: int) -> np.ndarray:
     out[0] = 1.0
     w = v.copy()
     for n in range(1, n_max + 1):
-        w = (kp.matrix @ w) / scale
+        w = kp.apply(w) / scale
         out[n] = float(np.max(w / v)) ** (1.0 / p)
     return out
 
@@ -95,7 +95,7 @@ def estimate_c1(k1: MeanKernel, sd: SpectralData, psi1, n_max: int) -> float:
     c1 = 1.0  # n = 0 term
     w = psi.copy()
     for n in range(1, n_max + 1):
-        w = (k1.matrix @ w) / sd.theta
+        w = k1.apply(w) / sd.theta
         scaled = w / float(n) ** sd.beta if sd.beta else w
         c1 = max(c1, float(np.max(scaled / psi)))
     return c1
@@ -153,10 +153,11 @@ def estimate_c3(
     column[cells] = np.arange(n_cells)
     norms = [float(np.max(np.abs(g / psi1))) for g in dictionary]
     points = np.unique(np.linspace(0, d - 1, min(d, max_points)).astype(int))
+    qg = np.array([k1.apply(g) for g in dictionary])  # (Qg)(x) of every test function g
 
     c3 = 0.0
     for i in points:
-        exact = np.array([float(k1.matrix[i] @ g) for g in dictionary])
+        exact = qg[:, i]
         us, ys, counts = _progeny_table(law, grid.points[i], grid, budget, rng)
         owner = np.repeat(np.arange(budget), counts)
         z = np.zeros((budget, dictionary.shape[0]))

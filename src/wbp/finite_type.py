@@ -72,14 +72,23 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
         parent = np.repeat(np.arange(p, dtype=np.int64), self._width)
         return ProgenyBatch(child_w, child_types, parent)
 
-    def moment_row(self, x, grid, order: float):
-        t = int(x)
-        row = np.zeros(grid.size)
-        for prob, offspring in self.atoms_per_type[t]:
-            for u, y in offspring:
-                if u > 0:
-                    row[y] += prob * u**order
-        return row
+    def moment_rows(self, grid, order: float):
+        entries = [
+            [
+                (y, prob * u**order)
+                for prob, offspring in self.atoms_per_type[int(t)]
+                for u, y in offspring
+                if u > 0
+            ]
+            for t in grid.points
+        ]
+        width = max(1, max(map(len, entries)))
+        cols = np.zeros((grid.size, width), dtype=np.int64)
+        vals = np.zeros((grid.size, width))
+        for t, row in enumerate(entries):
+            if row:
+                cols[t, : len(row)], vals[t, : len(row)] = zip(*row)
+        return cols, vals
 
     def root_generation(self, type_index: int = 0, weight: float = 1.0) -> Generation:
         return initial_generation([weight], np.array([type_index], dtype=np.int64))

@@ -152,10 +152,19 @@ def make_model(model: dict) -> ModelBundle:
 
 
 def _start_type(model: dict, d: int) -> int:
-    x0 = int(model.get("x0", 0))
+    x0 = model.get("x0", 0)
+    if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not float(x0).is_integer():
+        raise ConfigError(f"x0 = {x0!r} is not a type index: the model's types are 0..{d - 1}")
     if not 0 <= x0 < d:
-        raise ConfigError(f"x0 = {x0} is not one of the model's {d} types")
-    return x0
+        raise ConfigError(f"x0 = {x0!r} is not one of the model's {d} types")
+    return int(x0)
+
+
+def _start_point(model: dict) -> float:
+    x0 = model.get("x0", 0.5)
+    if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not 0.0 <= x0 <= 1.0:
+        raise ConfigError(f"x0 = {x0!r} is not a point of the type space [0, 1]")
+    return float(x0)
 
 
 def _table(values, d: int, name: str) -> np.ndarray:
@@ -195,7 +204,7 @@ def _build_model(model: dict) -> ModelBundle:
             weights,
         )
         grid = TypeGrid.interval(0.0, 1.0, float(model.get("h", 2.0**-10)))
-        return ModelBundle(law, grid, law.root_generation(float(model.get("x0", 0.5))), kind)
+        return ModelBundle(law, grid, law.root_generation(_start_point(model)), kind)
     if kind == "kernel_product":
         atoms = tuple(
             tuple(np.asarray(a, dtype=np.float64) for a in lst) for lst in model["atoms"]
@@ -627,8 +636,8 @@ def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
     reports = liu_conditions(law, cfg.p)
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
     kp = build_mean_kernel(law, bundle.grid, cfg.p)
-    theta1 = float(k1.matrix[0, 0])
-    theta2 = float(kp.matrix[0, 0])
+    theta1 = float(k1.apply(np.ones(1))[0])
+    theta2 = float(kp.apply(np.ones(1))[0])
     rho_cfg = cfg.raw.get("rho")
     try:
         rho = float(rho_cfg) if rho_cfg is not None else default_rho(theta1, theta2, cfg.p)

@@ -101,12 +101,12 @@ class IfsLaw(ReproductionLaw):
         child_types = self._a[zeta] * np.asarray(types, dtype=np.float64)[parents] + self._b[zeta]
         return ProgenyBatch(batch.weights, child_types, parents, batch.discarded_mass)
 
-    def moment_row(self, x, grid, order: float):
-        row = np.zeros(grid.size)
+    def moment_rows(self, grid, order: float):
+        # one cell per (grid point, map); two maps landing in one cell add in map order
         mass = self.weights.factor_moment(order)
-        cells = grid.locate(self._a * float(x) + self._b)
-        np.add.at(row, cells, mass * self._probs)
-        return row
+        x = np.asarray(grid.points, dtype=np.float64)[:, None]
+        cells = grid.locate(self._a * x + self._b)
+        return cells, np.broadcast_to(mass * self._probs, cells.shape)
 
     # progeny-mass functionals (constant in x for type-independent weights)
     def J(self, x=None) -> float:
@@ -164,7 +164,7 @@ def doob_transition(k: MeanKernel, theta1: float, tol: float = 1e-12) -> DoobDat
     if sup_mass <= 0:
         raise ValueError("kernel has zero total mass")
     profile = masses / sup_mass
-    chain = MeanKernel(k.matrix / sup_mass, k.grid, k.order)
+    chain = MeanKernel(k.cols, k.matrix / sup_mass, k.grid, k.order)
     theta0 = power_iteration(chain, tol=tol).theta
     return DoobData(profile, sup_mass, theta0, theta1, chain)
 

@@ -192,7 +192,8 @@ def hfk_partial_sums(
         raise ValueError("truncation base rho must exceed 1")
     d = grid.size
     if init_measure is None:
-        init_measure = np.eye(d)[0]
+        init_measure = np.zeros(d)
+        init_measure[0] = 1.0
     init_measure = np.asarray(init_measure, dtype=np.float64)
 
     fvec = np.asarray(f, dtype=np.float64)
@@ -212,8 +213,8 @@ def hfk_partial_sums(
     row1 = init_measure.copy()
     rowp = init_measure.copy()
     for n in range(1, n_max + 1):
-        row1 = (row1 @ kernel1.matrix) / theta1
-        rowp = (rowp @ kernelp.matrix) / theta1**p
+        row1 = kernel1.apply_t(row1) / theta1
+        rowp = kernelp.apply_t(rowp) / theta1**p
         cut = rho**n
         big = absx > cut
         g1 = np.where(big, absx, 0.0).mean(axis=1)

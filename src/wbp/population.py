@@ -141,7 +141,7 @@ class ReproductionLaw:
     on the same stream both give bit-identical children, except for
     ``IfsLaw``, whose batch path draws all weights before all maps. Laws
     that know their first / p-th moment kernels expose them through
-    ``moment_row``.
+    ``moment_rows``.
     """
 
     truncation: TruncationPolicy = TruncationPolicy.exact_finite()
@@ -171,11 +171,14 @@ class ReproductionLaw:
             discarded,
         )
 
-    def moment_row(self, x, grid, order: float):
-        """Analytic moment measure ``A -> E(sum_i u_i^order 1{Y_i in A})`` on grid cells.
+    def moment_rows(self, grid, order: float):
+        """Analytic moment measures ``A -> E(sum_i u_i^order 1{Y_i in A})`` on grid cells.
 
-        Returns ``None`` when the law has no closed form (Monte Carlo
-        estimation is used instead).
+        Returns ``(cols, vals)`` of shape ``(grid.size, k)``: row ``i`` puts
+        mass ``vals[i, s]`` on cell ``cols[i, s]`` for a parent at
+        ``grid.points[i]``, and a cell may repeat within a row (its masses
+        add in slot order). Returns ``None`` when the law has no closed
+        form (Monte Carlo estimation is used instead).
         """
         return None
 

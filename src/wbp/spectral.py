@@ -1,10 +1,30 @@
 """Mean kernels on finite type grids and their spectral data.
 
-The mean kernel matrix ``M[i, j]`` is the expected offspring mass (first
-or p-th moment) a parent at grid point ``i`` sends to grid cell ``j``.
-Iterated kernels drive all expectation-level predictions; the dominant
-eigentriple ``(theta, eta, nu)`` and the deviation sequence ``alpha_n``
-quantify how fast ``theta^-n Q^n f`` stabilizes.
+The mean kernel ``M[i, j]`` is the expected offspring mass (first or p-th
+moment) a parent at grid point ``i`` sends to grid cell ``j``. Iterated
+kernels drive all expectation-level predictions; the dominant eigentriple
+``(theta, eta, nu)`` and the deviation sequence ``alpha_n`` quantify how
+fast ``theta^-n Q^n f`` stabilizes.
+
+A parent reaches only a few cells (an IFS parent one per map), so a kernel
+is stored as fixed-width sparse rows (ELL, see :class:`MeanKernel`): the
+cells ``cols`` and masses ``matrix`` of each row, both of shape ``(d, w)``
+with ``w`` the most cells any row reaches. ``Q v`` is one gather and a row
+sum, ``v Q`` one ``np.bincount`` over the cells, and no product builds a
+d x d array: a 2^-14 IFS grid (16 384 cells) needs ``(16 384, 2)`` rows
+where a dense kernel would take 2 GiB. The masses keep the attribute name
+``matrix`` of the dense layout, so readers of ``kernel.matrix`` (row
+sums, the benchmark tracer's count of stored cells) keep working.
+
+Each product rounds every ``mass * v[cell]`` on its own and then sums a
+row (``apply``) or a cell's column in row order (``apply_t``). That equals
+the dense BLAS product it replaced bit for bit when those products are
+exact (dyadic masses, or unit weights) and each row, or each column for
+``apply_t``, has at most two nonzero cells, since any summation order then
+rounds once. Otherwise the last bit may differ: BLAS sums in its own order
+and fuses multiply-adds, which round once where a product and a sum here
+round twice. The benchmark's kernels (two maps, or a single type) give
+byte-identical output files either way.
 """
 
 from __future__ import annotations
@@ -62,8 +82,24 @@ class TypeGrid:
 
 @dataclass
 class MeanKernel:
-    """Matrix form of a moment kernel on a grid."""
+    """A moment kernel on a grid, stored as fixed-width sparse rows (ELL).
 
+    Row ``i`` holds the cells ``cols[i]`` that a parent at grid point ``i``
+    reaches and their masses ``matrix[i]``; both have shape ``(d, w)`` with
+    ``w`` the largest number of cells in one row. A cell appears at most
+    once in a row, and shorter rows are padded with zero-mass slots on cell
+    0, which add an exact zero to every product. The masses keep the name
+    ``matrix`` from the dense layout this replaced, so code that reads
+    ``kernel.matrix`` (the benchmark tracer counts ``matrix.size`` as the
+    cells a product touches) sees the stored entries. ``stderr``, when
+    set, is aligned with ``matrix``.
+
+    Products go through :meth:`apply` and :meth:`apply_t` (the module
+    docstring says when they round like a dense product); :meth:`dense`
+    rebuilds the d x d matrix for tests and small-``d`` checks only.
+    """
+
+    cols: np.ndarray
     matrix: np.ndarray
     grid: TypeGrid
     order: float = 1.0
@@ -71,15 +107,76 @@ class MeanKernel:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("kernel matrix must be square")
+        cols = np.asarray(self.cols, dtype=np.int64)
+        if m.ndim != 2 or cols.shape != m.shape or m.shape[0] != self.grid.size:
+            raise ValueError("kernel rows must have shape (grid size, width) for cols and masses")
+        if cols.size and (cols.min() < 0 or cols.max() >= m.shape[0]):
+            raise ValueError("kernel cells must index the grid")
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise ValueError("kernel entries must be finite and non-negative")
+        self.cols = cols
         self.matrix = m
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    @classmethod
+    def from_rows(cls, cols, vals, grid: TypeGrid, order: float = 1.0) -> "MeanKernel":
+        """Kernel from ``(d, k)`` row entries in which a cell may repeat.
+
+        Repeated cells of a row add up in slot order, as ``np.add.at``
+        into a zero row would; cells whose total is zero are dropped.
+        """
+        vals = np.asarray(vals, dtype=np.float64)
+        d = vals.shape[0]
+        key = (np.arange(d, dtype=np.int64)[:, None] * d + np.asarray(cols, dtype=np.int64)).ravel()
+        cells, slot = np.unique(key, return_inverse=True)
+        total = np.zeros(cells.size)
+        np.add.at(total, slot, vals.ravel())
+        keep = total != 0.0
+        packed_cols, (packed,) = _pack_rows(*np.divmod(cells[keep], d), d, total[keep])
+        return cls(packed_cols, packed, grid, order)
+
+    @classmethod
+    def from_dense(cls, m, grid: TypeGrid, order: float = 1.0) -> "MeanKernel":
+        """Kernel of a dense ``d x d`` matrix (tests and small-``d`` checks)."""
+        m = np.asarray(m, dtype=np.float64)
+        return cls.from_rows(np.broadcast_to(np.arange(m.shape[1]), m.shape), m, grid, order)
+
+    def apply(self, v) -> np.ndarray:
+        """``Q v``: one gather and a row sum."""
+        return (self.matrix * np.asarray(v, dtype=np.float64)[self.cols]).sum(axis=1)
+
+    def apply_t(self, v) -> np.ndarray:
+        """``v Q``: each row's masses, scaled by ``v``, summed into their cells in row order."""
+        w = self.matrix * np.asarray(v, dtype=np.float64)[:, None]
+        return np.bincount(self.cols.ravel(), weights=w.ravel(), minlength=self.size)
+
+    def dense(self) -> np.ndarray:
+        """The d x d matrix (tests and small-``d`` checks only)."""
+        m = np.zeros((self.size, self.size))
+        np.add.at(m, (np.arange(self.size)[:, None], self.cols), self.matrix)
+        return m
+
+
+def _pack_rows(rows, cols, d: int, *values):
+    """ELL arrays from entries sorted by row, each cell at most once per row.
+
+    Returns ``cols`` of shape ``(d, w)`` and one ``(d, w)`` array per
+    array in ``values``; padding slots point at cell 0 with value 0.
+    """
+    counts = np.bincount(rows, minlength=d)
+    width = max(int(counts.max(initial=0)), 1)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    packed_cols = np.zeros((d, width), dtype=np.int64)
+    packed_cols[rows, slot] = cols
+    packed = []
+    for v in values:
+        out = np.zeros((d, width))
+        out[rows, slot] = v
+        packed.append(out)
+    return packed_cols, packed
 
 
 def build_mean_kernel(
@@ -91,28 +188,20 @@ def build_mean_kernel(
 ) -> MeanKernel:
     """Exact (analytic) or Monte Carlo estimate of the moment kernel.
 
-    Analytic rows come from ``law.moment_row``; laws without closed forms
+    Analytic rows come from ``law.moment_rows``; laws without closed forms
     need ``mc_budget`` draws per grid point and report per-entry standard
-    errors.
+    errors, one for each cell a draw reached.
     """
-    d = grid.size
-    rows = []
-    analytic = True
-    for i in range(d):
-        row = law.moment_row(grid.points[i], grid, order)
-        if row is None:
-            analytic = False
-            break
-        rows.append(np.asarray(row, dtype=np.float64))
-    if analytic:
-        matrix = np.vstack(rows)
-        _check_row_masses(matrix)
-        return MeanKernel(matrix, grid, order)
+    rows = law.moment_rows(grid, order)
+    if rows is not None:
+        k = MeanKernel.from_rows(*rows, grid, order)
+        _check_row_masses(k.matrix)
+        return k
 
     if mc_budget is None or rng is None:
         raise ValueError("law has no analytic moments; supply mc_budget and rng")
-    matrix = np.zeros((d, d))
-    stderr = np.zeros((d, d))
+    d = grid.size
+    owners, cells, means, ses = [], [], [], []
     for i in range(d):
         us, ys, counts = _progeny_table(law, grid.points[i], grid, mc_budget, rng)
         owner = np.repeat(np.arange(mc_budget), counts)
@@ -121,10 +210,16 @@ def build_mean_kernel(
         powers = np.fromiter(map(pow, us.tolist(), repeat(order)), dtype=np.float64, count=us.size)
         acc = np.zeros((mc_budget, d))
         np.add.at(acc, (owner, ys), powers)
-        matrix[i] = acc.mean(axis=0)
-        stderr[i] = acc.std(axis=0, ddof=1) / np.sqrt(mc_budget)
+        hit = np.unique(ys)
+        owners.append(np.full(hit.size, i, dtype=np.int64))
+        cells.append(hit)
+        means.append(acc.mean(axis=0)[hit])
+        ses.append(acc.std(axis=0, ddof=1)[hit] / np.sqrt(mc_budget))
+    cols, (matrix, stderr) = _pack_rows(
+        np.concatenate(owners), np.concatenate(cells), d, np.concatenate(means), np.concatenate(ses)
+    )
     _check_row_masses(matrix)
-    return MeanKernel(matrix, grid, order, stderr=stderr)
+    return MeanKernel(cols, matrix, grid, order, stderr=stderr)
 
 
 def _progeny_table(law: ReproductionLaw, x, grid: TypeGrid, budget: int, rng):
@@ -162,7 +257,7 @@ def kernel_power_apply(k: MeanKernel, f, n: int, return_logscale: bool = False):
     v = np.asarray(f, dtype=np.float64).astype(np.float64, copy=True)
     logscale = 0.0
     for _ in range(n):
-        v = k.matrix @ v
+        v = k.apply(v)
         m = float(np.max(np.abs(v)))
         if m > 0.0 and not (1e-140 < m < 1e140):
             v = v / m
@@ -214,31 +309,30 @@ def power_iteration(k: MeanKernel, tol: float = 1e-12, max_iter: int = 100_000) 
     iterate to), and raises :class:`SpectralConvergenceError` when the
     iteration does not settle (nearly reducible kernels).
     """
-    m = k.matrix
-    if not np.any(m > 0):
+    if not np.any(k.matrix > 0):
         raise SpectralConvergenceError("zero kernel has no dominant eigenvalue")
-    period = support_period(m)
+    period = support_period(k)
     if period is not None and period > 1:
         raise SpectralConvergenceError(
             f"periodic kernel: its support graph is irreducible with period {period}, "
             "so theta^-n Q^n f oscillates instead of converging"
         )
-    d = m.shape[0]
-    theta, eta = _power_iterate(m, np.ones(d), tol, max_iter)
+    d = k.size
+    theta, eta = _power_iterate(k.apply, np.ones(d), tol, max_iter)
     if d > 1:
         # primitivity probe: a skewed start must reach the same growth rate
         # (periodic kernels oscillate, near-reducible ones crawl)
         probe = 0.5 + np.arange(d) / (2.0 * d)
-        theta_probe, _ = _power_iterate(m, probe, tol, max_iter)
+        theta_probe, _ = _power_iterate(k.apply, probe, tol, max_iter)
         if abs(theta_probe - theta) > 1e-6 * max(theta, theta_probe):
             raise SpectralConvergenceError(
                 "growth rate depends on the start vector: non-primitive kernel"
             )
-    theta_l, nu = _power_iterate(m.T, np.ones(d), tol, max_iter)
+    theta_l, nu = _power_iterate(k.apply_t, np.ones(d), tol, max_iter)
     eta = eta / np.max(np.abs(eta))
     nu = nu / np.sum(nu)
-    resid_r = float(np.max(np.abs(m @ eta - theta * eta)) / np.max(np.abs(eta)))
-    resid_l = float(np.sum(np.abs(nu @ m - theta * nu)))
+    resid_r = float(np.max(np.abs(k.apply(eta) - theta * eta)) / np.max(np.abs(eta)))
+    resid_l = float(np.sum(np.abs(k.apply_t(nu) - theta * nu)))
     return SpectralData(
         theta=float(theta),
         beta=0,
@@ -249,41 +343,51 @@ def power_iteration(k: MeanKernel, tol: float = 1e-12, max_iter: int = 100_000) 
     )
 
 
-def support_period(m) -> Optional[int]:
-    """Period of the support graph of ``m > 0``, or ``None`` if it is reducible.
+def support_period(k: MeanKernel) -> Optional[int]:
+    """Period of the support graph of ``k`` (its cells of positive mass), or
+    ``None`` if that graph is reducible.
 
     A level BFS from type 0 gives each type its distance from 0. The graph
-    is irreducible when every type is reached both forwards and on the
-    transpose; its period is then the gcd of ``level[i] + 1 - level[j]``
-    over its edges ``i -> j``.
+    is irreducible when every type is reached both forwards, along the
+    rows, and backwards, along the rows of the transpose; its period is
+    then the gcd of ``level[i] + 1 - level[j]`` over its edges ``i -> j``.
     """
-    adj = np.asarray(m) > 0
-    level = _bfs_levels(adj)
-    if np.any(level < 0) or np.any(_bfs_levels(adj.T) < 0):
+    d = k.size
+    live = k.matrix > 0
+    src = np.broadcast_to(np.arange(d)[:, None], live.shape)[live]
+    dst = k.cols[live]
+    level = _bfs_levels(k.cols, live)
+    if np.any(level < 0):
         return None
-    src, dst = np.nonzero(adj)
+    order = np.argsort(dst, kind="stable")  # src is sorted already
+    t_cols, (t_live,) = _pack_rows(dst[order], src[order], d, np.ones(order.size))
+    if np.any(_bfs_levels(t_cols, t_live > 0) < 0):
+        return None
     return int(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])))
 
 
-def _bfs_levels(adj):
-    """Distance of each type from type 0 along ``adj``; -1 where unreachable."""
-    level = np.full(adj.shape[0], -1, dtype=np.int64)
+def _bfs_levels(cols, live):
+    """Distance of each type from type 0 along the rows ``cols`` where ``live``;
+    -1 where unreachable."""
+    level = np.full(cols.shape[0], -1, dtype=np.int64)
     level[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
-        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
+        reached = np.unique(cols[frontier][live[frontier]])
+        frontier = reached[level[reached] < 0]
         level[frontier] = depth
     return level
 
 
-def _power_iterate(m, start, tol, max_iter):
+def _power_iterate(step, start, tol, max_iter):
+    """Normalised iterates of ``step`` (``k.apply`` or ``k.apply_t``) from ``start``."""
     v = np.asarray(start, dtype=np.float64)
     v = v / np.max(np.abs(v))
     theta = 1.0
     for _ in range(max_iter):
-        w = m @ v
+        w = step(v)
         theta = float(np.max(np.abs(w)))
         if theta == 0.0:
             raise SpectralConvergenceError("iterate hit the kernel's null space")
@@ -321,7 +425,7 @@ def log_sup_norms(k: MeanKernel, f, n_max: int) -> np.ndarray:
         if n < n_max:
             v = v / m
             logscale += np.log(m)
-            v = k.matrix @ v
+            v = k.apply(v)
     return out
 
 
@@ -381,7 +485,7 @@ def alpha_sequence(
     v = np.asarray(f, dtype=np.float64).astype(np.float64, copy=True)
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
-        v = (k.matrix @ v) / sd.theta
+        v = k.apply(v) / sd.theta
         scaled = v / float(n) ** sd.beta if sd.beta else v
         out[n - 1] = float(np.max(np.abs(scaled - eta_f) / psi))
     return out

@@ -162,6 +162,8 @@ def test_moment_row_one_point_grid():
 
     grid = TypeGrid.finite(1)
     law = UniformSplitCascade(independent=True)
-    assert law.moment_row(0, grid, 2.0) == pytest.approx([2.0 / 3.0])
+    cols, vals = law.moment_rows(grid, 2.0)
+    assert cols.tolist() == [[0]]
+    assert vals.tolist() == [[pytest.approx(2.0 / 3.0)]]
     with pytest.raises(ValueError):
-        law.moment_row(0, TypeGrid.finite(2), 1.0)
+        law.moment_rows(TypeGrid.finite(2), 1.0)

@@ -22,7 +22,7 @@ ONE_POINT = TypeGrid.finite(1)
 
 
 def scalar_kernel(value, order=1.0):
-    return MeanKernel(np.array([[value]]), ONE_POINT, order)
+    return MeanKernel.from_dense(np.array([[value]]), ONE_POINT, order)
 
 
 def certified_uniform_split(independent=True, n_max=40):
@@ -84,7 +84,7 @@ def per_draw_c3(law, k1, psi1, psi2, p, rng, budget=2000, max_points=32, max_cel
     c3 = 0.0
     for i in points:
         x = grid.points[i]
-        exact = [float(k1.matrix[i] @ g) for g in dictionary]
+        exact = [float(k1.apply(g)[i]) for g in dictionary]
         norms = [float(np.max(np.abs(g / psi1))) for g in dictionary]
         devs = np.zeros((budget, len(dictionary)))
         for b in range(budget):
@@ -136,7 +136,7 @@ def test_c3_bit_identical_to_per_draw_loop_on_halving_ifs(p):
 def test_c3_bit_identical_to_per_draw_loop_on_ragged_broods():
     d = 24  # more cells than indicators: some children fall outside the dictionary
     rng = np.random.default_rng(5)
-    k1 = MeanKernel(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
+    k1 = MeanKernel.from_dense(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
     psi1 = rng.uniform(0.5, 2.0, size=d)
     psi2 = rng.uniform(0.5, 2.0, size=d)
     assert_c3_matches_per_draw(RaggedBroods(d), k1, psi1, psi2, 1.5, seed=8, budget=300)
@@ -147,7 +147,7 @@ def test_c3_bit_identical_to_per_draw_loop_at_tiny_budgets():
     # a mean over thousands of draws would round away
     d = 24
     rng = np.random.default_rng(6)
-    k1 = MeanKernel(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
+    k1 = MeanKernel.from_dense(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
     psi1 = rng.uniform(0.5, 2.0, size=d)
     psi2 = rng.uniform(0.5, 2.0, size=d)
     for seed in range(40):

@@ -125,6 +125,17 @@ def _with(model, **fields):
         ("simulate", _with("markov_chain", x0=5), {}),
         ("simulate", _with("two_type_flip", x0=2), {}),
         ("lineage", _with("lineage_chain", x0=5), {}),
+        # a start type that is not an index, a start point off [0, 1]
+        ("simulate", _with("markov_chain", x0=1.5), {}),
+        ("simulate", _with("two_type_flip", x0=0.5), {}),
+        ("lineage", _with("lineage_chain", x0=1.5), {}),
+        ("simulate", _with("markov_chain", x0=float("nan")), {}),
+        ("simulate", _with("markov_chain", x0="1"), {}),
+        ("simulate", _with("ifs", x0=5.0), {}),
+        ("simulate", _with("ifs", x0=-1.0), {}),
+        ("simulate", _with("ifs", x0=float("nan")), {}),
+        ("simulate", _with("ifs", x0=float("inf")), {}),
+        ("simulate", _with("ifs", x0="0.5"), {}),
         ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [0, 1], "n": [2, 3]}}),
         ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1, 2], "n": [0, 3]}}),
         ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [], "n": [2]}}),

@@ -74,7 +74,7 @@ def test_progeny_functionals_uniform_split():
 def test_moment_row_splits_between_map_images():
     law = halving_ifs()
     grid = TypeGrid.interval(0.0, 1.0, 2.0**-4)
-    row = law.moment_row(grid.points[3], grid, 1.0)
+    row = build_mean_kernel(law, grid, 1.0).dense()[3]
     assert row.sum() == pytest.approx(1.0)
     assert np.count_nonzero(row) == 2
     cells = grid.locate(np.array([grid.points[3] / 2, grid.points[3] / 2 + 0.5]))
@@ -91,7 +91,7 @@ def test_three_map_row_weights_each_map_by_its_probability():
     x = grid.points[8]
     cells = grid.locate([0.25 * x, 0.25 * x + 0.375, 0.25 * x + 0.75])
     for order in (1.0, 2.0):
-        row = law.moment_row(x, grid, order)
+        row = build_mean_kernel(law, grid, order).dense()[8]
         mass = law.weights.factor_moment(order)
         assert np.unique(cells).size == 3 and np.count_nonzero(row) == 3
         for cell in cells:
@@ -134,7 +134,7 @@ def test_grid_kernel_row_masses_are_offspring_mass():
 def test_doob_conservative_kernel():
     # constant row mass c: profile is identically 1 and theta0 * c = c
     m = np.array([[0.3, 0.4], [0.5, 0.2]])  # rows sum to 0.7
-    k = MeanKernel(m, TypeGrid.finite(2))
+    k = MeanKernel.from_dense(m, TypeGrid.finite(2))
     d = doob_transition(k, power_iteration(k).theta)
     assert np.allclose(d.profile, 1.0)
     assert d.sup_mass == pytest.approx(0.7)
@@ -144,7 +144,7 @@ def test_doob_conservative_kernel():
 def test_doob_two_point_nonconservative_identity():
     # acceptance-grade identity on a kernel with unequal row masses
     m = np.array([[0.3, 0.4], [0.5, 0.4]])
-    k = MeanKernel(m, TypeGrid.finite(2))
+    k = MeanKernel.from_dense(m, TypeGrid.finite(2))
     d = doob_transition(k, power_iteration(k, tol=1e-13).theta, tol=1e-13)
     assert d.profile[1] == 1.0
     assert d.profile[0] == pytest.approx(0.7 / 0.9)
@@ -162,11 +162,11 @@ def test_doob_uniform_split_mass_one():
     d = doob_transition(k, power_iteration(k).theta)
     assert np.allclose(d.profile, 1.0)
     assert d.sup_mass == pytest.approx(1.0)
-    assert np.allclose(d.chain.matrix, k.matrix)
+    assert np.allclose(d.chain.dense(), k.dense())
 
 
 def test_doob_zero_mass_rejected():
-    k = MeanKernel(np.zeros((2, 2)), TypeGrid.finite(2))
+    k = MeanKernel.from_dense(np.zeros((2, 2)), TypeGrid.finite(2))
     with pytest.raises(ValueError):
         doob_transition(k, 0.0)
 

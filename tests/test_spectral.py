@@ -28,37 +28,35 @@ from wbp.streams import derive_stream
 
 def K(rows, order=1.0):
     rows = np.asarray(rows, dtype=np.float64)
-    return MeanKernel(rows, TypeGrid.finite(rows.shape[0]), order)
+    return MeanKernel.from_dense(rows, TypeGrid.finite(rows.shape[0]), order)
 
 
 class IdentityLaw(ReproductionLaw):
     def sample_progeny(self, x, rng):
         return [(1.0, x)], 0.0
 
-    def moment_row(self, x, grid, order):
-        row = np.zeros(grid.size)
-        row[int(x)] = 1.0
-        return row
+    def moment_rows(self, grid, order):
+        return np.arange(grid.size)[:, None], np.ones((grid.size, 1))
 
 
 def test_build_identity_kernel():
     k = build_mean_kernel(IdentityLaw(), TypeGrid.finite(2))
-    assert np.array_equal(k.matrix, np.eye(2))
+    assert np.array_equal(k.dense(), np.eye(2))
 
 
 def test_build_flip_kernel_both_orders():
     law = two_type_flip_law()
     grid = TypeGrid.finite(2)
     k1 = build_mean_kernel(law, grid, 1.0)
-    assert np.array_equal(k1.matrix, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(k1.dense(), [[0.0, 1.0], [1.0, 0.0]])
     k2 = build_mean_kernel(law, grid, 2.0)
-    assert np.array_equal(k2.matrix, [[0.0, 0.5], [0.5, 0.0]])
+    assert np.array_equal(k2.dense(), [[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_build_cascade_second_moment():
     # uniform split on a one-point grid: E(U^2) + E((1-U)^2) = 2/3
     k = build_mean_kernel(UniformSplitCascade(), TypeGrid.finite(1), 2.0)
-    assert k.matrix[0, 0] == pytest.approx(2.0 / 3.0)
+    assert k.dense()[0, 0] == pytest.approx(2.0 / 3.0)
 
 
 def test_build_monte_carlo_fallback():
@@ -70,6 +68,7 @@ def test_build_monte_carlo_fallback():
         OpaqueLaw(), TypeGrid.finite(1), 1.0, mc_budget=20_000, rng=derive_stream(0, 0)
     )
     assert k.stderr is not None
+    assert k.cols.tolist() == [[0]]
     assert abs(k.matrix[0, 0] - 0.5) <= 4 * k.stderr[0, 0]
 
 
@@ -105,8 +104,10 @@ def test_monte_carlo_kernel_bit_identical_to_per_child_loop(order):
     law, grid = RaggedBroods(6), TypeGrid.finite(6)
     k = build_mean_kernel(law, grid, order, mc_budget=400, rng=derive_stream(3, 1))
     matrix, stderr = per_child_kernel(law, grid, order, 400, derive_stream(3, 1))
-    assert np.array_equal(k.matrix, matrix)
-    assert np.array_equal(k.stderr, stderr)
+    assert np.array_equal(k.dense(), matrix)
+    # stderr is aligned with the stored cells; every cell of every row was reached
+    assert k.matrix.shape == (6, 6)
+    assert np.array_equal(k.stderr, np.take_along_axis(stderr, k.cols, axis=1))
 
 
 def test_kernel_power_apply_examples():
@@ -180,7 +181,7 @@ def brute_force_period(a):
 def test_support_period_matches_brute_force(bits):
     d = int(round(len(bits) ** 0.5))
     a = np.array(bits, dtype=np.int64).reshape(d, d)
-    assert support_period(a) == brute_force_period(a)
+    assert support_period(K(a)) == brute_force_period(a)
 
 
 def test_power_iteration_zero_raises():
@@ -276,6 +277,13 @@ def test_interval_grid_locate():
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        MeanKernel(np.array([[1.0, -0.1], [0.0, 1.0]]), TypeGrid.finite(2))
+        MeanKernel.from_dense(np.array([[1.0, -0.1], [0.0, 1.0]]), TypeGrid.finite(2))
     with pytest.raises(ValueError):
-        MeanKernel(np.array([[np.inf, 0.0], [0.0, 1.0]]), TypeGrid.finite(2))
+        MeanKernel.from_dense(np.array([[np.inf, 0.0], [0.0, 1.0]]), TypeGrid.finite(2))
+    # cells outside the grid, cols not aligned with the masses, rows not one per grid point
+    with pytest.raises(ValueError, match="index the grid"):
+        MeanKernel(np.array([[0], [2]]), np.ones((2, 1)), TypeGrid.finite(2))
+    with pytest.raises(ValueError, match="shape"):
+        MeanKernel(np.zeros((2, 2), dtype=np.int64), np.ones((2, 1)), TypeGrid.finite(2))
+    with pytest.raises(ValueError, match="shape"):
+        MeanKernel(np.zeros((3, 1), dtype=np.int64), np.ones((3, 1)), TypeGrid.finite(2))

@@ -12,7 +12,6 @@ from .cascades import (
     MixtureCascade,
     ScaledUniformCascade,
     UniformSplitCascade,
-    cascade_martingale_mass,
 )
 from .certify import (
     CertificationError,
@@ -45,33 +44,24 @@ from .ifs import (
     ifs_weighted_law,
 )
 from .kernel_products import KernelProductLaw, kernel_norm, kernel_product_observable
-from .lineage import LineageLaw, lineage_average_increment, lineage_average_observable
+from .lineage import LineageLaw, lineage_average_increment
 from .llogl import (
     LlogLReport,
-    centered_functional,
     default_rho,
-    exp_1,
     hfk_partial_sums,
     liu_conditions,
-    log_a,
 )
 from .martingale import (
     IncrementReport,
     LpErrorReport,
-    MartingaleTrack,
-    biggins_track,
     degeneracy_probe,
     lp_error,
     martingale_increment_test,
     track_matrix,
 )
 from .population import (
-    AncestryUnavailableError,
     BranchingError,
     Generation,
-    Individual,
-    Label,
-    LineageMeasure,
     PopulationCapError,
     ProgenyError,
     ReproductionLaw,
@@ -79,9 +69,6 @@ from .population import (
     advance_generation,
     initial_generation,
     integrate,
-    lineage_measure,
-    pth_power_measure,
-    sample_progeny,
     simulate_trajectory,
 )
 from .spectral import (
@@ -95,7 +82,6 @@ from .spectral import (
     build_mean_kernel,
     estimate_beta,
     kernel_power_apply,
-    kernel_power_expect,
     power_iteration,
 )
 from .streams import derive_seed, derive_stream, splitmix64

@@ -45,10 +45,6 @@ class CascadeLaw(ReproductionLaw):
         """``Var(sum_i u_i)``; the one-step dispersion constant for p = 2."""
         raise NotImplementedError
 
-    def offspring_loglog(self) -> float:
-        """``E(sum_i u_i log_+ u_i)``."""
-        raise NotImplementedError
-
     def offspring_xlogx(self) -> float:
         """``E(sum_i u_i log u_i)`` (signed; its sign decides limit degeneracy)."""
         raise NotImplementedError
@@ -74,8 +70,8 @@ class DeterministicCascade(CascadeLaw):
 
     def __post_init__(self):
         self._v = np.asarray(self.factors, dtype=np.float64)
-        if np.any(self._v < 0):
-            raise ValueError("factors must be non-negative")
+        if not np.all((self._v >= 0) & (self._v < np.inf)):
+            raise ValueError(f"factors must be finite and non-negative, got {self.factors}")
         self.n_children = self._v.size
 
     def sample_progeny(self, x, rng):
@@ -98,10 +94,6 @@ class DeterministicCascade(CascadeLaw):
 
     def total_mass_var(self):
         return 0.0
-
-    def offspring_loglog(self):
-        v = self._v[self._v > 1.0]
-        return float(np.sum(v * np.log(v)))
 
     def offspring_xlogx(self):
         v = self._v[self._v > 0.0]
@@ -166,9 +158,6 @@ class UniformSplitCascade(CascadeLaw):
     def total_mass_var(self):
         return 1.0 / 6.0 if self.independent else 0.0
 
-    def offspring_loglog(self):
-        return 0.0  # both factors lie in [0, 1]
-
     def offspring_xlogx(self):
         return -0.5  # 2 E(U log U) = -1/2
 
@@ -178,6 +167,10 @@ class ScaledUniformCascade(CascadeLaw):
     """One effective child of factor ``c * U`` (its sibling has factor 0)."""
 
     c: float = 2.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.c < np.inf:
+            raise ValueError(f"c must be finite and non-negative, got {self.c}")
 
     def sample_progeny(self, x, rng):
         u = rng.random()
@@ -203,9 +196,6 @@ class ScaledUniformCascade(CascadeLaw):
     def total_mass_var(self):
         return self.c**2 / 12.0
 
-    def offspring_loglog(self):
-        return self.total_mass_loglog()
-
     def offspring_xlogx(self):
         c = self.c
         return (c / 2.0) * np.log(c) - c / 4.0
@@ -225,9 +215,9 @@ class MixtureCascade(CascadeLaw):
         width = max(len(a) for a in self.atoms)
         self._padded = np.zeros((len(self.atoms), width), dtype=np.float64)
         for j, a in enumerate(self.atoms):
-            if any(u < 0 for u in a):
-                raise ValueError("factors must be non-negative")
             self._padded[j, : len(a)] = a
+        if not np.all((self._padded >= 0) & (self._padded < np.inf)):
+            raise ValueError(f"factors must be finite and non-negative, got {self.atoms}")
         self.n_children = width
 
     def _draw_atoms(self, n, rng):
@@ -265,14 +255,6 @@ class MixtureCascade(CascadeLaw):
         m = float(np.dot(pr, sums))
         return float(np.dot(pr, (sums - m) ** 2))
 
-    def offspring_loglog(self):
-        vals = []
-        for a in self.atoms:
-            v = np.asarray(a, dtype=np.float64)
-            v = v[v > 1.0]
-            vals.append(float(np.sum(v * np.log(v))))
-        return float(np.dot(self.probs, vals))
-
     def offspring_xlogx(self):
         vals = []
         for a in self.atoms:
@@ -280,8 +262,3 @@ class MixtureCascade(CascadeLaw):
             v = v[v > 0.0]
             vals.append(float(np.sum(v * np.log(v))))
         return float(np.dot(self.probs, vals))
-
-
-def cascade_martingale_mass(trajectory) -> np.ndarray:
-    """Total-mass sequence ``(G_n(1))_n`` along one cascade trajectory."""
-    return np.array([g.total_mass() for g in trajectory])

@@ -86,8 +86,13 @@ class ExperimentConfig:
             proxy = horizons.get("proxy")
             replicates = int(cfg.get("replicates", 1000))
             p = float(cfg.get("p", 2.0))
+            particle_cap = int(cfg.get("caps", {}).get("particles", DEFAULT_PARTICLE_CAP))
             if replicates < 1:
                 raise ConfigError("replicates must be >= 1")
+            if n_max < 1:
+                raise ConfigError("horizons.n_max must be >= 1")
+            if particle_cap < 1:
+                raise ConfigError("caps.particles must be >= 1")
             if not 1.0 < p <= 2.0:
                 raise ConfigError("p must lie in (1, 2]")
             if proxy is not None and n_max > int(proxy):
@@ -100,7 +105,7 @@ class ExperimentConfig:
                 p=p,
                 n_max=n_max,
                 proxy_horizon=None if proxy is None else int(proxy),
-                particle_cap=int(cfg.get("caps", {}).get("particles", DEFAULT_PARTICLE_CAP)),
+                particle_cap=particle_cap,
                 raw=cfg,
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -108,15 +108,7 @@ class IfsLaw(ReproductionLaw):
         cells = grid.locate(self._a * x + self._b)
         return cells, np.broadcast_to(mass * self._probs, cells.shape)
 
-    # progeny-mass functionals (constant in x for type-independent weights)
-    def J(self, x=None) -> float:
-        """``E(sum_i u_i log_+ u_i)``."""
-        return self.weights.offspring_loglog()
-
-    def H(self, q: float, x=None) -> float:
-        """``E((sum_i u_i)^q)``."""
-        return self.weights.total_mass_power(q)
-
+    # progeny-mass functional (constant in x for type-independent weights)
     def L(self, q: float, x=None) -> float:
         """``E(sum_i u_i^q)``."""
         return self.weights.factor_moment(q)

@@ -65,6 +65,8 @@ class KernelProductLaw(ReproductionLaw):
         for j, lst in enumerate(self.atom_lists):
             for k, a in enumerate(lst):
                 self._table[j, k] = a
+        if not np.all(np.isfinite(self._table)):
+            raise ValueError("matrix entries must be finite")
 
     def sample_progeny(self, x, rng):
         j = int(np.searchsorted(self._cum, rng.random(), side="right"))

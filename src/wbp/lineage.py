@@ -3,25 +3,19 @@
 For a particle ``e`` of generation ``n``, the lineage measure puts mass
 ``1/n`` on each type met at generations 1..n of its ancestry (itself
 included). The generation aggregate ``A_n(f) = sum_e w_e M_e(f)`` is
-computed two ways: incrementally, by enriching each particle's type with
-the running sum of ``f`` along its line, and by walking retained trees;
-both must agree exactly.
+computed from running sums: each particle's type is enriched with the
+sum of ``f`` along its line, so one array pass per generation gives
+``A_n(f)`` and no ancestry is kept. The tests check it against a walk up
+the ``parent_index`` chain of a simulated trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .population import (
-    Generation,
-    ProgenyBatch,
-    ReproductionLaw,
-    initial_generation,
-    lineage_measure,
-)
+from .population import Generation, ProgenyBatch, ReproductionLaw, initial_generation
 
 
 @dataclass
@@ -29,7 +23,7 @@ class LineageLaw(ReproductionLaw):
     """Wraps a finite-type law, carrying each particle's running f-sum.
 
     Enriched types are ``(base type, sum of f over generations 1..n)``
-    stored as float pairs, so lineage averages need no tree retention.
+    stored as float pairs, so lineage averages need no ancestry.
     """
 
     base_law: ReproductionLaw
@@ -68,14 +62,3 @@ def lineage_average_increment(g: Generation) -> float:
     if g.size == 0:
         return 0.0
     return float(np.dot(g.weights, g.types[:, 1]) / g.index)
-
-
-def lineage_average_observable(trajectory: Sequence[Generation], f) -> np.ndarray:
-    """``A_n(f)`` for n = 1..N from a tree-retained trajectory of a base law."""
-    out = np.empty(len(trajectory) - 1)
-    for n, g in enumerate(trajectory[1:], start=1):
-        total = 0.0
-        for i in range(g.size):
-            total += g.weights[i] * lineage_measure(g, i).integrate(f)
-        out[n - 1] = total
-    return out

@@ -20,36 +20,6 @@ from .cascades import CascadeLaw
 from .population import ReproductionLaw, initial_generation, integrate, simulate_trajectory
 from .spectral import MeanKernel, TypeGrid, kernel_power_apply
 
-_E = math.e
-
-
-def log_a(a: float, x):
-    """Tempered power-log: ``(a/e)^a x`` below ``e^a``, ``log(x)^a`` above.
-
-    Continuous and non-decreasing on ``x >= 0`` for every ``a >= 1``;
-    ``x * log_a(a, x)`` is convex.
-    """
-    if a < 1:
-        raise ValueError("a must be at least 1")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
-        raise ValueError("x must be non-negative")
-    low = x < _E**a
-    out = np.empty_like(x)
-    out[low] = (a / _E) ** a * x[low]
-    out[~low] = np.log(x[~low]) ** a
-    return out if out.ndim else float(out)
-
-
-def exp_1(x):
-    """Inverse-flavored companion of ``log_a(1, .)``: ``x`` above ``e``, ``exp(x/e)`` below."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
-        raise ValueError("x must be non-negative")
-    out = np.where(x >= _E, x, np.exp(x / _E))
-    return out if out.ndim else float(out)
-
-
 def default_rho(theta1: float, theta2: float, p: float) -> float:
     """Canonical truncation base ``(theta1^p / theta2)^(1/(p-1))``.
 
@@ -61,22 +31,6 @@ def default_rho(theta1: float, theta2: float, p: float) -> float:
             "theta1^p <= theta2: no canonical truncation base, pass rho explicitly"
         )
     return (theta1**p / theta2) ** (1.0 / (p - 1.0))
-
-
-def centered_functional(
-    law: ReproductionLaw,
-    x,
-    f,
-    k: int,
-    rng: np.random.Generator,
-    kernel: MeanKernel,
-) -> float:
-    """One sample of ``G^x_k(f) - (Q^k f)(x)`` for the process started at ``x``."""
-    i = int(kernel.grid.locate([x])[0])
-    exact = float(kernel_power_apply(kernel, np.asarray(f, dtype=np.float64), k)[i])
-    g0 = initial_generation([1.0], np.array([x]))
-    traj = simulate_trajectory(law, g0, k, rng)
-    return integrate(traj[-1], f) - exact
 
 
 @dataclass

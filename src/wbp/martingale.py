@@ -9,11 +9,9 @@ convergence theory this package verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-from .population import Generation, integrate
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -38,33 +36,11 @@ def mean_agrees(mean: float, se: float, exact: float) -> bool:
     return bool(abs(mean - exact) <= 4.0 * se + rounding_slack(exact))
 
 
-@dataclass
-class MartingaleTrack:
-    """One replicate's normalized trajectory ``W_0 .. W_N``."""
-
-    values: np.ndarray
-    theta: float
-    replicate_id: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("track values must be finite")
-
-
-def biggins_track(trajectory: Sequence[Generation], eta_f, theta: float, replicate_id: int = 0) -> MartingaleTrack:
-    """Track ``W_n = theta^-n G_n(eta_f)`` along one simulated trajectory."""
-    vals = np.array(
-        [integrate(g, eta_f) / theta**n for n, g in enumerate(trajectory)], dtype=np.float64
-    )
-    return MartingaleTrack(vals, theta, replicate_id)
-
-
 def track_matrix(tracks) -> np.ndarray:
     """Stack tracks into an (replicates, horizon+1) array."""
     if isinstance(tracks, np.ndarray):
         return np.atleast_2d(tracks)
-    return np.vstack([t.values if isinstance(t, MartingaleTrack) else np.asarray(t) for t in tracks])
+    return np.vstack(tracks)
 
 
 @dataclass
@@ -74,10 +50,6 @@ class IncrementReport:
     means: np.ndarray
     stderrs: np.ndarray
     flagged: list[int]
-
-    @property
-    def n_flagged(self) -> int:
-        return len(self.flagged)
 
 
 def martingale_increment_test(tracks, sigmas: float = 4.0) -> IncrementReport:

@@ -1,12 +1,11 @@
 """Weighted typed populations and their one-step branching dynamics.
 
 A generation is a weighted empirical measure ``sum_e w_e . delta(X_e)``
-stored as flat arrays (weights, types, parent bookkeeping). Individuals
-are addressed by Ulam-Harris style labels: a child's label appends its
-sibling rank to the parent's label. Reproduction laws supply, per parent
-type, a finite batch of (weight factor, child type) pairs; generation
-advance multiplies factors into parent weights, drops zero-weight
-children and enforces a hard particle cap.
+stored as flat arrays: weights, types and, from generation 1 on, each
+particle's ``parent_index`` into the previous generation. Reproduction
+laws supply, per parent type, a finite batch of (weight factor, child
+type) pairs; generation advance multiplies factors into parent weights,
+drops zero-weight children and enforces a hard particle cap.
 """
 
 from __future__ import annotations
@@ -40,34 +39,6 @@ class ProgenyError(BranchingError):
     """Raised when a sampled offspring factor is negative or non-finite."""
 
 
-class AncestryUnavailableError(BranchingError):
-    """Raised when lineage data was discarded (generation-only storage)."""
-
-
-@dataclass(frozen=True)
-class Label:
-    """Ulam-Harris address: initial-atom id plus the descent word."""
-
-    root: int = 0
-    path: tuple[int, ...] = ()
-
-    @property
-    def generation(self) -> int:
-        return len(self.path)
-
-    def child(self, rank: int) -> "Label":
-        return Label(self.root, self.path + (rank,))
-
-    def is_ancestor_of(self, other: "Label") -> bool:
-        """True when this label is a prefix of ``other`` (self included)."""
-        if self.root != other.root or len(self.path) > len(other.path):
-            return False
-        return other.path[: len(self.path)] == self.path
-
-    def __str__(self) -> str:
-        return f"{self.root}:" + ".".join(str(i) for i in self.path)
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How infinite progeny point processes are made finite.
@@ -93,13 +64,6 @@ class TruncationPolicy:
     @staticmethod
     def tail_bounded(epsilon: float) -> "TruncationPolicy":
         return TruncationPolicy("tail-bounded", float(epsilon))
-
-
-@dataclass(frozen=True)
-class Individual:
-    label: Label
-    weight: float
-    typ: object
 
 
 class ProgenyBatch:
@@ -187,17 +151,15 @@ class ReproductionLaw:
 class Generation:
     """One generation: ``G_n = sum_e w_e . delta(X_e)``.
 
-    ``parent_index`` and ``child_rank`` address each particle as (slot of
-    parent in the previous generation, rank among siblings); with the
-    ``parent`` chain retained they reconstruct full Ulam-Harris labels.
+    ``parent_index[e]`` is the slot of particle ``e``'s parent in
+    generation ``index - 1`` (``None`` for an initial generation), so a
+    list of generations holds every lineage.
     """
 
     weights: np.ndarray
     types: np.ndarray
     index: int = 0
     parent_index: Optional[np.ndarray] = None
-    child_rank: Optional[np.ndarray] = None
-    parent: Optional["Generation"] = None
     discarded_mass: float = 0.0
 
     def __post_init__(self):
@@ -213,36 +175,6 @@ class Generation:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def individual(self, i: int) -> Individual:
-        return Individual(self.label_of(i), float(self.weights[i]), self.types[i])
-
-    def label_of(self, i: int) -> Label:
-        """Full label of particle ``i`` (needs the retained parent chain)."""
-        path = []
-        gen = self
-        while gen.index > 0:
-            if gen.child_rank is None or gen.parent_index is None:
-                raise AncestryUnavailableError(
-                    "labels need parent bookkeeping; re-run with retain=True"
-                )
-            path.append(int(gen.child_rank[i]))
-            if gen.parent is None:
-                raise AncestryUnavailableError(
-                    "ancestry was discarded (generation-only storage)"
-                )
-            i = int(gen.parent_index[i])
-            gen = gen.parent
-        return Label(root=i, path=tuple(reversed(path)))
-
-    def labels(self) -> list[Label]:
-        return [self.label_of(i) for i in range(self.size)]
-
-    def find(self, label: Label) -> int:
-        for i in range(self.size):
-            if self.label_of(i) == label:
-                return i
-        raise KeyError(f"no particle with label {label}")
-
 
 def initial_generation(weights, types) -> Generation:
     """Finite initial configuration ``G_0``."""
@@ -254,7 +186,6 @@ def advance_generation(
     law: ReproductionLaw,
     rng: np.random.Generator,
     cap: int = DEFAULT_PARTICLE_CAP,
-    retain: bool = False,
 ) -> Generation:
     """Advance one generation: every particle reproduces independently.
 
@@ -278,31 +209,9 @@ def advance_generation(
         w, types, parent = w[keep], types[keep], parent[keep]
     if w.size > cap:
         raise PopulationCapError(w.size, cap, g.index + 1)
-    rank = _sibling_ranks(parent) if retain else None
     return Generation(
-        w,
-        types,
-        index=g.index + 1,
-        parent_index=parent,
-        child_rank=rank,
-        parent=g if retain else None,
-        discarded_mass=batch.discarded_mass,
+        w, types, index=g.index + 1, parent_index=parent, discarded_mass=batch.discarded_mass
     )
-
-
-def _sibling_ranks(parent_index: np.ndarray) -> np.ndarray:
-    """Rank of each child among the children of its parent (parent order)."""
-    n = parent_index.shape[0]
-    rank = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return rank
-    same = np.empty(n, dtype=bool)
-    same[0] = False
-    same[1:] = parent_index[1:] == parent_index[:-1]
-    run = np.arange(n)
-    start = np.where(~same, run, 0)
-    np.maximum.accumulate(start, out=start)
-    return run - start
 
 
 def integrate(g: Generation, f) -> float:
@@ -321,86 +230,17 @@ def evaluate_on_types(f, types) -> np.ndarray:
     return table[np.asarray(types, dtype=np.int64)]
 
 
-def pth_power_measure(g: Generation, p: float) -> Generation:
-    """Generation with weights raised to ``p``; labels and types unchanged."""
-    if p <= 0:
-        raise ValueError("power must be positive")
-    return Generation(
-        np.power(g.weights, p),
-        g.types,
-        index=g.index,
-        parent_index=g.parent_index,
-        child_rank=g.child_rank,
-        parent=g.parent,
-    )
-
-
-@dataclass
-class LineageMeasure:
-    """Uniform measure on the types along one particle's ancestry.
-
-    Atoms are the types at generations ``1..n`` of the lineage (the
-    particle itself included), each with mass ``1/n``.
-    """
-
-    types: np.ndarray
-    mass: float
-
-    def integrate(self, f) -> float:
-        return float(np.sum(evaluate_on_types(f, self.types)) * self.mass)
-
-
-def lineage_types(g: Generation, i: int) -> np.ndarray:
-    """Types along the lineage of particle ``i``, generations 1..n."""
-    if g.index == 0:
-        raise ValueError("a generation-0 particle has an empty lineage")
-    out = []
-    gen = g
-    while gen.index > 0:
-        out.append(gen.types[i])
-        if gen.parent is None or gen.parent_index is None:
-            raise AncestryUnavailableError(
-                "ancestry was discarded (generation-only storage); "
-                "re-run with retain=True"
-            )
-        i = int(gen.parent_index[i])
-        gen = gen.parent
-    out.reverse()
-    return np.array(out)
-
-
-def lineage_measure(g: Generation, particle) -> LineageMeasure:
-    """Empirical measure of one lineage; ``particle`` is an index or Label."""
-    i = g.find(particle) if isinstance(particle, Label) else int(particle)
-    types = lineage_types(g, i)
-    return LineageMeasure(types, 1.0 / g.index)
-
-
-def sample_progeny(law: ReproductionLaw, x, rng) -> list[tuple[float, object]]:
-    """Draw one parent's progeny and validate the sampled factors."""
-    offspring, discarded = law.sample_progeny(x, rng)
-    for u, _ in offspring:
-        if not np.isfinite(u) or u < 0:
-            raise ProgenyError(f"offspring factor {u!r} is negative or non-finite")
-    if law.truncation.mode == "tail-bounded" and discarded > law.truncation.epsilon:
-        raise ProgenyError(
-            f"discarded tail mass {discarded} exceeds bound {law.truncation.epsilon}"
-        )
-    return offspring
-
-
 def simulate_trajectory(
     law: ReproductionLaw,
     g0: Generation,
     horizon: int,
     rng: np.random.Generator,
     cap: int = DEFAULT_PARTICLE_CAP,
-    retain: bool = False,
 ) -> list[Generation]:
     """Generations ``G_0 .. G_horizon`` of one replicate."""
     traj = [g0]
     g = g0
     for _ in range(horizon):
-        g = advance_generation(g, law, rng, cap=cap, retain=retain)
+        g = advance_generation(g, law, rng, cap=cap)
         traj.append(g)
     return traj

@@ -271,11 +271,6 @@ def kernel_power_apply(k: MeanKernel, f, n: int, return_logscale: bool = False):
     return v * np.exp(logscale)
 
 
-def kernel_power_expect(k: MeanKernel, init_measure, f, n: int) -> float:
-    """``<init, Q^n f>``: the expected generation-``n`` integral of ``f``."""
-    return float(np.dot(np.asarray(init_measure, dtype=np.float64), kernel_power_apply(k, f, n)))
-
-
 @dataclass
 class SpectralData:
     """Dominant eigendata of a mean kernel.

@@ -7,21 +7,19 @@ from wbp.cascades import (
     MixtureCascade,
     ScaledUniformCascade,
     UniformSplitCascade,
-    cascade_martingale_mass,
 )
-from wbp.population import advance_generation, sample_progeny, simulate_trajectory
+from wbp.population import advance_generation, simulate_trajectory
 from wbp.streams import derive_stream
 
 
 def test_deterministic_binary_progeny():
     law = DeterministicCascade((0.5, 0.5))
-    offspring = sample_progeny(law, 0, derive_stream(0, 0))
-    assert offspring == [(0.5, 0), (0.5, 0)]
+    assert law.sample_progeny(0, derive_stream(0, 0)) == ([(0.5, 0), (0.5, 0)], 0.0)
 
 
 def test_identity_progeny():
     law = DeterministicCascade((1.0,))
-    assert sample_progeny(law, 0, derive_stream(0, 0)) == [(1.0, 0)]
+    assert law.sample_progeny(0, derive_stream(0, 0)) == ([(1.0, 0)], 0.0)
 
 
 def test_uniform_split_mean_mass():
@@ -38,7 +36,7 @@ def test_uniform_split_mean_mass():
 def test_uniform_split_single_mass_conserved_pathwise():
     law = UniformSplitCascade(independent=False)
     traj = simulate_trajectory(law, law.root_generation(), 12, derive_stream(5, 0))
-    masses = cascade_martingale_mass(traj)
+    masses = np.array([g.total_mass() for g in traj])
     assert np.allclose(masses, 1.0, atol=1e-12)
 
 

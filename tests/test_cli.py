@@ -145,6 +145,24 @@ def _with(model, **fields):
         ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 1}),
         ("ifs", MODELS["ifs"], {"dispersion_budget": 1}),
         ("llogl", MODELS["cascade-mixture"], {"mc_budget": 1}),
+        # a horizon or particle cap below 1
+        ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": -1}}),
+        ("kernel-products", MODELS["kernel_product"], {"horizons": {"n_max": -1}}),
+        ("ifs", MODELS["ifs"], {"horizons": {"n_max": 0}}),
+        ("lineage", MODELS["lineage_chain"], {"horizons": {"n_max": 0}}),
+        ("verify-theorem1", MODELS["cascade-split"], {"caps": {"particles": -5}}),
+        ("simulate", MODELS["cascade-split"], {"caps": {"particles": 0}}),
+        # cascade factors and kernel-product matrices that are not finite and non-negative
+        ("cascade", _with("cascade-scaled", c=-1.0), {}),
+        ("cascade", _with("cascade-scaled", c=float("nan")), {}),
+        ("cascade", _with("cascade-scaled", c=float("inf")), {}),
+        ("cascade", _with("cascade-deterministic", factors=[0.5, float("nan")]), {}),
+        ("cascade", _with("cascade-deterministic", factors=[float("inf"), 0.5]), {}),
+        ("cascade", _with("cascade-mixture", atoms=[[0.6, float("nan")], [0.8, 0.0]]), {}),
+        ("cascade", _with("cascade-mixture", atoms=[[0.6, 0.6], [float("inf"), 0.0]]), {}),
+        ("simulate", _with("ifs", weights={"spec": "scaled_uniform", "c": float("nan")}), {}),
+        ("kernel-products", _with("kernel_product", atoms=[[[[1.0, float("nan")], [0.0, 1.0]]]], probs=[1.0]), {}),
+        ("kernel-products", _with("kernel_product", atoms=[[[[1.0, float("inf")], [0.0, 1.0]]]], probs=[1.0]), {}),
     ],
 )
 def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, pipeline, model, extra):

@@ -4,7 +4,7 @@ import pytest
 from wbp.cascades import DeterministicCascade, UniformSplitCascade
 from wbp.harness import ExperimentConfig, run_experiment
 from wbp.ifs import doob_transition, ifs_convergence_probe, ifs_weighted_law
-from wbp.population import advance_generation, sample_progeny
+from wbp.population import advance_generation
 from wbp.spectral import MeanKernel, TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
 
@@ -17,8 +17,7 @@ def halving_ifs(weights=None):
 
 def test_single_map_single_child():
     law = ifs_weighted_law([(0.5, 0.0)], (1.0,), DeterministicCascade((1.0,)))
-    offspring = sample_progeny(law, 1.0, derive_stream(0, 0))
-    assert offspring == [(1.0, 0.5)]
+    assert law.sample_progeny(1.0, derive_stream(0, 0)) == ([(1.0, 0.5)], 0.0)
 
 
 def test_sample_progeny_stream_matches_array_map_draw():
@@ -65,8 +64,6 @@ def test_map_validation():
 
 def test_progeny_functionals_uniform_split():
     law = halving_ifs()
-    assert law.J() == 0.0  # factors never exceed 1
-    assert law.H(2.0) == pytest.approx(1.0)  # single-draw split: mass exactly 1
     assert law.L(2.0) == pytest.approx(2.0 / 3.0)
     assert law.L(1.0) == pytest.approx(1.0)
 

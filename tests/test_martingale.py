@@ -1,41 +1,14 @@
 import numpy as np
 import pytest
 
-from wbp.cascades import DeterministicCascade, UniformSplitCascade, cascade_martingale_mass
-from wbp.martingale import (
-    biggins_track,
-    degeneracy_probe,
-    lp_error,
-    martingale_increment_test,
-    track_matrix,
-)
+from wbp.cascades import UniformSplitCascade
+from wbp.martingale import degeneracy_probe, lp_error, martingale_increment_test, track_matrix
 from wbp.population import simulate_trajectory
 from wbp.streams import derive_stream
 
 
-def unit_eta(t):
-    return np.ones(len(t))
-
-
-def test_biggins_track_single_child_constant():
-    law = DeterministicCascade((1.0,))
-    traj = simulate_trajectory(law, law.root_generation(), 10, derive_stream(0, 0))
-    track = biggins_track(traj, unit_eta, 1.0)
-    assert np.array_equal(track.values, np.ones(11))
-
-
-def test_biggins_track_binary_deterministic():
-    law = DeterministicCascade((0.5, 0.5))
-    traj = simulate_trajectory(law, law.root_generation(), 8, derive_stream(0, 0))
-    track = biggins_track(traj, unit_eta, 1.0)
-    assert np.array_equal(track.values, np.ones(9))
-
-
-def test_biggins_track_agrees_with_mass_sequence():
-    law = UniformSplitCascade(independent=True)
-    traj = simulate_trajectory(law, law.root_generation(), 8, derive_stream(1, 5))
-    track = biggins_track(traj, unit_eta, 1.0)
-    assert np.allclose(track.values, cascade_martingale_mass(traj))
+def mass_sequence(traj):
+    return np.array([g.total_mass() for g in traj])
 
 
 def test_replicate_mean_is_one_within_4se():
@@ -44,7 +17,7 @@ def test_replicate_mean_is_one_within_4se():
     tracks = np.empty((reps, horizon + 1))
     for r in range(reps):
         traj = simulate_trajectory(law, law.root_generation(), horizon, derive_stream(2, r))
-        tracks[r] = cascade_martingale_mass(traj)
+        tracks[r] = mass_sequence(traj)
     for n in range(horizon + 1):
         col = tracks[:, n]
         se = col.std(ddof=1) / np.sqrt(reps)
@@ -70,7 +43,7 @@ def test_mis_scaled_theta_flags_drift():
     tracks = np.empty((reps, horizon + 1))
     for r in range(reps):
         traj = simulate_trajectory(law, law.root_generation(), horizon, derive_stream(3, r))
-        tracks[r] = cascade_martingale_mass(traj) * 1.1 ** -np.arange(horizon + 1)
+        tracks[r] = mass_sequence(traj) * 1.1 ** -np.arange(horizon + 1)
     rep = martingale_increment_test(tracks)
     assert len(rep.flagged) >= horizon - 2
 
@@ -121,9 +94,7 @@ def test_degeneracy_probe_counts_small_values():
     assert degeneracy_probe(tracks, 1e-3, 3) == pytest.approx(0.4)
 
 
-def test_track_matrix_from_objects():
-    law = DeterministicCascade((1.0,))
-    traj = simulate_trajectory(law, law.root_generation(), 4, derive_stream(0, 0))
-    tracks = [biggins_track(traj, unit_eta, 1.0, replicate_id=i) for i in range(3)]
-    m = track_matrix(tracks)
-    assert m.shape == (3, 5)
+def test_track_matrix_from_rows():
+    rows = [np.full(5, float(i)) for i in range(3)]
+    assert np.array_equal(track_matrix(rows), np.repeat(np.arange(3.0)[:, None], 5, axis=1))
+    assert track_matrix(np.ones(5)).shape == (1, 5)

@@ -19,7 +19,6 @@ from wbp.spectral import (
     build_mean_kernel,
     estimate_beta,
     kernel_power_apply,
-    kernel_power_expect,
     power_iteration,
     support_period,
 )
@@ -126,11 +125,10 @@ def test_kernel_power_apply_logscale_large_n():
     assert logscale == pytest.approx(5000 * np.log(2.0), rel=1e-12)
 
 
-def test_kernel_power_expect():
+def test_kernel_power_apply_alternates_on_flip():
     flip = K([[0.0, 1.0], [1.0, 0.0]])
-    init = np.array([1.0, 0.0])
     f = np.array([1.0, 0.0])
-    values = [kernel_power_expect(flip, init, f, n) for n in range(5)]
+    values = [kernel_power_apply(flip, f, n)[0] for n in range(5)]
     assert values == [1.0, 0.0, 1.0, 0.0, 1.0]
 
 

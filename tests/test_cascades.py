@@ -165,3 +165,39 @@ def test_moment_row_one_point_grid():
     assert vals.tolist() == [[pytest.approx(2.0 / 3.0)]]
     with pytest.raises(ValueError):
         law.moment_rows(TypeGrid.finite(2), 1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScaledUniformCascade(c=-1.0),
+        lambda: ScaledUniformCascade(c=float("nan")),
+        lambda: ScaledUniformCascade(c=float("inf")),
+        lambda: DeterministicCascade((0.5, float("nan"))),
+        lambda: DeterministicCascade((0.5, float("inf"))),
+        lambda: DeterministicCascade((-0.1, 1.1)),
+        lambda: MixtureCascade(atoms=((0.5, float("nan")), (1.0,)), probs=(0.5, 0.5)),
+        lambda: MixtureCascade(atoms=((float("inf"),),), probs=(1.0,)),
+        lambda: MixtureCascade(atoms=((-0.5, 1.5),), probs=(1.0,)),
+    ],
+    ids=[
+        "scaled-negative",
+        "scaled-nan",
+        "scaled-inf",
+        "deterministic-nan",
+        "deterministic-inf",
+        "deterministic-negative",
+        "mixture-nan",
+        "mixture-inf",
+        "mixture-negative",
+    ],
+)
+def test_bad_factors_refused_when_the_law_is_built(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_zero_factors_are_accepted_at_construction():
+    assert ScaledUniformCascade(c=0.0).mean_total_mass() == 0.0
+    assert DeterministicCascade((0.0, 1.0)).n_children == 2
+    assert MixtureCascade(atoms=((0.0,), (1.0,)), probs=(0.5, 0.5)).n_children == 1

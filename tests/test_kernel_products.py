@@ -89,6 +89,14 @@ def test_probability_validation():
         KernelProductLaw(((np.eye(2),), (np.eye(3),)), (0.5, 0.5))
 
 
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_matrix_entries_refused(bad):
+    with pytest.raises(ValueError):
+        KernelProductLaw(((np.array([[1.0, bad], [0.0, 1.0]]),),), (1.0,))
+    with pytest.raises(ValueError):
+        KernelProductLaw(((np.eye(2),), (np.eye(2), np.full((2, 2), bad))), (0.5, 0.5))
+
 def _batch_against_reference(law, weights, types, seed):
     """The batch path and the per-parent reference loop on the same stream."""
     batch = law.sample_generation(weights, types, derive_stream(seed, 0))

@@ -107,6 +107,25 @@ def test_deterministic_binary_tree_enumeration():
         assert g.total_mass() == 1.0
 
 
+
+def test_parent_index_addresses_previous_generation():
+    # each particle is its parent's weight times its factor; zero factors leave no child
+    law = DeterministicCascade((0.7, 0.0, 0.3))
+    traj = simulate_trajectory(law, law.root_generation(), 4, derive_stream(0, 0))
+    for n in range(1, len(traj)):
+        g, prev = traj[n], traj[n - 1]
+        assert g.index == n
+        assert g.parent_index.tolist() == np.repeat(np.arange(prev.size), 2).tolist()
+        factors = np.tile([0.7, 0.3], prev.size)
+        assert np.array_equal(g.weights, prev.weights[g.parent_index] * factors)
+    # walk particle 5 of generation 3 back to the root: 5 -> 2 -> 1 -> 0
+    chain, i = [], 5
+    for n in range(3, 0, -1):
+        i = int(traj[n].parent_index[i])
+        chain.append(i)
+    assert chain == [2, 1, 0]
+    assert traj[3].weights[5] == 0.7 * 0.3 * 0.3
+
 def test_empty_generation_advance():
     law = IdentityLaw()
     g = initial_generation([], np.array([], dtype=np.int64))

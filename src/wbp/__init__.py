@@ -65,7 +65,6 @@ from .population import (
     PopulationCapError,
     ProgenyError,
     ReproductionLaw,
-    TruncationPolicy,
     advance_generation,
     initial_generation,
     integrate,

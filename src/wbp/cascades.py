@@ -41,14 +41,6 @@ class CascadeLaw(ReproductionLaw):
         """``E((sum_i u_i) log_+(sum_i u_i))``."""
         raise NotImplementedError
 
-    def total_mass_var(self) -> float:
-        """``Var(sum_i u_i)``; the one-step dispersion constant for p = 2."""
-        raise NotImplementedError
-
-    def offspring_xlogx(self) -> float:
-        """``E(sum_i u_i log u_i)`` (signed; its sign decides limit degeneracy)."""
-        raise NotImplementedError
-
     def moment_rows(self, grid, order: float):
         if grid.size != 1:
             raise ValueError("cascade laws live on a one-point grid")
@@ -75,7 +67,7 @@ class DeterministicCascade(CascadeLaw):
         self.n_children = self._v.size
 
     def sample_progeny(self, x, rng):
-        return [(float(u), 0) for u in self._v], 0.0
+        return [(float(u), 0) for u in self._v]
 
     def sample_generation(self, weights, types, rng):
         w = np.asarray(weights, dtype=np.float64)
@@ -91,13 +83,6 @@ class DeterministicCascade(CascadeLaw):
     def total_mass_loglog(self):
         s = float(np.sum(self._v))
         return s * max(np.log(s), 0.0)
-
-    def total_mass_var(self):
-        return 0.0
-
-    def offspring_xlogx(self):
-        v = self._v[self._v > 0.0]
-        return float(np.sum(v * np.log(v)))
 
 
 @dataclass
@@ -115,9 +100,9 @@ class UniformSplitCascade(CascadeLaw):
     def sample_progeny(self, x, rng):
         if self.independent:
             u, v = rng.random(), rng.random()
-            return [(u, 0), (1.0 - v, 0)], 0.0
+            return [(u, 0), (1.0 - v, 0)]
         u = rng.random()
-        return [(u, 0), (1.0 - u, 0)], 0.0
+        return [(u, 0), (1.0 - u, 0)]
 
     def sample_generation(self, weights, types, rng):
         # parent i gets children at slots 2i and 2i+1
@@ -155,12 +140,6 @@ class UniformSplitCascade(CascadeLaw):
             return 0.0
         return (4.0 / 3.0) * np.log(2.0) - 13.0 / 18.0
 
-    def total_mass_var(self):
-        return 1.0 / 6.0 if self.independent else 0.0
-
-    def offspring_xlogx(self):
-        return -0.5  # 2 E(U log U) = -1/2
-
 
 @dataclass
 class ScaledUniformCascade(CascadeLaw):
@@ -174,7 +153,7 @@ class ScaledUniformCascade(CascadeLaw):
 
     def sample_progeny(self, x, rng):
         u = rng.random()
-        return [(self.c * u, 0), (0.0, 0)], 0.0
+        return [(self.c * u, 0), (0.0, 0)]
 
     def sample_generation(self, weights, types, rng):
         w = np.asarray(weights, dtype=np.float64)
@@ -192,13 +171,6 @@ class ScaledUniformCascade(CascadeLaw):
         if c <= 1.0:
             return 0.0
         return (c / 2.0) * np.log(c) - c / 4.0 + 1.0 / (4.0 * c)
-
-    def total_mass_var(self):
-        return self.c**2 / 12.0
-
-    def offspring_xlogx(self):
-        c = self.c
-        return (c / 2.0) * np.log(c) - c / 4.0
 
 
 @dataclass
@@ -225,7 +197,7 @@ class MixtureCascade(CascadeLaw):
 
     def sample_progeny(self, x, rng):
         j = int(self._draw_atoms(1, rng)[0])
-        return [(float(u), 0) for u in self.atoms[j]], 0.0
+        return [(float(u), 0) for u in self.atoms[j]]
 
     def sample_generation(self, weights, types, rng):
         w = np.asarray(weights, dtype=np.float64)
@@ -248,17 +220,3 @@ class MixtureCascade(CascadeLaw):
         pr = np.asarray(self.probs)
         sums = np.array([np.sum(a) for a in self.atoms])
         return float(np.dot(pr, sums * np.maximum(np.log(np.maximum(sums, 1e-300)), 0.0)))
-
-    def total_mass_var(self):
-        pr = np.asarray(self.probs)
-        sums = np.array([np.sum(a) for a in self.atoms])
-        m = float(np.dot(pr, sums))
-        return float(np.dot(pr, (sums - m) ** 2))
-
-    def offspring_xlogx(self):
-        vals = []
-        for a in self.atoms:
-            v = np.asarray(a, dtype=np.float64)
-            v = v[v > 0.0]
-            vals.append(float(np.sum(v * np.log(v))))
-        return float(np.dot(self.probs, vals))

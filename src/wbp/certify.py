@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .population import ReproductionLaw
-from .spectral import MeanKernel, SpectralData, _progeny_table
+from .spectral import MeanKernel, SpectralData, TypeGrid
 
 _Z99 = 2.3263478740408408  # one-sided 99% normal quantile
 
@@ -99,6 +99,23 @@ def estimate_c1(k1: MeanKernel, sd: SpectralData, psi1, n_max: int) -> float:
         scaled = w / float(n) ** sd.beta if sd.beta else w
         c1 = max(c1, float(np.max(scaled / psi)))
     return c1
+
+
+def _progeny_table(law: ReproductionLaw, x, grid: TypeGrid, budget: int, rng):
+    """``budget`` progenies of a parent at ``x``, flattened in draw order.
+
+    Returns the children's factors ``us`` (float64), their grid cells
+    ``ys`` and the number of children of each draw ``counts``; draw ``b``
+    owns the ``counts[b]`` entries after those of draws ``0..b-1``.
+    """
+    us, ys, counts = [], [], []
+    for _ in range(budget):
+        offspring = law.sample_progeny(x, rng)
+        counts.append(len(offspring))
+        for u, y in offspring:
+            us.append(u)
+            ys.append(y)
+    return np.array(us, dtype=np.float64), grid.locate(ys), np.array(counts, dtype=np.int64)
 
 
 def estimate_c3(

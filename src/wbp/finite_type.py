@@ -48,8 +48,8 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
         for t, atoms in enumerate(self.atoms_per_type):
             for j, (_, offspring) in enumerate(atoms):
                 for c, (u, y) in enumerate(offspring):
-                    if u < 0:
-                        raise ValueError("offspring factors must be non-negative")
+                    if not 0 <= u < np.inf:
+                        raise ValueError(f"offspring factors must be finite and non-negative, got {u!r}")
                     if not 0 <= y < self.n_types:
                         raise ValueError("offspring type outside the type space")
                     self._fac[t, j, c] = u
@@ -59,7 +59,7 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
     def sample_progeny(self, x, rng):
         t = int(x)
         j = int(np.searchsorted(self._cum_table[t], rng.random(), side="right"))
-        return [(float(u), int(y)) for _, offspring in [self.atoms_per_type[t][j]] for u, y in offspring], 0.0
+        return [(float(u), int(y)) for u, y in self.atoms_per_type[t][j][1]]
 
     def sample_generation(self, weights, types, rng):
         t = np.asarray(types, dtype=np.int64)

@@ -87,12 +87,15 @@ class ExperimentConfig:
             replicates = int(cfg.get("replicates", 1000))
             p = float(cfg.get("p", 2.0))
             particle_cap = int(cfg.get("caps", {}).get("particles", DEFAULT_PARTICLE_CAP))
+            threads = int(cfg.get("threads", 1))
             if replicates < 1:
                 raise ConfigError("replicates must be >= 1")
             if n_max < 1:
                 raise ConfigError("horizons.n_max must be >= 1")
             if particle_cap < 1:
                 raise ConfigError("caps.particles must be >= 1")
+            if threads < 1:
+                raise ConfigError(f"threads must be >= 1, got {threads}")
             if not 1.0 < p <= 2.0:
                 raise ConfigError("p must lie in (1, 2]")
             if proxy is not None and n_max > int(proxy):
@@ -101,7 +104,7 @@ class ExperimentConfig:
                 model=model,
                 seed=int(cfg.get("seed", 0)),
                 replicates=replicates,
-                threads=int(cfg.get("threads", 1)),
+                threads=threads,
                 p=p,
                 n_max=n_max,
                 proxy_horizon=None if proxy is None else int(proxy),
@@ -299,13 +302,17 @@ def run_replicates(
     threads: int = 1,
     cap: int = DEFAULT_PARTICLE_CAP,
 ) -> ReplicateBlock:
-    """Run independent replicates; identical output for any ``threads``."""
-    n_chunks = min(replicates, threads * 4) if threads > 1 else 1
+    """Run independent replicates; identical output for any ``threads``.
+
+    At most one worker process runs per CPU, whatever ``threads`` asks for.
+    """
+    workers = min(threads, os.cpu_count() or 1)
+    n_chunks = min(replicates, workers * 4) if workers > 1 else 1
     if n_chunks <= 1:
         out = _replicate_rows(model, mode, horizon, 0, replicates, seed, cap)
     else:
         bounds = np.linspace(0, replicates, n_chunks + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_replicate_rows, model, mode, horizon, int(lo), int(hi), seed, cap)
                 for lo, hi in zip(bounds[:-1], bounds[1:])

@@ -86,20 +86,20 @@ class IfsLaw(ReproductionLaw):
     def sample_progeny(self, x, rng):
         # one map per child: rng.random() is the double random(1) would
         # draw, and bisect_right picks the index searchsorted would
-        offspring, lost = self.weights.sample_progeny(0, rng)
+        offspring = self.weights.sample_progeny(0, rng)
         x = float(x)
         out = []
         for u, _ in offspring:
             z = bisect_right(self._cum_list, rng.random())
             out.append((u, self._a_list[z] * x + self._b_list[z]))
-        return out, lost
+        return out
 
     def sample_generation(self, weights, types, rng):
         batch = self.weights.sample_generation(weights, np.zeros(len(weights), dtype=np.int64), rng)
         zeta = self._draw_maps(batch.weights.shape[0], rng)
         parents = batch.parent_index
         child_types = self._a[zeta] * np.asarray(types, dtype=np.float64)[parents] + self._b[zeta]
-        return ProgenyBatch(batch.weights, child_types, parents, batch.discarded_mass)
+        return ProgenyBatch(batch.weights, child_types, parents)
 
     def moment_rows(self, grid, order: float):
         # one cell per (grid point, map); two maps landing in one cell add in map order
@@ -107,11 +107,6 @@ class IfsLaw(ReproductionLaw):
         x = np.asarray(grid.points, dtype=np.float64)[:, None]
         cells = grid.locate(self._a * x + self._b)
         return cells, np.broadcast_to(mass * self._probs, cells.shape)
-
-    # progeny-mass functional (constant in x for type-independent weights)
-    def L(self, q: float, x=None) -> float:
-        """``E(sum_i u_i^q)``."""
-        return self.weights.factor_moment(q)
 
     def root_generation(self, x0: float = 0.5, weight: float = 1.0) -> Generation:
         return initial_generation([weight], np.array([x0], dtype=np.float64))
@@ -208,7 +203,7 @@ def ifs_convergence_probe(
         contraction_ok = bool(slope <= slope_bound)
         verdict = "holds" if contraction_ok else "fails"
 
-    gamma_bar = law.L(p) / (sd.theta ** (p - 1.0) * law.L(1.0))
+    gamma_bar = law.weights.factor_moment(p) / (sd.theta ** (p - 1.0) * law.weights.factor_moment(1.0))
     return IfsProbeReport(
         slope=slope,
         slope_bound=slope_bound,

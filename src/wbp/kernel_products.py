@@ -79,7 +79,7 @@ class KernelProductLaw(ReproductionLaw):
                 scale = 2.0 ** np.ceil(np.log2(mag))
                 prod = prod / scale
             out.append((scale, prod))
-        return out, 0.0
+        return out
 
     def sample_generation(self, weights, types, rng):
         w = np.asarray(weights, dtype=np.float64)

@@ -32,14 +32,6 @@ class LineageLaw(ReproductionLaw):
     def __post_init__(self):
         self.f_table = np.asarray(self.f_table, dtype=np.float64)
 
-    def sample_progeny(self, x, rng):
-        base_type = int(round(float(x[0])))
-        running = float(x[1])
-        offspring, lost = self.base_law.sample_progeny(base_type, rng)
-        return [
-            (u, np.array([float(y), running + self.f_table[int(y)]])) for u, y in offspring
-        ], lost
-
     def sample_generation(self, weights, types, rng):
         t = np.asarray(types, dtype=np.float64)
         base_types = np.rint(t[:, 0]).astype(np.int64)
@@ -47,7 +39,7 @@ class LineageLaw(ReproductionLaw):
         child_base = np.asarray(batch.types, dtype=np.int64)
         child_sum = t[batch.parent_index, 1] + self.f_table[child_base]
         child_types = np.column_stack([child_base.astype(np.float64), child_sum])
-        return ProgenyBatch(batch.weights, child_types, batch.parent_index, batch.discarded_mass)
+        return ProgenyBatch(batch.weights, child_types, batch.parent_index)
 
     def root_generation(self, type_index: int = 0, weight: float = 1.0) -> Generation:
         return initial_generation(

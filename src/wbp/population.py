@@ -2,10 +2,12 @@
 
 A generation is a weighted empirical measure ``sum_e w_e . delta(X_e)``
 stored as flat arrays: weights, types and, from generation 1 on, each
-particle's ``parent_index`` into the previous generation. Reproduction
-laws supply, per parent type, a finite batch of (weight factor, child
-type) pairs; generation advance multiplies factors into parent weights,
-drops zero-weight children and enforces a hard particle cap.
+particle's ``parent_index`` into the previous generation. A reproduction
+law gives every parent a finite list of (weight factor, child type)
+pairs, drawn for a whole generation at once by ``sample_generation``;
+generation advance multiplies factors into parent weights, drops
+zero-weight children and enforces a hard particle cap. Every progeny is
+finite, so no mass is ever truncated away.
 """
 
 from __future__ import annotations
@@ -39,43 +41,15 @@ class ProgenyError(BranchingError):
     """Raised when a sampled offspring factor is negative or non-finite."""
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How infinite progeny point processes are made finite.
-
-    ``exact-finite`` asserts the law is almost surely finite; tail-bounded
-    mode promises the discarded tail mass of any single draw is at most
-    ``epsilon``.
-    """
-
-    mode: str = "exact-finite"
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("exact-finite", "tail-bounded"):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-
-    @staticmethod
-    def exact_finite() -> "TruncationPolicy":
-        return TruncationPolicy("exact-finite", 0.0)
-
-    @staticmethod
-    def tail_bounded(epsilon: float) -> "TruncationPolicy":
-        return TruncationPolicy("tail-bounded", float(epsilon))
-
-
 class ProgenyBatch:
     """Offspring of a whole generation, flattened in parent order."""
 
-    __slots__ = ("weights", "types", "parent_index", "discarded_mass")
+    __slots__ = ("weights", "types", "parent_index")
 
-    def __init__(self, weights, types, parent_index, discarded_mass=0.0):
+    def __init__(self, weights, types, parent_index):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.types = np.asarray(types)
         self.parent_index = np.asarray(parent_index, dtype=np.int64)
-        self.discarded_mass = float(discarded_mass)
 
 
 def cumulative_probs(probs, name: str = "probs") -> np.ndarray:
@@ -95,34 +69,33 @@ def cumulative_probs(probs, name: str = "probs") -> np.ndarray:
 
 
 class ReproductionLaw:
-    """Base reproduction law.
+    """Base reproduction law: the three methods a law provides.
 
-    Subclasses implement ``sample_progeny`` (one parent). Populations
-    advance through ``sample_generation`` (a whole generation), which
-    here loops ``sample_progeny`` over the parents; every law in this
-    package overrides it with a vectorized batch path, and its
-    ``sample_progeny`` stays as the per-parent reference for that path:
-    on the same stream both give bit-identical children, except for
-    ``IfsLaw``, whose batch path draws all weights before all maps. Laws
-    that know their first / p-th moment kernels expose them through
-    ``moment_rows``.
+    - ``sample_generation(weights, types, rng)`` is the batch sampler that
+      advances a population. The base version loops ``sample_progeny``
+      over the parents; every law here overrides it with a vectorized
+      path, and the loop stays as the reference the tests compare with.
+    - ``sample_progeny(x, rng)`` returns the finite list of ``(u, y)``
+      children of one parent of type ``x``. It is the per-parent draw of
+      the dispersion estimate in ``certify``, so every law that lives on a
+      grid has one. On the same stream it gives the children of the batch
+      path, except for ``IfsLaw``, whose batch path draws all weights
+      before all maps.
+    - ``moment_rows(grid, order)`` gives the closed-form moment measures
+      that grid kernels are built from. Every law that lives on a grid
+      has them; the base version raises ``NotImplementedError``.
     """
 
-    truncation: TruncationPolicy = TruncationPolicy.exact_finite()
-
-    def sample_progeny(self, x, rng) -> tuple[list[tuple[float, object]], float]:
-        """Progeny of one parent of type ``x``: (list of (u, y), discarded mass)."""
+    def sample_progeny(self, x, rng) -> list[tuple[float, object]]:
+        """Children of one parent of type ``x``: a list of (u, y)."""
         raise NotImplementedError
 
     def sample_generation(self, weights, types, rng) -> ProgenyBatch:
         child_w = []
         child_t = []
         parent = []
-        discarded = 0.0
         for i in range(len(weights)):
-            offspring, lost = self.sample_progeny(types[i], rng)
-            discarded += lost
-            for u, y in offspring:
+            for u, y in self.sample_progeny(types[i], rng):
                 if not np.isfinite(u) or u < 0:
                     raise ProgenyError(f"offspring factor {u!r} from type {types[i]!r}")
                 child_w.append(weights[i] * u)
@@ -132,7 +105,6 @@ class ReproductionLaw:
             np.array(child_w, dtype=np.float64),
             np.array(child_t) if child_t else np.empty(0, dtype=np.asarray(types).dtype),
             np.array(parent, dtype=np.int64),
-            discarded,
         )
 
     def moment_rows(self, grid, order: float):
@@ -141,10 +113,9 @@ class ReproductionLaw:
         Returns ``(cols, vals)`` of shape ``(grid.size, k)``: row ``i`` puts
         mass ``vals[i, s]`` on cell ``cols[i, s]`` for a parent at
         ``grid.points[i]``, and a cell may repeat within a row (its masses
-        add in slot order). Returns ``None`` when the law has no closed
-        form (Monte Carlo estimation is used instead).
+        add in slot order).
         """
-        return None
+        raise NotImplementedError(f"{type(self).__name__} has no closed-form moment rows")
 
 
 @dataclass
@@ -160,7 +131,6 @@ class Generation:
     types: np.ndarray
     index: int = 0
     parent_index: Optional[np.ndarray] = None
-    discarded_mass: float = 0.0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -199,19 +169,12 @@ def advance_generation(
     # NaN fails both comparisons, so NaN, +-inf and negative weights are all rejected
     if w.size and not (lowest >= 0.0 and w.max() < np.inf):
         raise ProgenyError("sampled offspring produced a negative or non-finite weight")
-    if law.truncation.mode == "tail-bounded" and batch.discarded_mass > law.truncation.epsilon:
-        raise ProgenyError(
-            f"discarded tail mass {batch.discarded_mass} exceeds bound "
-            f"{law.truncation.epsilon}"
-        )
     if lowest == 0.0:
         keep = w > 0.0
         w, types, parent = w[keep], types[keep], parent[keep]
     if w.size > cap:
         raise PopulationCapError(w.size, cap, g.index + 1)
-    return Generation(
-        w, types, index=g.index + 1, parent_index=parent, discarded_mass=batch.discarded_mass
-    )
+    return Generation(w, types, index=g.index + 1, parent_index=parent)
 
 
 def integrate(g: Generation, f) -> float:

@@ -1,10 +1,11 @@
 """Mean kernels on finite type grids and their spectral data.
 
 The mean kernel ``M[i, j]`` is the expected offspring mass (first or p-th
-moment) a parent at grid point ``i`` sends to grid cell ``j``. Iterated
-kernels drive all expectation-level predictions; the dominant eigentriple
-``(theta, eta, nu)`` and the deviation sequence ``alpha_n`` quantify how
-fast ``theta^-n Q^n f`` stabilizes.
+moment) a parent at grid point ``i`` sends to grid cell ``j``, built from
+the law's closed-form ``moment_rows``. Iterated kernels drive all
+expectation-level predictions; the dominant eigentriple ``(theta, eta,
+nu)`` and the deviation sequence ``alpha_n`` quantify how fast
+``theta^-n Q^n f`` stabilizes.
 
 A parent reaches only a few cells (an IFS parent one per map), so a kernel
 is stored as fixed-width sparse rows (ELL, see :class:`MeanKernel`): the
@@ -30,7 +31,6 @@ byte-identical output files either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -91,19 +91,16 @@ class MeanKernel:
     0, which add an exact zero to every product. The masses keep the name
     ``matrix`` from the dense layout this replaced, so code that reads
     ``kernel.matrix`` (the benchmark tracer counts ``matrix.size`` as the
-    cells a product touches) sees the stored entries. ``stderr``, when
-    set, is aligned with ``matrix``.
+    cells a product touches) sees the stored entries.
 
-    Products go through :meth:`apply` and :meth:`apply_t` (the module
-    docstring says when they round like a dense product); :meth:`dense`
-    rebuilds the d x d matrix for tests and small-``d`` checks only.
+    Products go through :meth:`apply` and :meth:`apply_t`; the module
+    docstring says when they round like a dense product.
     """
 
     cols: np.ndarray
     matrix: np.ndarray
     grid: TypeGrid
     order: float = 1.0
-    stderr: Optional[np.ndarray] = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -135,14 +132,8 @@ class MeanKernel:
         total = np.zeros(cells.size)
         np.add.at(total, slot, vals.ravel())
         keep = total != 0.0
-        packed_cols, (packed,) = _pack_rows(*np.divmod(cells[keep], d), d, total[keep])
+        packed_cols, packed = _pack_rows(*np.divmod(cells[keep], d), d, total[keep])
         return cls(packed_cols, packed, grid, order)
-
-    @classmethod
-    def from_dense(cls, m, grid: TypeGrid, order: float = 1.0) -> "MeanKernel":
-        """Kernel of a dense ``d x d`` matrix (tests and small-``d`` checks)."""
-        m = np.asarray(m, dtype=np.float64)
-        return cls.from_rows(np.broadcast_to(np.arange(m.shape[1]), m.shape), m, grid, order)
 
     def apply(self, v) -> np.ndarray:
         """``Q v``: one gather and a row sum."""
@@ -153,122 +144,39 @@ class MeanKernel:
         w = self.matrix * np.asarray(v, dtype=np.float64)[:, None]
         return np.bincount(self.cols.ravel(), weights=w.ravel(), minlength=self.size)
 
-    def dense(self) -> np.ndarray:
-        """The d x d matrix (tests and small-``d`` checks only)."""
-        m = np.zeros((self.size, self.size))
-        np.add.at(m, (np.arange(self.size)[:, None], self.cols), self.matrix)
-        return m
 
-
-def _pack_rows(rows, cols, d: int, *values):
+def _pack_rows(rows, cols, d: int, values):
     """ELL arrays from entries sorted by row, each cell at most once per row.
 
-    Returns ``cols`` of shape ``(d, w)`` and one ``(d, w)`` array per
-    array in ``values``; padding slots point at cell 0 with value 0.
+    Returns ``cols`` and ``values`` of shape ``(d, w)``; padding slots
+    point at cell 0 with value 0.
     """
     counts = np.bincount(rows, minlength=d)
     width = max(int(counts.max(initial=0)), 1)
     slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     packed_cols = np.zeros((d, width), dtype=np.int64)
     packed_cols[rows, slot] = cols
-    packed = []
-    for v in values:
-        out = np.zeros((d, width))
-        out[rows, slot] = v
-        packed.append(out)
+    packed = np.zeros((d, width))
+    packed[rows, slot] = values
     return packed_cols, packed
 
 
-def build_mean_kernel(
-    law: ReproductionLaw,
-    grid: TypeGrid,
-    order: float = 1.0,
-    mc_budget: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> MeanKernel:
-    """Exact (analytic) or Monte Carlo estimate of the moment kernel.
-
-    Analytic rows come from ``law.moment_rows``; laws without closed forms
-    need ``mc_budget`` draws per grid point and report per-entry standard
-    errors, one for each cell a draw reached.
-    """
-    rows = law.moment_rows(grid, order)
-    if rows is not None:
-        k = MeanKernel.from_rows(*rows, grid, order)
-        _check_row_masses(k.matrix)
-        return k
-
-    if mc_budget is None or rng is None:
-        raise ValueError("law has no analytic moments; supply mc_budget and rng")
-    d = grid.size
-    owners, cells, means, ses = [], [], [], []
-    for i in range(d):
-        us, ys, counts = _progeny_table(law, grid.points[i], grid, mc_budget, rng)
-        owner = np.repeat(np.arange(mc_budget), counts)
-        # builtin pow (libm) and draw-order sums: bit-identical to adding
-        # u**order child by child
-        powers = np.fromiter(map(pow, us.tolist(), repeat(order)), dtype=np.float64, count=us.size)
-        acc = np.zeros((mc_budget, d))
-        np.add.at(acc, (owner, ys), powers)
-        hit = np.unique(ys)
-        owners.append(np.full(hit.size, i, dtype=np.int64))
-        cells.append(hit)
-        means.append(acc.mean(axis=0)[hit])
-        ses.append(acc.std(axis=0, ddof=1)[hit] / np.sqrt(mc_budget))
-    cols, (matrix, stderr) = _pack_rows(
-        np.concatenate(owners), np.concatenate(cells), d, np.concatenate(means), np.concatenate(ses)
-    )
-    _check_row_masses(matrix)
-    return MeanKernel(cols, matrix, grid, order, stderr=stderr)
-
-
-def _progeny_table(law: ReproductionLaw, x, grid: TypeGrid, budget: int, rng):
-    """``budget`` progenies of a parent at ``x``, flattened in draw order.
-
-    Returns the children's factors ``us`` (float64), their grid cells
-    ``ys`` and the number of children of each draw ``counts``; draw ``b``
-    owns the ``counts[b]`` entries after those of draws ``0..b-1``.
-    """
-    us, ys, counts = [], [], []
-    for _ in range(budget):
-        offspring, _ = law.sample_progeny(x, rng)
-        counts.append(len(offspring))
-        for u, y in offspring:
-            us.append(u)
-            ys.append(y)
-    return np.array(us, dtype=np.float64), grid.locate(ys), np.array(counts, dtype=np.int64)
-
-
-def _check_row_masses(matrix):
-    masses = matrix.sum(axis=1)
-    if not np.all(np.isfinite(masses)):
+def build_mean_kernel(law: ReproductionLaw, grid: TypeGrid, order: float = 1.0) -> MeanKernel:
+    """The moment kernel of ``law`` on ``grid``, from its closed-form ``moment_rows``."""
+    k = MeanKernel.from_rows(*law.moment_rows(grid, order), grid, order)
+    if not np.all(np.isfinite(k.matrix.sum(axis=1))):
         raise ValueError("kernel row with non-finite total mass")
+    return k
 
 
-def kernel_power_apply(k: MeanKernel, f, n: int, return_logscale: bool = False):
-    """``Q^n f`` by repeated matrix-vector products.
-
-    Internally renormalized so huge ``n`` cannot overflow; with
-    ``return_logscale`` the result is the sup-normalized vector plus the
-    log of the discarded scale.
-    """
+def kernel_power_apply(k: MeanKernel, f, n: int) -> np.ndarray:
+    """``Q^n f`` by ``n`` matrix-vector products."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    v = np.asarray(f, dtype=np.float64).astype(np.float64, copy=True)
-    logscale = 0.0
+    v = np.array(f, dtype=np.float64)
     for _ in range(n):
         v = k.apply(v)
-        m = float(np.max(np.abs(v)))
-        if m > 0.0 and not (1e-140 < m < 1e140):
-            v = v / m
-            logscale += np.log(m)
-    if return_logscale:
-        m = float(np.max(np.abs(v)))
-        if m > 0.0:
-            v = v / m
-            logscale += np.log(m)
-        return v, logscale
-    return v * np.exp(logscale)
+    return v
 
 
 @dataclass
@@ -355,7 +263,7 @@ def support_period(k: MeanKernel) -> Optional[int]:
     if np.any(level < 0):
         return None
     order = np.argsort(dst, kind="stable")  # src is sorted already
-    t_cols, (t_live,) = _pack_rows(dst[order], src[order], d, np.ones(order.size))
+    t_cols, t_live = _pack_rows(dst[order], src[order], d, np.ones(order.size))
     if np.any(_bfs_levels(t_cols, t_live > 0) < 0):
         return None
     return int(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])))

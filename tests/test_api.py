@@ -1,8 +1,10 @@
-"""Every public top-level function and class in ``wbp`` has a caller in ``wbp``.
+"""Every public top-level function, class and method in ``wbp`` has a caller in ``wbp``.
 
-A name counts as used when some module of ``src/wbp`` other than
-``__init__.py`` refers to it (``ast.Name`` or ``ast.Attribute``) outside
-its own definition. Re-exports and tests do not count.
+A top-level name counts as used when some module of ``src/wbp`` other
+than ``__init__.py`` refers to it (``ast.Name`` or ``ast.Attribute``)
+outside its own definition. A method counts as used when its name appears
+as an ``ast.Attribute`` in some module of ``src/wbp`` outside its own
+definition. Re-exports and tests do not count.
 """
 
 import ast
@@ -19,9 +21,14 @@ def _referenced_names(node):
     }
 
 
-def test_every_public_definition_has_a_caller_in_src():
+def _modules():
     modules = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
     assert "population.py" in modules
+    return modules
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    modules = _modules()
     # the names each top-level statement refers to, outside the re-exports
     uses = [
         (stmt, _referenced_names(stmt))
@@ -37,4 +44,21 @@ def test_every_public_definition_has_a_caller_in_src():
         and not node.name.startswith("_")
         and not any(node.name in names for stmt, names in uses if stmt is not node)
     ]
+    assert not uncalled, "no caller in src/wbp: " + ", ".join(uncalled)
+
+
+def test_every_public_method_has_a_caller_in_src():
+    modules = _modules()
+    attributes = [n for tree in modules.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    uncalled = []
+    for name, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if not any(a.attr == node.name and id(a) not in own for a in attributes):
+                    uncalled.append(f"{name}:{node.lineno} {cls.name}.{node.name}")
     assert not uncalled, "no caller in src/wbp: " + ", ".join(uncalled)

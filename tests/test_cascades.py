@@ -14,12 +14,12 @@ from wbp.streams import derive_stream
 
 def test_deterministic_binary_progeny():
     law = DeterministicCascade((0.5, 0.5))
-    assert law.sample_progeny(0, derive_stream(0, 0)) == ([(0.5, 0), (0.5, 0)], 0.0)
+    assert law.sample_progeny(0, derive_stream(0, 0)) == [(0.5, 0), (0.5, 0)]
 
 
 def test_identity_progeny():
     law = DeterministicCascade((1.0,))
-    assert law.sample_progeny(0, derive_stream(0, 0)) == ([(1.0, 0)], 0.0)
+    assert law.sample_progeny(0, derive_stream(0, 0)) == [(1.0, 0)]
 
 
 def test_uniform_split_mean_mass():
@@ -89,20 +89,6 @@ def test_total_mass_loglog_against_quadrature():
     assert scaled.total_mass_loglog() == pytest.approx(np.log(2.0) - 3.0 / 8.0)
 
 
-def test_offspring_xlogx_closed_forms():
-    assert UniformSplitCascade().offspring_xlogx() == pytest.approx(-0.5)
-    # E(2U log 2U) = log 2 - 1/2 > 0: the degenerate regime marker
-    scaled = ScaledUniformCascade(c=2.0)
-    assert scaled.offspring_xlogx() == pytest.approx(np.log(2.0) - 0.5)
-    assert scaled.offspring_xlogx() > 0
-
-
-def test_total_mass_var():
-    assert UniformSplitCascade().total_mass_var() == 0.0
-    assert UniformSplitCascade(independent=True).total_mass_var() == pytest.approx(1.0 / 6.0)
-    assert ScaledUniformCascade(2.0).total_mass_var() == pytest.approx(1.0 / 3.0)
-
-
 def test_scaled_uniform_single_effective_child():
     law = ScaledUniformCascade(c=2.0)
     traj = simulate_trajectory(law, law.root_generation(), 20, derive_stream(0, 2))
@@ -146,7 +132,7 @@ def test_vectorized_matches_per_particle_sampling():
         rng = derive_stream(8, 1)
         manual = []
         for i in range(64):
-            for u, _ in law.sample_progeny(0, rng)[0]:
+            for u, _ in law.sample_progeny(0, rng):
                 if True:
                     manual.append(weights[i] * u)
         kept = batch.weights

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_kernels import from_dense
 from wbp.cascades import DeterministicCascade, ScaledUniformCascade, UniformSplitCascade
 from wbp.certify import (
     CertificationError,
@@ -15,14 +16,14 @@ from wbp.certify import (
 )
 from wbp.ifs import ifs_weighted_law
 from wbp.population import ReproductionLaw
-from wbp.spectral import MeanKernel, TypeGrid, attach_alpha, build_mean_kernel, power_iteration
+from wbp.spectral import TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
 
 ONE_POINT = TypeGrid.finite(1)
 
 
 def scalar_kernel(value, order=1.0):
-    return MeanKernel.from_dense(np.array([[value]]), ONE_POINT, order)
+    return from_dense(np.array([[value]]), ONE_POINT, order)
 
 
 def certified_uniform_split(independent=True, n_max=40):
@@ -88,7 +89,7 @@ def per_draw_c3(law, k1, psi1, psi2, p, rng, budget=2000, max_points=32, max_cel
         norms = [float(np.max(np.abs(g / psi1))) for g in dictionary]
         devs = np.zeros((budget, len(dictionary)))
         for b in range(budget):
-            offspring, _ = law.sample_progeny(x, rng)
+            offspring = law.sample_progeny(x, rng)
             if offspring:
                 us = np.array([u for u, _ in offspring])
                 ys = grid.locate([y for _, y in offspring])
@@ -114,7 +115,7 @@ class RaggedBroods(ReproductionLaw):
 
     def sample_progeny(self, x, rng):
         n = int(rng.integers(0, 4))
-        return [(float(rng.random()), int(rng.integers(0, self.d))) for _ in range(n)], 0.0
+        return [(float(rng.random()), int(rng.integers(0, self.d))) for _ in range(n)]
 
 
 def assert_c3_matches_per_draw(law, k1, psi1, psi2, p, seed, **kw):
@@ -136,7 +137,7 @@ def test_c3_bit_identical_to_per_draw_loop_on_halving_ifs(p):
 def test_c3_bit_identical_to_per_draw_loop_on_ragged_broods():
     d = 24  # more cells than indicators: some children fall outside the dictionary
     rng = np.random.default_rng(5)
-    k1 = MeanKernel.from_dense(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
+    k1 = from_dense(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
     psi1 = rng.uniform(0.5, 2.0, size=d)
     psi2 = rng.uniform(0.5, 2.0, size=d)
     assert_c3_matches_per_draw(RaggedBroods(d), k1, psi1, psi2, 1.5, seed=8, budget=300)
@@ -147,7 +148,7 @@ def test_c3_bit_identical_to_per_draw_loop_at_tiny_budgets():
     # a mean over thousands of draws would round away
     d = 24
     rng = np.random.default_rng(6)
-    k1 = MeanKernel.from_dense(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
+    k1 = from_dense(rng.uniform(0.0, 0.3, size=(d, d)), TypeGrid.finite(d))
     psi1 = rng.uniform(0.5, 2.0, size=d)
     psi2 = rng.uniform(0.5, 2.0, size=d)
     for seed in range(40):

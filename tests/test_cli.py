@@ -1,6 +1,8 @@
 """Exit-code contract of ``wbp.cli.main`` over every pipeline and model kind."""
 
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -56,7 +58,9 @@ def _config(tmp_path, model, **extra):
 
 
 def _run(pipeline, config, out, threads=1):
-    return main([pipeline, "--config", config, "--threads", str(threads), "--out", str(out)])
+    """Run the CLI; ``threads=None`` leaves the worker count to the config."""
+    flags = [] if threads is None else ["--threads", str(threads)]
+    return main([pipeline, "--config", config, *flags, "--out", str(out)])
 
 
 def _result(out):
@@ -163,6 +167,10 @@ def _with(model, **fields):
         ("simulate", _with("ifs", weights={"spec": "scaled_uniform", "c": float("nan")}), {}),
         ("kernel-products", _with("kernel_product", atoms=[[[[1.0, float("nan")], [0.0, 1.0]]]], probs=[1.0]), {}),
         ("kernel-products", _with("kernel_product", atoms=[[[[1.0, float("inf")], [0.0, 1.0]]]], probs=[1.0]), {}),
+        # a worker count below 1
+        ("simulate", MODELS["cascade-split"], {"threads": 0}),
+        ("cascade", MODELS["cascade-split"], {"threads": -2}),
+        ("verify-theorem1", MODELS["cascade-mixture"], {"threads": 0}),
     ],
 )
 def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, pipeline, model, extra):
@@ -170,8 +178,15 @@ def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, p
         raise AssertionError("a replicate ran before the refusal")
 
     monkeypatch.setattr(harness, "run_replicates", no_replicates)
-    assert _run(pipeline, _config(tmp_path, model, **extra), tmp_path / "out") == 2
+    assert _run(pipeline, _config(tmp_path, model, **extra), tmp_path / "out", threads=None) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_flag_below_one_is_refused_with_exit_2(tmp_path, capsys, threads):
+    assert _run("simulate", _config(tmp_path, MODELS["cascade-split"]), tmp_path / "out", threads) == 2
+    assert capsys.readouterr().err.startswith("config error: threads must be >= 1")
+    assert not (tmp_path / "out").exists()
 
 
 def test_capped_lp_error_exits_3_with_an_inconclusive_result(tmp_path, capsys):
@@ -182,6 +197,41 @@ def test_capped_lp_error_exits_3_with_an_inconclusive_result(tmp_path, capsys):
     results = _result(out)["results"]
     assert results["capped_replicates"] == 100
     assert results["bound_holds_everywhere"] is None
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Stand-in for ``ProcessPoolExecutor`` that runs each job at submission."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.jobs = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.jobs += 1
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    model = MODELS["cascade-split-indep"]
+    serial = run_replicates(model, "mass_track", 3, 20, seed=1, threads=1)
+    assert pools == []
+    pooled = run_replicates(model, "mass_track", 3, 20, seed=1, threads=64)
+    (pool,) = pools
+    assert pool.max_workers == 2
+    assert pool.jobs == 8  # four chunks per worker
+    assert np.array_equal(pooled.data, serial.data)
 
 
 def test_replicate_rows_match_for_any_worker_count_with_capped_replicates():

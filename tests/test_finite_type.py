@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -74,3 +75,18 @@ def test_advance_drops_the_padding_of_short_offspring_lists():
     u = derive_stream(3, 0).random(300)
     assert nxt.size == int(np.sum(np.where(u < 0.5, 1, 2)))
     assert np.all(nxt.weights > 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5, -1e-300])
+def test_bad_factors_refused_when_the_law_is_built(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        MixtureFiniteTypeLaw(([(1.0, [(bad, 0)])],))
+    # also in a later atom of another type
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        MixtureFiniteTypeLaw(([(1.0, [(0.5, 1)])], [(0.5, [(1.0, 0)]), (0.5, [(0.5, 1), (bad, 0)])]))
+
+
+def test_zero_factor_is_accepted_and_leaves_no_child():
+    law = MixtureFiniteTypeLaw(([(1.0, [(0.0, 0), (0.5, 0)])],))
+    nxt = advance_generation(law.root_generation(), law, derive_stream(0, 0))
+    assert nxt.weights.tolist() == [0.5]

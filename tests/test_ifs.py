@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from dense_kernels import dense, from_dense
 from wbp.cascades import DeterministicCascade, UniformSplitCascade
 from wbp.harness import ExperimentConfig, run_experiment
 from wbp.ifs import doob_transition, ifs_convergence_probe, ifs_weighted_law
 from wbp.population import advance_generation
-from wbp.spectral import MeanKernel, TypeGrid, attach_alpha, build_mean_kernel, power_iteration
+from wbp.spectral import TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
 
 
@@ -17,7 +18,7 @@ def halving_ifs(weights=None):
 
 def test_single_map_single_child():
     law = ifs_weighted_law([(0.5, 0.0)], (1.0,), DeterministicCascade((1.0,)))
-    assert law.sample_progeny(1.0, derive_stream(0, 0)) == ([(1.0, 0.5)], 0.0)
+    assert law.sample_progeny(1.0, derive_stream(0, 0)) == [(1.0, 0.5)]
 
 
 def test_sample_progeny_stream_matches_array_map_draw():
@@ -28,12 +29,12 @@ def test_sample_progeny_stream_matches_array_map_draw():
     )
 
     def array_draw(x, rng):
-        offspring, lost = law.weights.sample_progeny(0, rng)
+        offspring = law.weights.sample_progeny(0, rng)
         out = []
         for u, _ in offspring:
             z = int(law._draw_maps(1, rng)[0])
             out.append((u, float(law._a[z] * float(x) + law._b[z])))
-        return out, lost
+        return out
 
     fast, slow = derive_stream(9, 0), derive_stream(9, 0)
     xs = np.linspace(0.0, 1.0, 1000)
@@ -64,14 +65,15 @@ def test_map_validation():
 
 def test_progeny_functionals_uniform_split():
     law = halving_ifs()
-    assert law.L(2.0) == pytest.approx(2.0 / 3.0)
-    assert law.L(1.0) == pytest.approx(1.0)
+    # the offspring moments the dispersion ratio of ifs_convergence_probe reads
+    assert law.weights.factor_moment(2.0) == pytest.approx(2.0 / 3.0)
+    assert law.weights.factor_moment(1.0) == pytest.approx(1.0)
 
 
 def test_moment_row_splits_between_map_images():
     law = halving_ifs()
     grid = TypeGrid.interval(0.0, 1.0, 2.0**-4)
-    row = build_mean_kernel(law, grid, 1.0).dense()[3]
+    row = dense(build_mean_kernel(law, grid, 1.0))[3]
     assert row.sum() == pytest.approx(1.0)
     assert np.count_nonzero(row) == 2
     cells = grid.locate(np.array([grid.points[3] / 2, grid.points[3] / 2 + 0.5]))
@@ -88,7 +90,7 @@ def test_three_map_row_weights_each_map_by_its_probability():
     x = grid.points[8]
     cells = grid.locate([0.25 * x, 0.25 * x + 0.375, 0.25 * x + 0.75])
     for order in (1.0, 2.0):
-        row = build_mean_kernel(law, grid, order).dense()[8]
+        row = dense(build_mean_kernel(law, grid, order))[8]
         mass = law.weights.factor_moment(order)
         assert np.unique(cells).size == 3 and np.count_nonzero(row) == 3
         for cell in cells:
@@ -131,7 +133,7 @@ def test_grid_kernel_row_masses_are_offspring_mass():
 def test_doob_conservative_kernel():
     # constant row mass c: profile is identically 1 and theta0 * c = c
     m = np.array([[0.3, 0.4], [0.5, 0.2]])  # rows sum to 0.7
-    k = MeanKernel.from_dense(m, TypeGrid.finite(2))
+    k = from_dense(m, TypeGrid.finite(2))
     d = doob_transition(k, power_iteration(k).theta)
     assert np.allclose(d.profile, 1.0)
     assert d.sup_mass == pytest.approx(0.7)
@@ -141,7 +143,7 @@ def test_doob_conservative_kernel():
 def test_doob_two_point_nonconservative_identity():
     # acceptance-grade identity on a kernel with unequal row masses
     m = np.array([[0.3, 0.4], [0.5, 0.4]])
-    k = MeanKernel.from_dense(m, TypeGrid.finite(2))
+    k = from_dense(m, TypeGrid.finite(2))
     d = doob_transition(k, power_iteration(k, tol=1e-13).theta, tol=1e-13)
     assert d.profile[1] == 1.0
     assert d.profile[0] == pytest.approx(0.7 / 0.9)
@@ -159,11 +161,11 @@ def test_doob_uniform_split_mass_one():
     d = doob_transition(k, power_iteration(k).theta)
     assert np.allclose(d.profile, 1.0)
     assert d.sup_mass == pytest.approx(1.0)
-    assert np.allclose(d.chain.dense(), k.dense())
+    assert np.allclose(dense(d.chain), dense(k))
 
 
 def test_doob_zero_mass_rejected():
-    k = MeanKernel.from_dense(np.zeros((2, 2)), TypeGrid.finite(2))
+    k = from_dense(np.zeros((2, 2)), TypeGrid.finite(2))
     with pytest.raises(ValueError):
         doob_transition(k, 0.0)
 

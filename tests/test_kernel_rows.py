@@ -7,11 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_kernels import dense, from_dense
 from wbp.cascades import CascadeLaw, UniformSplitCascade
 from wbp.finite_type import MixtureFiniteTypeLaw
 from wbp.harness import _grid_law, make_model
 from wbp.ifs import IfsLaw, ifs_weighted_law
+from wbp.martingale import mean_agrees
 from wbp.spectral import MeanKernel, TypeGrid, build_mean_kernel, power_iteration, support_period
+from wbp.streams import derive_stream
 
 GRID_MODELS = {
     "cascade-split": {"kind": "cascade", "spec": "uniform_split"},
@@ -74,10 +77,32 @@ def test_sparse_kernel_equals_dense_build_for_every_grid_model(name, order):
     law = _grid_law(bundle)
     k = build_mean_kernel(law, bundle.grid, order)
     m = dense_rows(law, bundle.grid, order)
-    assert np.array_equal(k.dense(), m)
+    assert np.array_equal(dense(k), m)
     # the rows store exactly the nonzero cells, each once
     assert np.count_nonzero(k.matrix) == np.count_nonzero(m)
     assert k.matrix.shape[1] == max(1, np.count_nonzero(m, axis=1).max())
+
+
+@pytest.mark.parametrize("order", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("name", sorted(GRID_MODELS))
+def test_moment_rows_agree_with_the_sampler(name, order):
+    # each cell's closed-form mass against the mean of sum u**order over sampled parents
+    bundle = make_model(GRID_MODELS[name])
+    law, grid = _grid_law(bundle), bundle.grid
+    d = grid.size
+    m = dense(build_mean_kernel(law, grid, order))
+    rng = derive_stream(8, 0)
+    parents = 20_000
+    for i in np.unique(np.linspace(0, d - 1, min(d, 4)).astype(int)):
+        batch = law.sample_generation(np.ones(parents), np.full(parents, grid.points[i]), rng)
+        # one row per cell, so each mean sums a contiguous row pairwise: a
+        # deterministic cell then averages to its value up to a few ulps
+        slot = grid.locate(batch.types) * parents + batch.parent_index
+        sums = np.bincount(slot, weights=batch.weights**order, minlength=d * parents).reshape(d, parents)
+        mean = sums.mean(axis=1)
+        se = sums.std(axis=1, ddof=1) / np.sqrt(parents)
+        off = [(j, mean[j], se[j], m[i, j]) for j in range(d) if not mean_agrees(mean[j], se[j], m[i, j])]
+        assert not off, f"grid point {i}: (cell, mean, se, exact) {off}"
 
 
 def test_maps_landing_in_one_cell_share_its_slot():
@@ -119,7 +144,7 @@ def test_apply_and_apply_t_match_dense_products(entries):
     d = vals.shape[0]
     k = MeanKernel.from_rows(cols, vals, TypeGrid.finite(d))
     m = scatter(cols, vals)
-    assert np.array_equal(k.dense(), m)
+    assert np.array_equal(dense(k), m)
     assert np.array_equal(k.apply(v), m @ v)
     assert np.array_equal(k.apply_t(v), v @ m)
     assert np.count_nonzero(k.matrix) == np.count_nonzero(m)
@@ -152,7 +177,7 @@ def test_random_float_kernel_products_match_dense_to_rounding():
     rng = np.random.default_rng(11)
     d = 40
     m = rng.uniform(0.0, 1.0, size=(d, d)) * (rng.random((d, d)) < 0.3)
-    k = MeanKernel.from_dense(m, TypeGrid.finite(d))
+    k = from_dense(m, TypeGrid.finite(d))
     v = rng.normal(size=d)
     assert np.allclose(k.apply(v), m @ v, rtol=1e-13, atol=1e-13)
     assert np.allclose(k.apply_t(v), v @ m, rtol=1e-13, atol=1e-13)

@@ -142,7 +142,7 @@ class IdentityLawWithRandomTypes(ReproductionLaw):
     """One child of weight 1 with a fresh uniform type (a chain, not a tree)."""
 
     def sample_progeny(self, x, rng):
-        return [(1.0, float(rng.random()))], 0.0
+        return [(1.0, float(rng.random()))]
 
 
 def test_lineage_chain_matches_stored_path():

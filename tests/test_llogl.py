@@ -40,20 +40,6 @@ def test_liu_conditions_scaled_uniform_fails():
     assert np.isfinite(reports["mass-LlogL"].numbers["mass_loglog_moment"])
 
 
-def test_liu_conditions_monte_carlo_path():
-    from wbp.population import ReproductionLaw
-
-    class OpaqueSplit(ReproductionLaw):
-        def sample_progeny(self, x, rng):
-            u = rng.random()
-            return [(u, 0), (1.0 - u, 0)], 0.0
-
-    reports = liu_conditions(OpaqueSplit(), 2.0, mc_budget=20_000, rng=derive_stream(3, 0))
-    nums = reports["p-moment-contraction"].numbers
-    assert abs(nums["offspring_p_moment"] - 2 / 3) <= 4 * nums["offspring_p_moment_se"]
-    assert reports["p-moment-contraction"].verdict == "holds"
-
-
 def hfk(law, k, rho, theta1, p, n_max, **kw):
     # f = 1 on the one-point grid, with the law's exact kernels
     kernels = (build_mean_kernel(law, ONE_POINT, 1.0), build_mean_kernel(law, ONE_POINT, p))

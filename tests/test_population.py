@@ -10,7 +10,6 @@ from wbp.population import (
     ProgenyBatch,
     ProgenyError,
     ReproductionLaw,
-    TruncationPolicy,
     advance_generation,
     cumulative_probs,
     initial_generation,
@@ -24,33 +23,12 @@ class IdentityLaw(ReproductionLaw):
     """One child, factor 1, same type."""
 
     def sample_progeny(self, x, rng):
-        return [(1.0, x)], 0.0
-
-
-class GeometricTailLaw(ReproductionLaw):
-    """Infinite progeny u_i = 2^-i, truncated to keep the tail below epsilon."""
-
-    def __init__(self, epsilon):
-        self.truncation = TruncationPolicy.tail_bounded(epsilon)
-
-    def sample_progeny(self, x, rng):
-        eps = self.truncation.epsilon
-        out = []
-        u = 0.5
-        while True:
-            out.append((u, x))
-            if u <= eps:  # remaining tail equals the last emitted term
-                break
-            u /= 2.0
-        return out, u
-
-    def sample_generation(self, weights, types, rng):
-        return super().sample_generation(weights, types, rng)
+        return [(1.0, x)]
 
 
 class BadFactorLaw(ReproductionLaw):
     def sample_progeny(self, x, rng):
-        return [(-0.5, x)], 0.0
+        return [(-0.5, x)]
 
 
 def test_identity_law_preserves_measure():
@@ -156,30 +134,6 @@ def test_population_cap_raises():
         for _ in range(10):
             g = advance_generation(g, law, rng, cap=100)
     assert err.value.cap == 100
-
-
-def test_truncation_tail_bound_respected():
-    law = GeometricTailLaw(1e-3)
-    g = initial_generation([1.0], np.array([0]))
-    h = advance_generation(g, law, derive_stream(0, 0))
-    assert h.discarded_mass <= law.truncation.epsilon
-    # the sampled mass plus the reported tail reconstructs the full unit mass
-    assert h.total_mass() + h.discarded_mass == pytest.approx(1.0, abs=1e-12)
-
-
-class OverpromisingLaw(ReproductionLaw):
-    """Declares a tight tail bound but reports a larger discarded mass."""
-
-    truncation = TruncationPolicy.tail_bounded(1e-9)
-
-    def sample_progeny(self, x, rng):
-        return [(0.5, x)], 1e-3
-
-
-def test_truncation_violation_raises():
-    g = initial_generation([1.0], np.array([0]))
-    with pytest.raises(ProgenyError):
-        advance_generation(g, OverpromisingLaw(), derive_stream(0, 0))
 
 
 def test_determinism_bit_identical():

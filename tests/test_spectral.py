@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_kernels import dense, from_dense
 from wbp.cascades import UniformSplitCascade
 from wbp.finite_type import two_type_flip_law
 from wbp.population import ReproductionLaw
@@ -22,17 +23,16 @@ from wbp.spectral import (
     power_iteration,
     support_period,
 )
-from wbp.streams import derive_stream
 
 
 def K(rows, order=1.0):
     rows = np.asarray(rows, dtype=np.float64)
-    return MeanKernel.from_dense(rows, TypeGrid.finite(rows.shape[0]), order)
+    return from_dense(rows, TypeGrid.finite(rows.shape[0]), order)
 
 
 class IdentityLaw(ReproductionLaw):
     def sample_progeny(self, x, rng):
-        return [(1.0, x)], 0.0
+        return [(1.0, x)]
 
     def moment_rows(self, grid, order):
         return np.arange(grid.size)[:, None], np.ones((grid.size, 1))
@@ -40,73 +40,31 @@ class IdentityLaw(ReproductionLaw):
 
 def test_build_identity_kernel():
     k = build_mean_kernel(IdentityLaw(), TypeGrid.finite(2))
-    assert np.array_equal(k.dense(), np.eye(2))
+    assert np.array_equal(dense(k), np.eye(2))
 
 
 def test_build_flip_kernel_both_orders():
     law = two_type_flip_law()
     grid = TypeGrid.finite(2)
     k1 = build_mean_kernel(law, grid, 1.0)
-    assert np.array_equal(k1.dense(), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(dense(k1), [[0.0, 1.0], [1.0, 0.0]])
     k2 = build_mean_kernel(law, grid, 2.0)
-    assert np.array_equal(k2.dense(), [[0.0, 0.5], [0.5, 0.0]])
+    assert np.array_equal(dense(k2), [[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_build_cascade_second_moment():
     # uniform split on a one-point grid: E(U^2) + E((1-U)^2) = 2/3
     k = build_mean_kernel(UniformSplitCascade(), TypeGrid.finite(1), 2.0)
-    assert k.dense()[0, 0] == pytest.approx(2.0 / 3.0)
+    assert dense(k)[0, 0] == pytest.approx(2.0 / 3.0)
 
 
-def test_build_monte_carlo_fallback():
+def test_build_refuses_a_law_without_moment_rows():
     class OpaqueLaw(ReproductionLaw):
         def sample_progeny(self, x, rng):
-            return [(rng.random(), x)], 0.0
+            return [(rng.random(), x)]
 
-    k = build_mean_kernel(
-        OpaqueLaw(), TypeGrid.finite(1), 1.0, mc_budget=20_000, rng=derive_stream(0, 0)
-    )
-    assert k.stderr is not None
-    assert k.cols.tolist() == [[0]]
-    assert abs(k.matrix[0, 0] - 0.5) <= 4 * k.stderr[0, 0]
-
-
-class RaggedBroods(ReproductionLaw):
-    """0 to 3 children per draw, on random types of a finite grid (repeats allowed)."""
-
-    def __init__(self, d):
-        self.d = d
-
-    def sample_progeny(self, x, rng):
-        n = int(rng.integers(0, 4))
-        return [(float(rng.random()), int(rng.integers(0, self.d))) for _ in range(n)], 0.0
-
-
-def per_child_kernel(law, grid, order, mc_budget, rng):
-    # reference: the child-by-child Monte Carlo loop build_mean_kernel batches
-    d = grid.size
-    matrix = np.zeros((d, d))
-    stderr = np.zeros((d, d))
-    for i in range(d):
-        acc = np.zeros((mc_budget, d))
-        for b in range(mc_budget):
-            offspring, _ = law.sample_progeny(grid.points[i], rng)
-            for u, y in offspring:
-                acc[b, grid.locate([y])[0]] += u**order
-        matrix[i] = acc.mean(axis=0)
-        stderr[i] = acc.std(axis=0, ddof=1) / np.sqrt(mc_budget)
-    return matrix, stderr
-
-
-@pytest.mark.parametrize("order", [1.0, 1.5, 2.0])
-def test_monte_carlo_kernel_bit_identical_to_per_child_loop(order):
-    law, grid = RaggedBroods(6), TypeGrid.finite(6)
-    k = build_mean_kernel(law, grid, order, mc_budget=400, rng=derive_stream(3, 1))
-    matrix, stderr = per_child_kernel(law, grid, order, 400, derive_stream(3, 1))
-    assert np.array_equal(k.dense(), matrix)
-    # stderr is aligned with the stored cells; every cell of every row was reached
-    assert k.matrix.shape == (6, 6)
-    assert np.array_equal(k.stderr, np.take_along_axis(stderr, k.cols, axis=1))
+    with pytest.raises(NotImplementedError, match="OpaqueLaw"):
+        build_mean_kernel(OpaqueLaw(), TypeGrid.finite(1), 1.0)
 
 
 def test_kernel_power_apply_examples():
@@ -116,13 +74,6 @@ def test_kernel_power_apply_examples():
     ident = K(np.eye(3))
     f = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(kernel_power_apply(ident, f, 11), f)
-
-
-def test_kernel_power_apply_logscale_large_n():
-    k = K([[2.0]])
-    v, logscale = kernel_power_apply(k, [1.0], 5000, return_logscale=True)
-    assert v[0] == 1.0
-    assert logscale == pytest.approx(5000 * np.log(2.0), rel=1e-12)
 
 
 def test_kernel_power_apply_alternates_on_flip():
@@ -275,9 +226,9 @@ def test_interval_grid_locate():
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        MeanKernel.from_dense(np.array([[1.0, -0.1], [0.0, 1.0]]), TypeGrid.finite(2))
+        from_dense(np.array([[1.0, -0.1], [0.0, 1.0]]), TypeGrid.finite(2))
     with pytest.raises(ValueError):
-        MeanKernel.from_dense(np.array([[np.inf, 0.0], [0.0, 1.0]]), TypeGrid.finite(2))
+        from_dense(np.array([[np.inf, 0.0], [0.0, 1.0]]), TypeGrid.finite(2))
     # cells outside the grid, cols not aligned with the masses, rows not one per grid point
     with pytest.raises(ValueError, match="index the grid"):
         MeanKernel(np.array([[0], [2]]), np.ones((2, 1)), TypeGrid.finite(2))

@@ -19,7 +19,6 @@ from .certify import (
     certify_md,
     proxy_gap_bound,
     theorem1_rhs,
-    weighted_sup_norm,
 )
 from .finite_type import (
     MixtureFiniteTypeLaw,

@@ -24,8 +24,6 @@ from .population import (
 class CascadeLaw(ReproductionLaw):
     """Base for laws whose type space is the single point ``{0}``."""
 
-    n_children: int = 2
-
     def mean_total_mass(self) -> float:
         return self.factor_moment(1.0)
 
@@ -64,7 +62,6 @@ class DeterministicCascade(CascadeLaw):
         self._v = np.asarray(self.factors, dtype=np.float64)
         if not np.all((self._v >= 0) & (self._v < np.inf)):
             raise ValueError(f"factors must be finite and non-negative, got {self.factors}")
-        self.n_children = self._v.size
 
     def sample_progeny(self, x, rng):
         return [(float(u), 0) for u in self._v]
@@ -190,7 +187,6 @@ class MixtureCascade(CascadeLaw):
             self._padded[j, : len(a)] = a
         if not np.all((self._padded >= 0) & (self._padded < np.inf)):
             raise ValueError(f"factors must be finite and non-negative, got {self.atoms}")
-        self.n_children = width
 
     def _draw_atoms(self, n, rng):
         return np.searchsorted(self._cum, rng.random(n), side="right")

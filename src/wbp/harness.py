@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .cascades import (
     ScaledUniformCascade,
     UniformSplitCascade,
 )
-from .certify import certify_md, proxy_gap_bound, theorem1_rhs, weighted_sup_norm
+from .certify import certify_md, proxy_gap_bound, theorem1_rhs
 from .finite_type import markov_chain_law, stationary_distribution, two_type_flip_law
 from .ifs import doob_transition, ifs_convergence_probe, ifs_weighted_law
 from .kernel_products import KernelProductLaw, kernel_norm, kernel_product_observable
@@ -58,6 +59,24 @@ class ConfigError(Exception):
     """Invalid experiment configuration."""
 
 
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int of at least ``least``; a bool, a non-number, a
+    non-integral number or a smaller value is a ``ConfigError``."""
+    integral = isinstance(value, float) and value.is_integer()
+    if not integral and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a finite float; a bool, a non-number or NaN/inf is a ``ConfigError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Validated run parameters; ``raw`` keeps the original mapping for echo."""
@@ -82,32 +101,27 @@ class ExperimentConfig:
             if "kind" not in model:
                 raise ConfigError("model.kind is required")
             horizons = cfg.get("horizons", {})
-            n_max = int(horizons.get("n_max", 12))
+            n_max = _integer(horizons.get("n_max", 12), "horizons.n_max", least=1)
             proxy = horizons.get("proxy")
-            replicates = int(cfg.get("replicates", 1000))
+            if proxy is not None:
+                proxy = _integer(proxy, "horizons.proxy")
+            replicates = _integer(cfg.get("replicates", 1000), "replicates", least=1)
             p = float(cfg.get("p", 2.0))
-            particle_cap = int(cfg.get("caps", {}).get("particles", DEFAULT_PARTICLE_CAP))
-            threads = int(cfg.get("threads", 1))
-            if replicates < 1:
-                raise ConfigError("replicates must be >= 1")
-            if n_max < 1:
-                raise ConfigError("horizons.n_max must be >= 1")
-            if particle_cap < 1:
-                raise ConfigError("caps.particles must be >= 1")
-            if threads < 1:
-                raise ConfigError(f"threads must be >= 1, got {threads}")
+            cap = cfg.get("caps", {}).get("particles", DEFAULT_PARTICLE_CAP)
+            particle_cap = _integer(cap, "caps.particles", least=1)
+            threads = _integer(cfg.get("threads", 1), "threads", least=1)
             if not 1.0 < p <= 2.0:
                 raise ConfigError("p must lie in (1, 2]")
-            if proxy is not None and n_max > int(proxy):
+            if proxy is not None and n_max > proxy:
                 raise ConfigError("horizons.n_max must not exceed horizons.proxy")
             return ExperimentConfig(
                 model=model,
-                seed=int(cfg.get("seed", 0)),
+                seed=_integer(cfg.get("seed", 0), "seed"),
                 replicates=replicates,
                 threads=threads,
                 p=p,
                 n_max=n_max,
-                proxy_horizon=None if proxy is None else int(proxy),
+                proxy_horizon=proxy,
                 particle_cap=particle_cap,
                 raw=cfg,
             )
@@ -160,12 +174,10 @@ def make_model(model: dict) -> ModelBundle:
 
 
 def _start_type(model: dict, d: int) -> int:
-    x0 = model.get("x0", 0)
-    if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not float(x0).is_integer():
-        raise ConfigError(f"x0 = {x0!r} is not a type index: the model's types are 0..{d - 1}")
+    x0 = _integer(model.get("x0", 0), "x0")
     if not 0 <= x0 < d:
         raise ConfigError(f"x0 = {x0!r} is not one of the model's {d} types")
-    return int(x0)
+    return x0
 
 
 def _start_point(model: dict) -> float:
@@ -176,7 +188,10 @@ def _start_point(model: dict) -> float:
 
 
 def _table(values, d: int, name: str) -> np.ndarray:
-    table = np.asarray(values, dtype=np.float64)
+    try:
+        table = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} needs one number per type: {exc}") from exc
     if table.shape != (d,):
         raise ConfigError(f"{name} needs one value per type: {d}, got shape {table.shape}")
     return table
@@ -218,7 +233,7 @@ def _build_model(model: dict) -> ModelBundle:
             tuple(np.asarray(a, dtype=np.float64) for a in lst) for lst in model["atoms"]
         )
         law = KernelProductLaw(atoms, tuple(model["probs"]))
-        x_index = int(model.get("x_index", 0))
+        x_index = _integer(model.get("x_index", 0), "x_index")
         if not 0 <= x_index < law.dim:
             raise ConfigError(f"x_index = {x_index} is not a row of the {law.dim}x{law.dim} matrices")
         extras = {"x_index": x_index, "f": _table(model.get("f", np.ones(law.dim)), law.dim, "model.f")}
@@ -458,13 +473,18 @@ def _spectral_for(cfg: ExperimentConfig, bundle: ModelBundle, horizon: int, f=No
         f = _table(cfg.raw.get("f", np.ones(bundle.grid.size)), bundle.grid.size, "f")
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
     sd = power_iteration(k1)
-    attach_alpha(k1, f, sd, np.ones(k1.size), horizon)
+    attach_alpha(k1, f, sd, horizon)
     return k1, sd, f
 
 
 def pipeline_spectral(cfg: ExperimentConfig) -> RunResult:
     """Kernel construction, dominant eigendata, deviation sequence."""
     bundle = make_model(cfg.model)
+    beta_window = cfg.raw.get("beta_window")
+    if beta_window is not None:
+        if not isinstance(beta_window, (list, tuple)) or len(beta_window) != 2:
+            raise ConfigError(f"beta_window must be [first, last], got {beta_window!r}")
+        first, last = (_integer(n, "beta_window entries") for n in beta_window)
     k1, sd, f = _spectral_for(cfg, bundle, cfg.n_max)
     results = {
         "theta": sd.theta,
@@ -473,12 +493,9 @@ def pipeline_spectral(cfg: ExperimentConfig) -> RunResult:
         "residual_left": sd.residual_left,
         "alpha_burn_in": sd.alpha_burn_in,
     }
-    beta_window = cfg.raw.get("beta_window")
     if beta_window is not None:
         try:
-            fit = estimate_beta(
-                k1, f, window=range(int(beta_window[0]), int(beta_window[1]) + 1)
-            )
+            fit = estimate_beta(k1, f, window=range(first, last + 1))
         except ValueError as exc:
             raise ConfigError(f"beta_window: {exc}") from exc
         results["beta_fit"] = {
@@ -501,26 +518,22 @@ def _certificate_for(
     stream: int = 2**32,
     budget: int = 2000,
 ):
-    """The one path from a model to its certificate, with flat weights ``psi = 1``.
+    """The one path from a model to its certificate, in sup norms on the grid.
 
     Builds the first- and p-th moment kernels once, the eigendata of the
     first (see :func:`_spectral_for`), and certifies up to ``horizon`` with
     ``dispersion_budget`` draws (default ``budget``) from
     ``derive_stream(seed, stream)``. Returns ``(k1, sd, cert, f)``.
     """
-    budget = int(cfg.raw.get("dispersion_budget", budget))
-    if budget < 2:
-        raise ConfigError(f"dispersion_budget must be at least 2 for a standard error, got {budget}")
+    # a standard error needs two draws
+    budget = _integer(cfg.raw.get("dispersion_budget", budget), "dispersion_budget", least=2)
     k1, sd, f = _spectral_for(cfg, bundle, horizon, f)
     law = _grid_law(bundle)
     kp = build_mean_kernel(law, bundle.grid, cfg.p)
-    psi = np.ones(k1.size)
     cert = certify_md(
         k1,
         kp,
         sd,
-        psi,
-        psi,
         horizon,
         law=law,
         rng=derive_stream(cfg.seed, stream),
@@ -563,12 +576,14 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
     horizon = cfg.proxy_horizon or cfg.n_max
     mn = cfg.raw.get("mn_grid", {"m": [2, 4, 6, 8, 10], "n": [2, 4, 6, 8, 10]})
     try:
-        if min(mn["m"] + mn["n"]) < 1:
-            raise ConfigError(f"mn_grid needs m >= 1 and n >= 1, got {mn}")
-        if max(mn["m"]) + max(mn["n"]) > horizon:
-            raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
-    except (KeyError, TypeError, ValueError) as exc:
+        ms = [_integer(m, "mn_grid.m entries", least=1) for m in mn["m"]]
+        ns = [_integer(n, "mn_grid.n entries", least=1) for n in mn["n"]]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"mn_grid needs non-empty lists m and n of integers: {exc!r}") from exc
+    if not ms or not ns:
+        raise ConfigError(f"mn_grid needs non-empty lists m and n of integers, got {mn}")
+    if max(ms) + max(ns) > horizon:
+        raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
     _, sd, cert, f = _certificate_for(cfg, bundle, horizon)
     mode = "mass_track" if bundle.kind == "cascade" else "type_mass_track"
     block = run_replicates(
@@ -590,22 +605,19 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
         poly[0] = 1.0
         fvals = fvals / poly
 
-    f_norm = weighted_sup_norm(f, cert.psi1)
-    eta_norm = weighted_sup_norm(sd.eta_f(f), cert.psi1)
-    init_p = float(np.dot(bundle.g0.weights**cert.p, np.ones(bundle.g0.size)))
-    init_1 = float(np.dot(bundle.g0.weights, np.ones(bundle.g0.size)) ** cert.p)
+    f_norm = float(np.max(np.abs(f)))
+    eta_norm = float(np.max(np.abs(sd.eta_f(f))))
+    init_p = float(np.sum(bundle.g0.weights**cert.p))
+    init_mass = float(np.sum(bundle.g0.weights) ** cert.p)
     gap = proxy_gap_bound(cert, sd, eta_norm, init_p, horizon)
     rows = []
     all_hold = True
     boot_rng = derive_stream(cfg.seed, 2**32 + 1)
     try:
-        for m in mn["m"]:
-            for n in mn["n"]:
-                rep = lp_error(tracks, fvals, cert.p, int(m), int(n), horizon, rng=boot_rng)
-                rep.rhs_bound = theorem1_rhs(
-                    cert, sd, f_norm, eta_norm, init_p, init_1, int(m), int(n)
-                )
-                rep.proxy_gap_bound = gap
+        for m in ms:
+            for n in ns:
+                rep = lp_error(tracks, fvals, cert.p, m, n, horizon, rng=boot_rng)
+                rep.rhs_bound = theorem1_rhs(cert, sd, f_norm, eta_norm, init_p, init_mass, m, n)
                 holds = rep.bound_holds()
                 all_hold = all_hold and holds
                 rows.append(
@@ -636,30 +648,45 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
     )
 
 
+def _probe_epsilon(probe) -> float:
+    """The threshold ``epsilon`` (default 1e-3) of a degeneracy ``probe`` mapping."""
+    if not isinstance(probe, dict):
+        raise ConfigError(f"probe must be a mapping, got {probe!r}")
+    return _real(probe.get("epsilon", 1e-3), "probe.epsilon")
+
+
 def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
     """Moment-condition verdicts plus a degeneracy probe for cascade models."""
     bundle = make_model(cfg.model)
     if bundle.kind != "cascade":
         raise ConfigError("llogl runs on cascade models")
-    mc_budget = int(cfg.raw.get("mc_budget", 2000))
-    if mc_budget < 2:
-        raise ConfigError(f"mc_budget must be at least 2 for a standard error, got {mc_budget}")
+    # a standard error needs two draws
+    mc_budget = _integer(cfg.raw.get("mc_budget", 2000), "mc_budget", least=2)
+    rho = cfg.raw.get("rho")
+    if rho is not None:
+        rho = _real(rho, "rho")
+        if rho <= 1.0:
+            raise ConfigError(f"rho must exceed 1, got {rho}")
+    k = _integer(cfg.raw.get("k", 1), "k", least=0)
+    probe_cfg = cfg.raw.get("probe", {"n": cfg.n_max})
+    epsilon = _probe_epsilon(probe_cfg)
+    probe_n = _integer(probe_cfg.get("n"), "probe.n", least=0)
     law = bundle.law
     reports = liu_conditions(law, cfg.p)
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
     kp = build_mean_kernel(law, bundle.grid, cfg.p)
     theta1 = float(k1.apply(np.ones(1))[0])
     theta2 = float(kp.apply(np.ones(1))[0])
-    rho_cfg = cfg.raw.get("rho")
-    try:
-        rho = float(rho_cfg) if rho_cfg is not None else default_rho(theta1, theta2, cfg.p)
-    except ValueError:
-        rho = 2.0
+    if rho is None:
+        try:
+            rho = default_rho(theta1, theta2, cfg.p)
+        except ValueError:
+            rho = 2.0  # outside the contractive regime there is no canonical base
     hfk = hfk_partial_sums(
         law,
         bundle.grid,
         np.ones(1),
-        int(cfg.raw.get("k", 1)),
+        k,
         rho,
         theta1,
         cfg.p,
@@ -669,13 +696,12 @@ def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
         mc_budget=mc_budget,
         rng=derive_stream(cfg.seed, 2**32 + 2),
     )
-    probe_cfg = cfg.raw.get("probe", {"epsilon": 1e-3, "n": cfg.n_max})
-    horizon = max(cfg.n_max, int(probe_cfg.get("n", cfg.n_max)))
+    horizon = max(cfg.n_max, probe_n)
     block = run_replicates(
         cfg.model, "mass_track", horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
     )
     tracks = _scaled_tracks(block, theta1, horizon)
-    probe = degeneracy_probe(tracks, float(probe_cfg.get("epsilon", 1e-3)), int(probe_cfg["n"]))
+    probe = degeneracy_probe(tracks, epsilon, probe_n)
     verdicts = [r.verdict for r in reports.values()] + [hfk.verdict]
     results = {
         "conditions": {
@@ -687,8 +713,8 @@ def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
         "theta1": theta1,
         "theta2": theta2,
         "degeneracy_probe": probe,
-        "probe_epsilon": float(probe_cfg.get("epsilon", 1e-3)),
-        "probe_n": int(probe_cfg["n"]),
+        "probe_epsilon": epsilon,
+        "probe_n": probe_n,
         "capped_replicates": block.n_capped,
         "particle_total": block.particle_total,
     }
@@ -715,6 +741,7 @@ def pipeline_cascade(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError("cascade pipeline needs a cascade model")
     if cfg.replicates < 100:
         raise ConfigError("the cascade increment test needs at least 100 replicates")
+    eps = _probe_epsilon(cfg.raw.get("probe", {}))
     horizon = cfg.n_max
     block = run_replicates(
         cfg.model, "mass_track", horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
@@ -727,7 +754,6 @@ def pipeline_cascade(cfg: ExperimentConfig) -> RunResult:
     except TooFewReplicatesError:
         flagged = None  # capped replicates left too few tracks; the run exits 3
     reports = liu_conditions(bundle.law, cfg.p)
-    eps = float(cfg.raw.get("probe", {}).get("epsilon", 1e-3))
     probe_rows = [(n, degeneracy_probe(tracks, eps, n)) for n in range(horizon + 1)]
     rows = _mean_se_rows(tracks[finite])
     results = {
@@ -813,8 +839,8 @@ def pipeline_ifs(cfg: ExperimentConfig) -> RunResult:
     )
     probe = ifs_convergence_probe(bundle.law, sd, p=cfg.p)
     doob = doob_transition(k1, sd.theta)
-    f_norm = weighted_sup_norm(f, cert.psi1)
-    eta_norm = weighted_sup_norm(sd.eta_f(f), cert.psi1)
+    f_norm = float(np.max(np.abs(f)))
+    eta_norm = float(np.max(np.abs(sd.eta_f(f))))
     rhs_samples = {
         f"{m},{n}": theorem1_rhs(cert, sd, f_norm, eta_norm, 1.0, 1.0, m, n)
         for m, n in ((5, 5), (10, 10))

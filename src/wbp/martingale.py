@@ -76,7 +76,6 @@ class LpErrorReport:
     stderr: float
     replicates: int
     rhs_bound: Optional[float] = None
-    proxy_gap_bound: Optional[float] = None
 
     def bound_holds(self, sigmas: float = 4.0) -> Optional[bool]:
         if self.rhs_bound is None:

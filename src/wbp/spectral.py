@@ -197,7 +197,6 @@ class SpectralData:
     residual_left: float = 0.0
     alpha: Optional[np.ndarray] = None
     alpha_burn_in: Optional[int] = None
-    psi1: Optional[np.ndarray] = None
 
     def eta_f(self, f) -> np.ndarray:
         """Rank-one limit profile ``eta * nu(f)`` for the observable ``f``."""
@@ -311,8 +310,6 @@ class BetaFit:
     beta: int
     beta_raw: float
     residual: float
-    intercept: float
-    window: tuple[int, int]
 
 
 def log_sup_norms(k: MeanKernel, f, n_max: int) -> np.ndarray:
@@ -364,33 +361,22 @@ def estimate_beta(k: MeanKernel, f, window: Optional[range] = None) -> BetaFit:
         beta=beta,
         beta_raw=beta_raw,
         residual=resid,
-        intercept=float(coef[2]),
-        window=(int(ns[0]), int(ns[-1])),
     )
 
 
-def alpha_sequence(
-    k: MeanKernel,
-    f,
-    sd: SpectralData,
-    psi1,
-    n_max: int,
-) -> np.ndarray:
+def alpha_sequence(k: MeanKernel, f, sd: SpectralData, n_max: int) -> np.ndarray:
     """Deviation sequence ``alpha_n`` of the scaled kernel powers.
 
-    ``alpha_n = max_x |n^-beta theta^-n (Q^n f)(x) - eta_f(x)| / psi1(x)``
-    for n = 1..n_max, with the rank-one limit ``eta_f = eta * nu(f)``.
+    ``alpha_n = max_x |n^-beta theta^-n (Q^n f)(x) - eta_f(x)|`` for
+    n = 1..n_max, with the rank-one limit ``eta_f = eta * nu(f)``.
     """
-    psi = np.asarray(psi1, dtype=np.float64)
-    if np.any(psi <= 0):
-        raise ValueError("psi1 must be strictly positive on the grid")
     eta_f = sd.eta_f(f)
     v = np.asarray(f, dtype=np.float64).astype(np.float64, copy=True)
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         v = k.apply(v) / sd.theta
         scaled = v / float(n) ** sd.beta if sd.beta else v
-        out[n - 1] = float(np.max(np.abs(scaled - eta_f) / psi))
+        out[n - 1] = float(np.max(np.abs(scaled - eta_f)))
     return out
 
 
@@ -406,10 +392,9 @@ def alpha_burn_in(alpha: np.ndarray, rel_slack: float = 1e-9) -> int:
     return b
 
 
-def attach_alpha(k: MeanKernel, f, sd: SpectralData, psi1, n_max: int) -> SpectralData:
+def attach_alpha(k: MeanKernel, f, sd: SpectralData, n_max: int) -> SpectralData:
     """Compute ``alpha_n`` and record it (with burn-in) on the spectral data."""
-    alpha = alpha_sequence(k, f, sd, psi1, n_max)
+    alpha = alpha_sequence(k, f, sd, n_max)
     sd.alpha = alpha
     sd.alpha_burn_in = alpha_burn_in(alpha)
-    sd.psi1 = np.asarray(psi1, dtype=np.float64)
     return sd

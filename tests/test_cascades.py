@@ -185,5 +185,5 @@ def test_bad_factors_refused_when_the_law_is_built(make):
 
 def test_zero_factors_are_accepted_at_construction():
     assert ScaledUniformCascade(c=0.0).mean_total_mass() == 0.0
-    assert DeterministicCascade((0.0, 1.0)).n_children == 2
-    assert MixtureCascade(atoms=((0.0,), (1.0,)), probs=(0.5, 0.5)).n_children == 1
+    assert DeterministicCascade((0.0, 1.0)).mean_total_mass() == 1.0
+    assert MixtureCascade(atoms=((0.0,), (1.0,)), probs=(0.5, 0.5)).mean_total_mass() == 0.5

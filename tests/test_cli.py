@@ -171,6 +171,37 @@ def _with(model, **fields):
         ("simulate", MODELS["cascade-split"], {"threads": 0}),
         ("cascade", MODELS["cascade-split"], {"threads": -2}),
         ("verify-theorem1", MODELS["cascade-mixture"], {"threads": 0}),
+        # pipeline-only keys out of range or of the wrong type
+        ("llogl", MODELS["cascade-mixture"], {"rho": 1.0}),
+        ("llogl", MODELS["cascade-mixture"], {"rho": 0.5}),
+        ("llogl", MODELS["cascade-mixture"], {"rho": "abc"}),
+        ("llogl", MODELS["cascade-mixture"], {"rho": float("nan")}),
+        ("llogl", MODELS["cascade-mixture"], {"k": -1}),
+        ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01}}),
+        ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": -1}}),
+        ("cascade", MODELS["cascade-split"], {"probe": {"epsilon": "x"}}),
+        ("cascade", MODELS["cascade-split"], {"probe": 3}),
+        ("certify", MODELS["markov_chain"], {"f": "abc"}),
+        ("spectral", MODELS["markov_chain"], {"beta_window": [5]}),
+        ("spectral", MODELS["markov_chain"], {"beta_window": 5}),
+        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1.5], "n": [2]}}),
+        # integer fields given a bool or a non-integral number
+        ("simulate", MODELS["cascade-split"], {"threads": 2.7}),
+        ("simulate", MODELS["cascade-split"], {"threads": True}),
+        ("simulate", MODELS["cascade-split"], {"replicates": 99.9}),
+        ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": 3.9}}),
+        ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": 3, "proxy": 7.5}}),
+        ("simulate", MODELS["cascade-split"], {"seed": 1.5}),
+        ("simulate", MODELS["cascade-split"], {"caps": {"particles": 1000.5}}),
+        ("llogl", MODELS["cascade-mixture"], {"k": 1.5}),
+        ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": 2.5}}),
+        ("llogl", MODELS["cascade-mixture"], {"mc_budget": 50.5}),
+        ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 50.5}),
+        ("spectral", MODELS["markov_chain"], {"beta_window": [1.5, 20]}),
+        ("spectral", MODELS["markov_chain"], {"beta_window": [1, True]}),
+        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1], "n": [2.5]}}),
+        ("kernel-products", _with("kernel_product", x_index=0.5), {}),
+        ("simulate", _with("markov_chain", x0=True), {}),
     ],
 )
 def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, pipeline, model, extra):

@@ -174,7 +174,7 @@ def position_spectral(law, h, n_max):
     """Eigendata of the law's mean kernel on the h-grid, with alpha_n of f(x) = x."""
     grid = TypeGrid.interval(0.0, 1.0, h)
     k1 = build_mean_kernel(law, grid, 1.0)
-    return attach_alpha(k1, grid.points, power_iteration(k1), np.ones(grid.size), n_max)
+    return attach_alpha(k1, grid.points, power_iteration(k1), n_max)
 
 
 def test_single_map_alpha_collapses_in_one_step():

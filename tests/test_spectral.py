@@ -188,7 +188,7 @@ def test_estimate_beta_window_validation():
 def test_alpha_sequence_eigenfunction_is_zero():
     m = K([[1.0, 1.0], [1.0, 1.0]])
     sd = power_iteration(m)
-    alpha = alpha_sequence(m, sd.eta, sd, np.ones(2), 10)
+    alpha = alpha_sequence(m, sd.eta, sd, 10)
     assert np.allclose(alpha, 0.0, atol=1e-12)
 
 
@@ -196,14 +196,14 @@ def test_alpha_sequence_ones_matrix_indicator():
     # Q^n f = 2^(n-1) (1,1) for f = (1,0), so alpha_n = 0 from n = 1 on
     m = K([[1.0, 1.0], [1.0, 1.0]])
     sd = power_iteration(m)
-    alpha = alpha_sequence(m, np.array([1.0, 0.0]), sd, np.ones(2), 8)
+    alpha = alpha_sequence(m, np.array([1.0, 0.0]), sd, 8)
     assert np.allclose(alpha, 0.0, atol=1e-12)
 
 
 def test_alpha_sequence_decays_for_mixing_chain():
     m = K([[0.6, 0.4], [0.3, 0.7]])
     sd = power_iteration(m)
-    sd = attach_alpha(m, np.array([1.0, 0.0]), sd, np.ones(2), 12)
+    sd = attach_alpha(m, np.array([1.0, 0.0]), sd, 12)
     alpha = sd.alpha
     assert alpha[0] > 0
     # second eigenvalue 0.3: geometric decay

@@ -1,0 +1,108 @@
+"""Check that two source trees write byte-identical benchmark outputs.
+
+    python3 tools/compare_outputs.py BASE HEAD
+
+BASE and HEAD are checkouts of this repository. Every op of HEAD's
+``bench/workloads.json`` runs through the ``wbp`` CLI of each tree's
+``src/`` at seeds 0, 1 and 7 with ``--threads 1``, reading HEAD's
+``bench/configs`` for both, and the two output trees are compared byte for
+byte, exit codes included. Nothing under ``bench/`` is written.
+
+Exits 0 when every file matches, 1 on any difference, unless the trees
+declare different ``SCHEMA_VERSION`` values: a documented change to the
+output format is then expected to change the files, and the differences
+are listed but do not fail the check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (0, 1, 7)
+
+
+def _run(tree: Path, args: list, cwd: Path) -> subprocess.CompletedProcess:
+    """``python args`` with only ``tree/src`` on the import path."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=900
+    )
+
+
+def schema_version(tree: Path, cwd: Path) -> str:
+    proc = _run(tree, ["-c", "from wbp.harness import SCHEMA_VERSION; print(SCHEMA_VERSION)"], cwd)
+    if proc.returncode:
+        sys.exit(f"cannot import wbp from {tree / 'src'}:\n{proc.stderr}")
+    return proc.stdout.strip()
+
+
+def write_outputs(tree: Path, bench: Path, ops: list, out: Path) -> None:
+    """Every op at every seed into ``out/<op>/seed<s>/``, plus its exit code in ``exit``."""
+    for op in ops:
+        for seed in SEEDS:
+            outdir = out / op["name"] / f"seed{seed}"
+            outdir.mkdir(parents=True)
+            proc = _run(
+                tree,
+                [
+                    "-m", "wbp.cli", op["pipeline"],
+                    "--config", str(bench / "configs" / op["config"]),
+                    "--seed", str(seed),
+                    "--threads", "1",
+                    "--out", str(outdir),
+                ],
+                out,
+            )
+            (outdir / "exit").write_text(f"{proc.returncode}\n")
+
+
+def differences(a: Path, b: Path) -> tuple[int, list]:
+    """Number of files under ``a`` and the relative paths that differ from ``b``."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    diffs = sorted(str(f) + " (only in one tree)" for f in files_a ^ files_b)
+    diffs += sorted(str(f) for f in files_a & files_b if (a / f).read_bytes() != (b / f).read_bytes())
+    return len(files_a), diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="checkout to compare against")
+    parser.add_argument("head", type=Path, help="checkout under test; its bench/ supplies the ops")
+    args = parser.parse_args(argv)
+    base, head = args.base.resolve(), args.head.resolve()
+    bench = head / "bench"
+    with open(bench / "workloads.json") as fh:
+        ops = [op for workload in json.load(fh).values() for op in workload["ops"]]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        versions = {name: schema_version(tree, work) for name, tree in (("base", base), ("head", head))}
+        for name, tree in (("base", base), ("head", head)):
+            write_outputs(tree, bench, ops, work / name)
+        n_files, diffs = differences(work / "base", work / "head")
+
+    for d in diffs:
+        print(f"differs: {d}")
+    outputs = n_files - len(ops) * len(SEEDS)  # not counting the exit-code files
+    print(
+        f"{len(ops)} ops x {len(SEEDS)} seeds: {outputs} output files and "
+        f"{len(ops) * len(SEEDS)} exit codes, {len(diffs)} differ"
+    )
+    if not diffs:
+        return 0
+    if versions["base"] != versions["head"]:
+        print(f"SCHEMA_VERSION {versions['base']} -> {versions['head']}: differences expected")
+        return 0
+    print(f"SCHEMA_VERSION is {versions['head']} in both trees: outputs must be byte-identical")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,8 +43,11 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
         self._cum_table = np.full((self.n_types, max_atoms), np.inf)
         for t, cum in enumerate(cums):
             self._cum_table[t, : cum.size] = cum
-        self._fac = np.zeros((self.n_types, max_atoms, width))
-        self._typ = np.zeros((self.n_types, max_atoms, width), dtype=np.int64)
+        # a column of entries >= 1.0 never counts either, as u < 1
+        self._cum_cols = [col.copy() for col in self._cum_table.T if np.any(col < 1.0)]
+        # offspring lists as rows: atom j of type t is row t * max_atoms + j
+        self._fac = np.zeros((self.n_types * max_atoms, width))
+        self._typ = np.zeros((self.n_types * max_atoms, width), dtype=np.int64)
         for t, atoms in enumerate(self.atoms_per_type):
             for j, (_, offspring) in enumerate(atoms):
                 for c, (u, y) in enumerate(offspring):
@@ -52,8 +55,9 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
                         raise ValueError(f"offspring factors must be finite and non-negative, got {u!r}")
                     if not 0 <= y < self.n_types:
                         raise ValueError("offspring type outside the type space")
-                    self._fac[t, j, c] = u
-                    self._typ[t, j, c] = y
+                    self._fac[t * max_atoms + j, c] = u
+                    self._typ[t * max_atoms + j, c] = y
+        self._max_atoms = max_atoms
         self._width = width
 
     def sample_progeny(self, x, rng):
@@ -66,11 +70,12 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
         p = t.shape[0]
         u = rng.random(p)
         # counting cum <= u is searchsorted(cum, u, side="right") per row
-        idx = (self._cum_table[t] <= u[:, None]).sum(axis=1)
-        child_w = (np.asarray(weights, dtype=np.float64)[:, None] * self._fac[t, idx]).ravel()
-        child_types = self._typ[t, idx].ravel()
-        parent = np.repeat(np.arange(p, dtype=np.int64), self._width)
-        return ProgenyBatch(child_w, child_types, parent)
+        row = t * self._max_atoms
+        for col in self._cum_cols:
+            row += col[t] <= u
+        child_w = self._fac.take(row, axis=0)
+        child_w *= np.asarray(weights, dtype=np.float64)[:, None]
+        return ProgenyBatch(child_w.ravel(), self._typ.take(row, axis=0).ravel(), self._width)
 
     def moment_rows(self, grid, order: float):
         entries = [

@@ -106,7 +106,7 @@ class ExperimentConfig:
             if proxy is not None:
                 proxy = _integer(proxy, "horizons.proxy")
             replicates = _integer(cfg.get("replicates", 1000), "replicates", least=1)
-            p = float(cfg.get("p", 2.0))
+            p = _real(cfg.get("p", 2.0), "p")
             cap = cfg.get("caps", {}).get("particles", DEFAULT_PARTICLE_CAP)
             particle_cap = _integer(cap, "caps.particles", least=1)
             threads = _integer(cfg.get("threads", 1), "threads", least=1)
@@ -155,7 +155,7 @@ def _cascade_law(model: dict) -> CascadeLaw:
     if spec == "uniform_split_indep":
         return UniformSplitCascade(independent=True)
     if spec == "scaled_uniform":
-        return ScaledUniformCascade(c=float(model.get("c", 2.0)))
+        return ScaledUniformCascade(c=_real(model.get("c", 2.0), "c"))
     if spec == "deterministic":
         return DeterministicCascade(tuple(model.get("factors", (0.5, 0.5))))
     if spec == "mixture":
@@ -226,7 +226,7 @@ def _build_model(model: dict) -> ModelBundle:
             tuple(model.get("map_probs", [1.0 / len(model["maps"])] * len(model["maps"]))),
             weights,
         )
-        grid = TypeGrid.interval(0.0, 1.0, float(model.get("h", 2.0**-10)))
+        grid = TypeGrid.interval(0.0, 1.0, _real(model.get("h", 2.0**-10), "h"))
         return ModelBundle(law, grid, law.root_generation(_start_point(model)), kind)
     if kind == "kernel_product":
         atoms = tuple(

@@ -58,6 +58,7 @@ class IfsLaw(ReproductionLaw):
         if len(self.maps) != len(self.map_probs):
             raise ValueError("maps and map_probs must align")
         self._cum = cumulative_probs(self.map_probs, "map_probs")
+        self._thresholds = self._cum[self._cum < 1.0].tolist()
         self._probs = np.array(self.map_probs, dtype=np.float64)
         # the sampler's table ends at exactly 1.0; the mean kernel uses map_probs
         # as given, so the two may differ only by rounding
@@ -81,7 +82,13 @@ class IfsLaw(ReproductionLaw):
         return float(max(m.lipschitz for m in self.maps))
 
     def _draw_maps(self, n, rng):
-        return np.searchsorted(self._cum, rng.random(n), side="right")
+        # counting the table entries <= u is searchsorted(cum, u, side="right"),
+        # one pass per entry below 1.0 (u < 1 never reaches the others)
+        u = rng.random(n)
+        zeta = np.zeros(n, dtype=np.intp)
+        for c in self._thresholds:
+            zeta += u >= c
+        return zeta
 
     def sample_progeny(self, x, rng):
         # one map per child: rng.random() is the double random(1) would
@@ -97,9 +104,10 @@ class IfsLaw(ReproductionLaw):
     def sample_generation(self, weights, types, rng):
         batch = self.weights.sample_generation(weights, np.zeros(len(weights), dtype=np.int64), rng)
         zeta = self._draw_maps(batch.weights.shape[0], rng)
-        parents = batch.parent_index
-        child_types = self._a[zeta] * np.asarray(types, dtype=np.float64)[parents] + self._b[zeta]
-        return ProgenyBatch(batch.weights, child_types, parents)
+        child_types = np.repeat(np.asarray(types, dtype=np.float64), batch.brood)
+        child_types *= self._a.take(zeta)
+        child_types += self._b.take(zeta)
+        return ProgenyBatch(batch.weights, child_types, batch.brood)
 
     def moment_rows(self, grid, order: float):
         # one cell per (grid point, map); two maps landing in one cell add in map order

@@ -40,10 +40,12 @@ class KernelProductLaw(ReproductionLaw):
     weighted observable stays exact (see ``kernel_product_observable``).
 
     ``sample_generation`` is the batch path: one uniform per parent, the
-    drawn lists read from a padded ``(atoms, max_len, d, d)`` table, all
-    child products in one stacked ``matmul``, and the rescale applied to
-    every child at once. ``sample_progeny`` is its per-parent reference;
-    on the same stream both give bit-identical children.
+    drawn lists read from a ``(atoms, max_len, d, d)`` table padded with
+    zero matrices, all child products in one stacked ``matmul``, and the
+    rescale applied to every child at once. Every parent gets a brood of
+    ``max_len`` slots; the slots past its list carry weight 0 and are
+    dropped on advance. ``sample_progeny`` is its per-parent reference; on
+    the same stream both give bit-identical surviving children.
     """
 
     atom_lists: tuple
@@ -60,9 +62,12 @@ class KernelProductLaw(ReproductionLaw):
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("matrices must be square")
         self.dim = shape[0]
-        self._lens = np.array([len(lst) for lst in self.atom_lists], dtype=np.int64)
-        self._table = np.zeros((len(self.atom_lists), int(self._lens.max()), self.dim, self.dim))
+        self._brood = max(len(lst) for lst in self.atom_lists)
+        self._table = np.zeros((len(self.atom_lists), self._brood, self.dim, self.dim))
+        # 1.0 on the slots of a list, 0.0 on its padding
+        self._live = np.zeros((len(self.atom_lists), self._brood))
         for j, lst in enumerate(self.atom_lists):
+            self._live[j, : len(lst)] = 1.0
             for k, a in enumerate(lst):
                 self._table[j, k] = a
         if not np.all(np.isfinite(self._table)):
@@ -85,19 +90,19 @@ class KernelProductLaw(ReproductionLaw):
         w = np.asarray(weights, dtype=np.float64)
         p = w.shape[0]
         j = np.searchsorted(self._cum, rng.random(p), side="right")
-        counts = self._lens[j]
-        parent = np.repeat(np.arange(p, dtype=np.int64), counts)
-        first = np.cumsum(counts) - counts
-        rank = np.arange(parent.size) - first[parent]
-        prod = np.matmul(np.asarray(types, dtype=np.float64)[parent], self._table[j[parent], rank])
-        child_w = w[parent]
+        k, d = self._brood, self.dim
+        prod = np.matmul(
+            np.repeat(np.asarray(types, dtype=np.float64), k, axis=0),
+            self._table[j].reshape(p * k, d, d),
+        )
+        child_w = (w[:, None] * self._live[j]).ravel()
         mag = np.abs(prod).max(axis=(1, 2))
         big = mag > _RESCALE_THRESHOLD
         if big.any():
             scale = 2.0 ** np.ceil(np.log2(mag[big]))
             prod[big] /= scale[:, None, None]
             child_w[big] *= scale
-        return ProgenyBatch(child_w, prod, parent)
+        return ProgenyBatch(child_w, prod, k)
 
     def mean_matrix(self) -> np.ndarray:
         """``P = E(sum_i A_i)`` over one progeny draw."""

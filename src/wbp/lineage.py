@@ -6,7 +6,8 @@ included). The generation aggregate ``A_n(f) = sum_e w_e M_e(f)`` is
 computed from running sums: each particle's type is enriched with the
 sum of ``f`` along its line, so one array pass per generation gives
 ``A_n(f)`` and no ancestry is kept. The tests check it against a walk up
-the ``parent_index`` chain of a simulated trajectory.
+a simulated trajectory: under a law that drops no child, particle ``i``'s
+parent is particle ``i // brood`` of the generation before.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ class LineageLaw(ReproductionLaw):
         base_types = np.rint(t[:, 0]).astype(np.int64)
         batch = self.base_law.sample_generation(weights, base_types, rng)
         child_base = np.asarray(batch.types, dtype=np.int64)
-        child_sum = t[batch.parent_index, 1] + self.f_table[child_base]
+        child_sum = np.repeat(t[:, 1], batch.brood) + self.f_table[child_base]
         child_types = np.column_stack([child_base.astype(np.float64), child_sum])
-        return ProgenyBatch(batch.weights, child_types, batch.parent_index)
+        return ProgenyBatch(batch.weights, child_types, batch.brood)
 
     def root_generation(self, type_index: int = 0, weight: float = 1.0) -> Generation:
         return initial_generation(

@@ -1,19 +1,19 @@
 """Weighted typed populations and their one-step branching dynamics.
 
 A generation is a weighted empirical measure ``sum_e w_e . delta(X_e)``
-stored as flat arrays: weights, types and, from generation 1 on, each
-particle's ``parent_index`` into the previous generation. A reproduction
-law gives every parent a finite list of (weight factor, child type)
-pairs, drawn for a whole generation at once by ``sample_generation``;
-generation advance multiplies factors into parent weights, drops
-zero-weight children and enforces a hard particle cap. Every progeny is
-finite, so no mass is ever truncated away.
+stored as two flat arrays, weights and types. A reproduction law gives
+every parent a finite list of (weight factor, child type) pairs, drawn
+for a whole generation at once by ``sample_generation`` in fixed-width
+broods: parent ``i``'s children fill slots ``i*brood .. i*brood+brood-1``,
+and a parent with fewer children pads its brood with weight-0 children.
+Generation advance multiplies factors into parent weights, drops the
+zero-weight children (padding included) and enforces a hard particle cap.
+Every progeny is finite, so no mass is ever truncated away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,14 +42,19 @@ class ProgenyError(BranchingError):
 
 
 class ProgenyBatch:
-    """Offspring of a whole generation, flattened in parent order."""
+    """Offspring of a whole generation in fixed-width broods of ``brood`` slots.
 
-    __slots__ = ("weights", "types", "parent_index")
+    Slot ``i * brood + k`` holds the ``k``-th child of parent ``i``, so
+    ``np.repeat(parent_values, brood)`` lines a per-parent array up with
+    the children; slots past a parent's last child carry weight 0.
+    """
 
-    def __init__(self, weights, types, parent_index):
+    __slots__ = ("weights", "types", "brood")
+
+    def __init__(self, weights, types, brood: int):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.types = np.asarray(types)
-        self.parent_index = np.asarray(parent_index, dtype=np.int64)
+        self.brood = int(brood)
 
 
 def cumulative_probs(probs, name: str = "probs") -> np.ndarray:
@@ -72,9 +77,12 @@ class ReproductionLaw:
     """Base reproduction law: the three methods a law provides.
 
     - ``sample_generation(weights, types, rng)`` is the batch sampler that
-      advances a population. The base version loops ``sample_progeny``
-      over the parents; every law here overrides it with a vectorized
-      path, and the loop stays as the reference the tests compare with.
+      advances a population. It returns a :class:`ProgenyBatch` of
+      ``brood * len(weights)`` slots, parent ``i``'s children in slots
+      ``i*brood ..`` in draw order and weight-0 children padding a shorter
+      list, so no per-child parent index is ever built. The base version
+      loops ``sample_progeny`` over the parents and pads every list to the
+      longest; every law here overrides it with a vectorized path.
     - ``sample_progeny(x, rng)`` returns the finite list of ``(u, y)``
       children of one parent of type ``x``. It is the per-parent draw of
       the dispersion estimate in ``certify``, so every law that lives on a
@@ -91,20 +99,23 @@ class ReproductionLaw:
         raise NotImplementedError
 
     def sample_generation(self, weights, types, rng) -> ProgenyBatch:
+        progenies = [self.sample_progeny(x, rng) for x in types]
+        brood = max(map(len, progenies), default=0)
         child_w = []
         child_t = []
-        parent = []
-        for i in range(len(weights)):
-            for u, y in self.sample_progeny(types[i], rng):
+        for w, x, kids in zip(weights, types, progenies):
+            for u, y in kids:
                 if not np.isfinite(u) or u < 0:
-                    raise ProgenyError(f"offspring factor {u!r} from type {types[i]!r}")
-                child_w.append(weights[i] * u)
+                    raise ProgenyError(f"offspring factor {u!r} from type {x!r}")
+                child_w.append(w * u)
                 child_t.append(y)
-                parent.append(i)
+            # padding: weight 0 on the parent's own type
+            child_w += [0.0] * (brood - len(kids))
+            child_t += [x] * (brood - len(kids))
         return ProgenyBatch(
             np.array(child_w, dtype=np.float64),
             np.array(child_t) if child_t else np.empty(0, dtype=np.asarray(types).dtype),
-            np.array(parent, dtype=np.int64),
+            brood,
         )
 
     def moment_rows(self, grid, order: float):
@@ -120,17 +131,11 @@ class ReproductionLaw:
 
 @dataclass
 class Generation:
-    """One generation: ``G_n = sum_e w_e . delta(X_e)``.
-
-    ``parent_index[e]`` is the slot of particle ``e``'s parent in
-    generation ``index - 1`` (``None`` for an initial generation), so a
-    list of generations holds every lineage.
-    """
+    """One generation: ``G_n = sum_e w_e . delta(X_e)``; ``index`` is ``n``."""
 
     weights: np.ndarray
     types: np.ndarray
     index: int = 0
-    parent_index: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -160,21 +165,24 @@ def advance_generation(
     """Advance one generation: every particle reproduces independently.
 
     Child weights are parent weight times the sampled factor; zero-weight
-    children are dropped. Raises :class:`PopulationCapError` when the new
+    children, brood padding among them, are dropped, and the survivors
+    keep their slot order. Raises :class:`PopulationCapError` when the new
     generation would exceed ``cap`` particles.
     """
     batch = law.sample_generation(g.weights, g.types, rng)
-    w, types, parent = batch.weights, batch.types, batch.parent_index
+    w, types = batch.weights, batch.types
+    if w.shape[0] != batch.brood * g.size:
+        raise ProgenyError(f"{w.shape[0]} children from {g.size} parents in broods of {batch.brood}")
     lowest = w.min() if w.size else np.inf
     # NaN fails both comparisons, so NaN, +-inf and negative weights are all rejected
     if w.size and not (lowest >= 0.0 and w.max() < np.inf):
         raise ProgenyError("sampled offspring produced a negative or non-finite weight")
     if lowest == 0.0:
         keep = w > 0.0
-        w, types, parent = w[keep], types[keep], parent[keep]
+        w, types = w[keep], types[keep]
     if w.size > cap:
         raise PopulationCapError(w.size, cap, g.index + 1)
-    return Generation(w, types, index=g.index + 1, parent_index=parent)
+    return Generation(w, types, index=g.index + 1)
 
 
 def integrate(g: Generation, f) -> float:

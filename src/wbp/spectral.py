@@ -76,6 +76,9 @@ class TypeGrid:
         if h <= 0 or hi <= lo:
             raise ValueError("need hi > lo and h > 0")
         n = int(round((hi - lo) / h))
+        # n cells of width h must cover [lo, hi], up to rounding
+        if n < 1 or abs(n * h - (hi - lo)) > 1e-9 * (hi - lo):
+            raise ValueError(f"cell width h = {h!r} does not divide [{lo!r}, {hi!r}]")
         pts = lo + (np.arange(n) + 0.5) * h
         return TypeGrid(pts, kind="interval", h=float(h), lo=float(lo))
 

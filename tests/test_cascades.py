@@ -118,29 +118,6 @@ def test_mixture_cascade_moments_and_sampling():
     assert abs(per_parent.mean() - 1.25) <= 4 * se
 
 
-def test_vectorized_matches_per_particle_sampling():
-    # same stream, same arithmetic: batch and one-by-one paths agree bitwise
-    for law in (
-        UniformSplitCascade(independent=False),
-        UniformSplitCascade(independent=True),
-        ScaledUniformCascade(c=2.0),
-        MixtureCascade(atoms=((0.25, 0.75), (1.0,)), probs=(0.25, 0.75)),
-    ):
-        weights = derive_stream(9, 0).random(64) + 0.5
-        types = np.zeros(64, dtype=np.int64)
-        batch = law.sample_generation(weights.copy(), types, derive_stream(8, 1))
-        rng = derive_stream(8, 1)
-        manual = []
-        for i in range(64):
-            for u, _ in law.sample_progeny(0, rng):
-                if True:
-                    manual.append(weights[i] * u)
-        kept = batch.weights
-        manual = np.array(manual)
-        # padding zeros are dropped on advance; compare nonzero entries in order
-        assert np.array_equal(kept[kept > 0], manual[manual > 0])
-
-
 def test_moment_row_one_point_grid():
     from wbp.spectral import TypeGrid
 

@@ -202,6 +202,19 @@ def _with(model, **fields):
         ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1], "n": [2.5]}}),
         ("kernel-products", _with("kernel_product", x_index=0.5), {}),
         ("simulate", _with("markov_chain", x0=True), {}),
+        # an ifs cell width that does not divide [0, 1]
+        ("spectral", _with("ifs", h=0.3), {}),
+        ("simulate", _with("ifs", h=0.3), {}),
+        ("simulate", _with("ifs", h=0.4), {}),
+        ("simulate", _with("ifs", h=2.0), {}),
+        # real fields given a string or a bool
+        ("cascade", MODELS["cascade-split"], {"p": "1.5"}),
+        ("verify-theorem1", MODELS["cascade-split"], {"p": "2"}),
+        ("simulate", _with("cascade-scaled", c="1.5"), {}),
+        ("cascade", _with("cascade-scaled", c=True), {}),
+        ("simulate", _with("ifs", weights={"spec": "scaled_uniform", "c": "1.5"}), {}),
+        ("simulate", _with("ifs", h="0.25"), {}),
+        ("spectral", _with("ifs", h=True), {}),
     ],
 )
 def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, pipeline, model, extra):

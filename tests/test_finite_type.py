@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wbp.finite_type import MixtureFiniteTypeLaw
-from wbp.population import advance_generation, initial_generation
+from wbp.population import advance_generation, cumulative_probs, initial_generation
 from wbp.streams import derive_stream
 
 
@@ -54,10 +54,10 @@ def test_one_shot_draw_equals_per_type_searchsorted(case):
     assume(all(ui < cums[t][-1] for ui, t in zip(u, types)))
     weights = np.linspace(0.5, 2.0, types.size)
     batch = law.sample_generation(weights, types, FixedUniforms(u))
-    width = batch.weights.size // types.size
+    width = batch.brood
+    assert batch.weights.size == batch.types.size == types.size * width
     child_w = batch.weights.reshape(types.size, width)
     child_t = batch.types.reshape(types.size, width)
-    assert np.array_equal(batch.parent_index, np.repeat(np.arange(types.size), width))
     for i, (t, ui) in enumerate(zip(types, u)):
         j = int(np.searchsorted(cums[t], ui, side="right"))
         offspring = law.atoms_per_type[t][j][1]
@@ -65,6 +65,30 @@ def test_one_shot_draw_equals_per_type_searchsorted(case):
         assert np.array_equal(child_w[i, :k], [weights[i] * f for f, _ in offspring])
         assert np.array_equal(child_t[i, :k], [y for _, y in offspring])
         assert not child_w[i, k:].any()  # padding children carry weight 0
+
+
+def test_300_atom_draw_equals_searchsorted():
+    # type 1 has 300 atoms and type 0 only 2: the table's rows count up to 299,
+    # past what a narrow integer holds; atom j of type 1 has one child of
+    # factor (j + 1) / 512, so a child's weight names its atom
+    rng = np.random.default_rng(300)
+    probs = rng.random(300) * (rng.random(300) < 0.8)
+    probs[-1] += 0.1
+    probs /= probs.sum()
+    law = MixtureFiniteTypeLaw(
+        (
+            [(0.5, [(1.0, 0)]), (0.5, [(1.0, 1)])],
+            [(pr, [((j + 1) / 512, 1)]) for j, pr in enumerate(probs)],
+        )
+    )
+    cum = cumulative_probs(probs)
+    u = np.concatenate([rng.random(4000), cum[cum < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
+    types = np.ones(u.size, dtype=np.int64)
+    batch = law.sample_generation(np.ones(u.size), types, FixedUniforms(u))
+    expected = np.searchsorted(cum, u, side="right")
+    assert expected.max() == 299
+    assert np.array_equal(batch.weights, (expected + 1) / 512)
+    assert np.all(batch.types == 1)
 
 
 def test_advance_drops_the_padding_of_short_offspring_lists():

@@ -5,7 +5,7 @@ from dense_kernels import dense, from_dense
 from wbp.cascades import DeterministicCascade, UniformSplitCascade
 from wbp.harness import ExperimentConfig, run_experiment
 from wbp.ifs import doob_transition, ifs_convergence_probe, ifs_weighted_law
-from wbp.population import advance_generation
+from wbp.population import advance_generation, cumulative_probs
 from wbp.spectral import TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
 
@@ -54,6 +54,37 @@ def test_sample_progeny_stream_matches_array_map_draw():
     assert [law.sample_progeny(0.5, fast) for _ in range(20)] == [
         array_draw(0.5, slow) for _ in range(20)
     ]
+
+
+class FixedUniforms:
+    """Stand-in generator whose one batch of uniforms is chosen by the test."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("n_maps", [1, 2, 5, 300])
+def test_batch_map_draw_equals_searchsorted(n_maps):
+    # the batch path counts the table entries below each uniform; at 300 maps
+    # a count held in a narrow integer would wrap
+    rng = np.random.default_rng(n_maps)
+    probs = rng.random(n_maps) * (rng.random(n_maps) < 0.8)
+    probs[-1] += 0.1
+    probs /= probs.sum()
+    # map k sends 0 to b[k], so a child's type names its map
+    b = np.arange(n_maps) / (2 * n_maps)
+    law = ifs_weighted_law([(0.5, bk) for bk in b], probs, DeterministicCascade((1.0,)))
+    cum = cumulative_probs(probs)
+    # fresh uniforms, every table entry below 1 exactly, and both ends of [0, 1)
+    u = np.concatenate([rng.random(4000), cum[cum < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
+    batch = law.sample_generation(np.ones(u.size), np.zeros(u.size), FixedUniforms(u))
+    expected = np.searchsorted(cum, u, side="right")
+    assert expected.max() == n_maps - 1
+    assert np.array_equal(batch.types, b[expected])
 
 
 def test_map_validation():

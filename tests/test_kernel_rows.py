@@ -97,7 +97,7 @@ def test_moment_rows_agree_with_the_sampler(name, order):
         batch = law.sample_generation(np.ones(parents), np.full(parents, grid.points[i]), rng)
         # one row per cell, so each mean sums a contiguous row pairwise: a
         # deterministic cell then averages to its value up to a few ulps
-        slot = grid.locate(batch.types) * parents + batch.parent_index
+        slot = grid.locate(batch.types) * parents + np.arange(batch.weights.size) // batch.brood
         sums = np.bincount(slot, weights=batch.weights**order, minlength=d * parents).reshape(d, parents)
         mean = sums.mean(axis=1)
         se = sums.std(axis=1, ddof=1) / np.sqrt(parents)

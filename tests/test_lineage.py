@@ -17,13 +17,16 @@ CHAIN = np.array([[0.7, 0.3], [0.4, 0.6]])
 def lineage_types(traj, n, i):
     """Types along the lineage of particle ``i`` of ``traj[n]``, generations 1..n.
 
-    The oracle for the running sums: it walks ``parent_index`` up the
-    trajectory, one generation at a time.
+    The oracle for the running sums: it walks up the trajectory one
+    generation at a time. The law must drop no child, so every generation
+    is whole broods and particle ``i``'s parent is particle ``i // brood``.
     """
     out = []
-    for g in reversed(traj[1 : n + 1]):
+    for g, prev in zip(reversed(traj[1 : n + 1]), reversed(traj[:n])):
+        brood = g.size // prev.size
+        assert g.size == brood * prev.size, "the law dropped a child"
         out.append(g.types[i])
-        i = g.parent_index[i]
+        i //= brood
     return np.array(out[::-1])
 
 
@@ -75,11 +78,12 @@ def test_incremental_equals_tree_walk_exactly():
 
 
 def test_incremental_equals_tree_walk_when_siblings_differ():
-    # random child types: each running sum must follow its own parent
+    # random child types: each running sum must follow its own parent; every
+    # list has two children of positive factor, so no slot is dropped
     base = MixtureFiniteTypeLaw(
         (
-            [(0.5, [(0.5, 0), (0.5, 1)]), (0.5, [(1.0, 1)])],
-            [(0.3, [(0.5, 1), (0.5, 0), (0.5, 0)]), (0.7, [(1.0, 0)])],
+            [(0.5, [(0.5, 0), (0.5, 1)]), (0.5, [(1.0, 1), (0.25, 1)])],
+            [(0.3, [(0.5, 1), (0.5, 0)]), (0.7, [(1.0, 0), (0.75, 1)])],
         )
     )
     f = np.array([1.0, 3.0])

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from wbp.cascades import DeterministicCascade, MixtureCascade, UniformSplitCascade
-from wbp.finite_type import MixtureFiniteTypeLaw
+from wbp.cascades import (
+    DeterministicCascade,
+    MixtureCascade,
+    ScaledUniformCascade,
+    UniformSplitCascade,
+)
+from wbp.finite_type import MixtureFiniteTypeLaw, markov_chain_law, two_type_flip_law
 from wbp.ifs import AffineMap, IfsLaw
 from wbp.kernel_products import KernelProductLaw
+from wbp.lineage import LineageLaw
 from wbp.population import (
     PopulationCapError,
     ProgenyBatch,
@@ -39,7 +45,7 @@ def test_identity_law_preserves_measure():
     assert h.index == 1
     assert np.array_equal(h.weights, g.weights)
     assert np.array_equal(h.types, g.types)
-    assert h.parent_index.tolist() == [0, 1]
+    assert law.sample_generation(g.weights, g.types, rng).brood == 1
 
 
 def test_advance_validates_factors():
@@ -55,8 +61,9 @@ class FixedBatchLaw(ReproductionLaw):
         self.child_weights = np.asarray(child_weights, dtype=np.float64)
 
     def sample_generation(self, weights, types, rng):
+        # the tests advance one parent, so the brood is every child
         n = self.child_weights.size
-        return ProgenyBatch(self.child_weights, np.zeros(n, dtype=np.int64), np.zeros(n))
+        return ProgenyBatch(self.child_weights, np.zeros(n, dtype=np.int64), n)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, -1e-300])
@@ -86,23 +93,52 @@ def test_deterministic_binary_tree_enumeration():
 
 
 
-def test_parent_index_addresses_previous_generation():
-    # each particle is its parent's weight times its factor; zero factors leave no child
+def test_brood_slots_address_previous_generation():
+    # slot i * brood + k is child k of parent i, zero factors included; advance drops them
     law = DeterministicCascade((0.7, 0.0, 0.3))
     traj = simulate_trajectory(law, law.root_generation(), 4, derive_stream(0, 0))
     for n in range(1, len(traj)):
         g, prev = traj[n], traj[n - 1]
         assert g.index == n
-        assert g.parent_index.tolist() == np.repeat(np.arange(prev.size), 2).tolist()
-        factors = np.tile([0.7, 0.3], prev.size)
-        assert np.array_equal(g.weights, prev.weights[g.parent_index] * factors)
-    # walk particle 5 of generation 3 back to the root: 5 -> 2 -> 1 -> 0
+        batch = law.sample_generation(prev.weights, prev.types, derive_stream(0, 0))
+        assert batch.brood == 3 and batch.weights.size == 3 * prev.size
+        assert np.array_equal(batch.weights.reshape(prev.size, 3), prev.weights[:, None] * [0.7, 0.0, 0.3])
+        assert np.array_equal(g.weights, batch.weights[batch.weights > 0])
+    # a law that drops nothing: particle i's parent is particle i // 2, so
+    # particle 5 of generation 3 walks back 5 -> 2 -> 1 -> 0
+    law = DeterministicCascade((0.7, 0.3))
+    traj = simulate_trajectory(law, law.root_generation(), 3, derive_stream(0, 0))
     chain, i = [], 5
     for n in range(3, 0, -1):
-        i = int(traj[n].parent_index[i])
-        chain.append(i)
+        parent = i // 2
+        assert traj[n].weights[i] == traj[n - 1].weights[parent] * (0.7, 0.3)[i % 2]
+        chain.append(parent)
+        i = parent
     assert chain == [2, 1, 0]
     assert traj[3].weights[5] == 0.7 * 0.3 * 0.3
+
+
+def test_advance_refuses_a_batch_that_breaks_the_brood_layout():
+    class ShortBatchLaw(ReproductionLaw):
+        def sample_generation(self, weights, types, rng):
+            return ProgenyBatch(np.ones(3), np.zeros(3, dtype=np.int64), 2)
+
+    g = initial_generation([1.0, 1.0], np.zeros(2, dtype=np.int64))
+    with pytest.raises(ProgenyError, match="broods of 2"):
+        advance_generation(g, ShortBatchLaw(), derive_stream(0, 0))
+
+
+def test_reference_loop_pads_short_progeny_with_weight_zero():
+    # one child for type 0, three for type 1: every parent gets three slots
+    class RaggedLaw(ReproductionLaw):
+        def sample_progeny(self, x, rng):
+            return [(0.5, x)] if x == 0 else [(0.25, 0), (0.5, 1), (1.0, 1)]
+
+    batch = RaggedLaw().sample_generation(np.array([2.0, 4.0]), np.array([0, 1]), derive_stream(0, 0))
+    assert batch.brood == 3
+    assert batch.weights.tolist() == [1.0, 0.0, 0.0, 1.0, 2.0, 4.0]
+    assert batch.types.tolist() == [0, 0, 0, 0, 1, 1]
+
 
 def test_empty_generation_advance():
     law = IdentityLaw()
@@ -156,6 +192,76 @@ def test_mass_recursion_in_expectation():
     expected = 2.0  # sum of weights times unit mean offspring mass
     se = masses.std(ddof=1) / np.sqrt(reps)
     assert abs(masses.mean() - expected) <= 4 * se
+
+
+def _cascade(law):
+    return law, np.zeros(64, dtype=np.int64), law.sample_progeny
+
+
+def _finite_type(law):
+    return law, derive_stream(9, 2).integers(0, law.n_types, 64), law.sample_progeny
+
+
+def _ragged_kernel_product():
+    # lists of one, two and three matrices: short lists are padded to three slots
+    rng = np.random.default_rng(8)
+    lists = ((rng.normal(size=(2, 2)),) * 3, (rng.normal(size=(2, 2)),), (rng.normal(size=(2, 2)),) * 2)
+    law = KernelProductLaw(lists, (0.2, 0.5, 0.3))
+    return law, rng.normal(size=(64, 2, 2)), law.sample_progeny
+
+
+def _lineage():
+    # the base law's children, each carrying its parent's running sum plus f of its type
+    f = np.array([0.25, 1.5])
+    base = MixtureFiniteTypeLaw(([(0.5, [(0.5, 0), (0.5, 1)]), (0.5, [(1.0, 1)])], [(1.0, [(0.75, 0)])]))
+    types = np.column_stack([derive_stream(9, 2).integers(0, 2, 64), np.linspace(0.0, 3.0, 64)])
+
+    def progeny(x, rng):
+        return [(u, [float(y), x[1] + f[y]]) for u, y in base.sample_progeny(x[0], rng)]
+
+    return LineageLaw(base, f), types, progeny
+
+
+BUILT_IN_LAWS = {
+    "deterministic": lambda: _cascade(DeterministicCascade((0.7, 0.0, 0.3))),
+    "split": lambda: _cascade(UniformSplitCascade(independent=False)),
+    "split-indep": lambda: _cascade(UniformSplitCascade(independent=True)),
+    "scaled": lambda: _cascade(ScaledUniformCascade(c=2.0)),
+    "mixture-cascade": lambda: _cascade(MixtureCascade(((0.25, 0.75), (1.0,), (0.8, 0.0)), (0.25, 0.5, 0.25))),
+    "flip": lambda: _finite_type(two_type_flip_law()),
+    "markov": lambda: _finite_type(markov_chain_law([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.4, 0.0, 0.6]])),
+    "finite-type": lambda: _finite_type(
+        MixtureFiniteTypeLaw(
+            (
+                [(0.3, [(0.5, 1), (0.0, 0), (0.7, 0)]), (0.7, [(1.1, 1)])],
+                [(0.5, [(0.4, 0), (0.6, 1)]), (0.25, [(0.9, 0)]), (0.25, [(0.2, 1), (0.3, 1)])],
+            )
+        )
+    ),
+    "kernel-product": _ragged_kernel_product,
+    "lineage": _lineage,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN_LAWS))
+def test_vectorized_matches_per_particle_sampling(name):
+    # same stream, same arithmetic: parent i's surviving slots are its
+    # per-parent children, bitwise and in order. IfsLaw is left out, as its
+    # batch path draws all weights before all maps.
+    law, types, progeny = BUILT_IN_LAWS[name]()
+    p = len(types)
+    weights = derive_stream(9, 0).random(p) + 0.5
+    batch = law.sample_generation(weights.copy(), types, derive_stream(8, 1))
+    assert batch.weights.shape[0] == batch.types.shape[0] == batch.brood * p
+    slot_w = batch.weights.reshape(p, batch.brood)
+    slot_t = batch.types.reshape(p, batch.brood, *batch.types.shape[1:])
+    rng = derive_stream(8, 1)
+    for i in range(p):
+        kids = [(weights[i] * u, y) for u, y in progeny(types[i], rng)]
+        kids = [(w, y) for w, y in kids if w > 0]
+        live = slot_w[i] > 0
+        assert np.array_equal(slot_w[i][live], [w for w, _ in kids])
+        assert np.array_equal(slot_t[i][live], np.array([y for _, y in kids]).reshape(-1, *slot_t.shape[2:]))
 
 
 class _AlmostOneRng:

@@ -16,6 +16,7 @@ from .population import (
     Generation,
     ProgenyBatch,
     ReproductionLaw,
+    count_thresholds,
     cumulative_probs,
     initial_generation,
 )
@@ -180,7 +181,8 @@ class MixtureCascade(CascadeLaw):
     def __post_init__(self):
         if len(self.atoms) != len(self.probs):
             raise ValueError("atoms and probs must align")
-        self._cum = cumulative_probs(self.probs)
+        cum = cumulative_probs(self.probs)
+        self._thresholds = cum[cum < 1.0].tolist()
         width = max(len(a) for a in self.atoms)
         self._padded = np.zeros((len(self.atoms), width), dtype=np.float64)
         for j, a in enumerate(self.atoms):
@@ -189,7 +191,7 @@ class MixtureCascade(CascadeLaw):
             raise ValueError(f"factors must be finite and non-negative, got {self.atoms}")
 
     def _draw_atoms(self, n, rng):
-        return np.searchsorted(self._cum, rng.random(n), side="right")
+        return count_thresholds(rng.random(n), self._thresholds)
 
     def sample_progeny(self, x, rng):
         j = int(self._draw_atoms(1, rng)[0])
@@ -197,8 +199,9 @@ class MixtureCascade(CascadeLaw):
 
     def sample_generation(self, weights, types, rng):
         w = np.asarray(weights, dtype=np.float64)
-        child_w = (w[:, None] * self._padded[self._draw_atoms(w.size, rng)]).ravel()
-        return self._batch(child_w, self._padded.shape[1])
+        child_w = self._padded.take(self._draw_atoms(w.size, rng), axis=0)
+        child_w *= w[:, None]
+        return self._batch(child_w.ravel(), self._padded.shape[1])
 
     def factor_moment(self, q):
         pr = np.asarray(self.probs)

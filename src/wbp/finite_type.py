@@ -72,7 +72,7 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
         # counting cum <= u is searchsorted(cum, u, side="right") per row
         row = t * self._max_atoms
         for col in self._cum_cols:
-            row += col[t] <= u
+            row += col.take(t) <= u
         child_w = self._fac.take(row, axis=0)
         child_w *= np.asarray(weights, dtype=np.float64)[:, None]
         return ProgenyBatch(child_w.ravel(), self._typ.take(row, axis=0).ravel(), self._width)

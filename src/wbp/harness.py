@@ -70,6 +70,14 @@ def _integer(value, name: str, least: Optional[int] = None) -> int:
     return int(value)
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """The mapping ``cfg[name]`` (empty when absent); any other value is a ``ConfigError``."""
+    value = cfg.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
 def _real(value, name: str) -> float:
     """``value`` as a finite float; a bool, a non-number or NaN/inf is a ``ConfigError``."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
@@ -93,21 +101,23 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(cfg).__name__}")
         try:
             version = cfg.get("schema_version", SCHEMA_VERSION)
             if version != SCHEMA_VERSION:
                 raise ConfigError(f"unsupported schema_version {version}")
-            model = cfg["model"]
+            model = _section(cfg, "model")
             if "kind" not in model:
                 raise ConfigError("model.kind is required")
-            horizons = cfg.get("horizons", {})
+            horizons = _section(cfg, "horizons")
             n_max = _integer(horizons.get("n_max", 12), "horizons.n_max", least=1)
             proxy = horizons.get("proxy")
             if proxy is not None:
                 proxy = _integer(proxy, "horizons.proxy")
             replicates = _integer(cfg.get("replicates", 1000), "replicates", least=1)
             p = _real(cfg.get("p", 2.0), "p")
-            cap = cfg.get("caps", {}).get("particles", DEFAULT_PARTICLE_CAP)
+            cap = _section(cfg, "caps").get("particles", DEFAULT_PARTICLE_CAP)
             particle_cap = _integer(cap, "caps.particles", least=1)
             threads = _integer(cfg.get("threads", 1), "threads", least=1)
             if not 1.0 < p <= 2.0:
@@ -221,11 +231,10 @@ def _build_model(model: dict) -> ModelBundle:
         )
     if kind == "ifs":
         weights = _cascade_law({"kind": "cascade", **model.get("weights", {"spec": "uniform_split"})})
-        law = ifs_weighted_law(
-            [tuple(mb) for mb in model["maps"]],
-            tuple(model.get("map_probs", [1.0 / len(model["maps"])] * len(model["maps"]))),
-            weights,
-        )
+        maps = [tuple(mb) for mb in model["maps"]]
+        if not maps:
+            raise ConfigError("model.maps must list at least one map")
+        law = ifs_weighted_law(maps, tuple(model.get("map_probs", [1.0 / len(maps)] * len(maps))), weights)
         grid = TypeGrid.interval(0.0, 1.0, _real(model.get("h", 2.0**-10), "h"))
         return ModelBundle(law, grid, law.root_generation(_start_point(model)), kind)
     if kind == "kernel_product":

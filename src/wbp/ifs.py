@@ -25,6 +25,7 @@ from .population import (
     Generation,
     ProgenyBatch,
     ReproductionLaw,
+    count_thresholds,
     cumulative_probs,
     initial_generation,
 )
@@ -81,15 +82,6 @@ class IfsLaw(ReproductionLaw):
     def max_contraction(self) -> float:
         return float(max(m.lipschitz for m in self.maps))
 
-    def _draw_maps(self, n, rng):
-        # counting the table entries <= u is searchsorted(cum, u, side="right"),
-        # one pass per entry below 1.0 (u < 1 never reaches the others)
-        u = rng.random(n)
-        zeta = np.zeros(n, dtype=np.intp)
-        for c in self._thresholds:
-            zeta += u >= c
-        return zeta
-
     def sample_progeny(self, x, rng):
         # one map per child: rng.random() is the double random(1) would
         # draw, and bisect_right picks the index searchsorted would
@@ -103,7 +95,7 @@ class IfsLaw(ReproductionLaw):
 
     def sample_generation(self, weights, types, rng):
         batch = self.weights.sample_generation(weights, np.zeros(len(weights), dtype=np.int64), rng)
-        zeta = self._draw_maps(batch.weights.shape[0], rng)
+        zeta = count_thresholds(rng.random(batch.weights.shape[0]), self._thresholds)
         child_types = np.repeat(np.asarray(types, dtype=np.float64), batch.brood)
         child_types *= self._a.take(zeta)
         child_types += self._b.take(zeta)

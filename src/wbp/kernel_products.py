@@ -17,6 +17,7 @@ from .population import (
     Generation,
     ProgenyBatch,
     ReproductionLaw,
+    count_thresholds,
     cumulative_probs,
     initial_generation,
 )
@@ -55,6 +56,7 @@ class KernelProductLaw(ReproductionLaw):
         if len(self.atom_lists) != len(self.probs):
             raise ValueError("atom_lists and probs must align")
         self._cum = cumulative_probs(self.probs)
+        self._thresholds = self._cum[self._cum < 1.0].tolist()
         dims = {np.asarray(a).shape for lst in self.atom_lists for a in lst}
         if len(dims) != 1:
             raise ValueError("all matrices must share one square shape")
@@ -89,13 +91,15 @@ class KernelProductLaw(ReproductionLaw):
     def sample_generation(self, weights, types, rng):
         w = np.asarray(weights, dtype=np.float64)
         p = w.shape[0]
-        j = np.searchsorted(self._cum, rng.random(p), side="right")
+        j = count_thresholds(rng.random(p), self._thresholds)
         k, d = self._brood, self.dim
         prod = np.matmul(
             np.repeat(np.asarray(types, dtype=np.float64), k, axis=0),
-            self._table[j].reshape(p * k, d, d),
+            self._table.take(j, axis=0).reshape(p * k, d, d),
         )
-        child_w = (w[:, None] * self._live[j]).ravel()
+        child_w = self._live.take(j, axis=0)
+        child_w *= w[:, None]
+        child_w = child_w.ravel()
         mag = np.abs(prod).max(axis=(1, 2))
         big = mag > _RESCALE_THRESHOLD
         if big.any():

@@ -34,13 +34,15 @@ class LineageLaw(ReproductionLaw):
         self.f_table = np.asarray(self.f_table, dtype=np.float64)
 
     def sample_generation(self, weights, types, rng):
-        t = np.asarray(types, dtype=np.float64)
-        base_types = np.rint(t[:, 0]).astype(np.int64)
-        batch = self.base_law.sample_generation(weights, base_types, rng)
-        child_base = np.asarray(batch.types, dtype=np.int64)
-        child_sum = np.repeat(t[:, 1], batch.brood) + self.f_table[child_base]
-        child_types = np.column_stack([child_base.astype(np.float64), child_sum])
-        return ProgenyBatch(batch.weights, child_types, batch.brood)
+        # column 0 only ever holds base types written from integers, so the cast is exact
+        batch = self.base_law.sample_generation(weights, types[:, 0].astype(np.int64), rng)
+        child_base, brood = batch.types, batch.brood
+        child_types = np.empty((child_base.shape[0], 2))
+        child_types[:, 0] = child_base
+        # each child starts from its parent's running sum and adds f of its own type
+        child_types.reshape(types.shape[0], brood, 2)[:, :, 1] = types[:, 1, None]
+        child_types[:, 1] += self.f_table.take(child_base)
+        return ProgenyBatch(batch.weights, child_types, brood)
 
     def root_generation(self, type_index: int = 0, weight: float = 1.0) -> Generation:
         return initial_generation(

@@ -47,14 +47,18 @@ class ProgenyBatch:
     Slot ``i * brood + k`` holds the ``k``-th child of parent ``i``, so
     ``np.repeat(parent_values, brood)`` lines a per-parent array up with
     the children; slots past a parent's last child carry weight 0.
+
+    The arrays are stored as the law built them, without a copy or a
+    cast: ``weights`` must be a float64 array and ``types`` an array whose
+    first axis runs over the slots.
     """
 
     __slots__ = ("weights", "types", "brood")
 
-    def __init__(self, weights, types, brood: int):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.types = np.asarray(types)
-        self.brood = int(brood)
+    def __init__(self, weights: np.ndarray, types: np.ndarray, brood: int):
+        self.weights = weights
+        self.types = types
+        self.brood = brood
 
 
 def cumulative_probs(probs, name: str = "probs") -> np.ndarray:
@@ -73,6 +77,22 @@ def cumulative_probs(probs, name: str = "probs") -> np.ndarray:
     return cum
 
 
+def count_thresholds(u: np.ndarray, thresholds) -> np.ndarray:
+    """Atom index of each uniform in ``u``: how many ``thresholds`` are ``<= u``.
+
+    ``thresholds`` are the entries of a :func:`cumulative_probs` table
+    below 1.0, in order. A uniform ``u < 1`` never reaches the entries at
+    1.0, so the count equals ``searchsorted(cum, u, side="right")``. It
+    makes one comparison pass over ``u`` per threshold, which beats a binary
+    search per draw for tables of a few atoms, such as every bench model's;
+    its cost grows with the number of atoms.
+    """
+    j = np.zeros(u.shape, dtype=np.intp)
+    for c in thresholds:
+        j += u >= c
+    return j
+
+
 class ReproductionLaw:
     """Base reproduction law: the three methods a law provides.
 
@@ -82,7 +102,13 @@ class ReproductionLaw:
       ``i*brood ..`` in draw order and weight-0 children padding a shorter
       list, so no per-child parent index is ever built. The base version
       loops ``sample_progeny`` over the parents and pads every list to the
-      longest; every law here overrides it with a vectorized path.
+      longest; every law here overrides it with a vectorized path. At the
+      populations of a typical replicate (one to 10^4 parents) a step pays
+      for numpy's per-call overhead more than for arithmetic, so the batch
+      paths share three idioms: a table row is gathered with
+      ``take(idx, axis=0)``, never with fancy indexing; an atom is drawn
+      with :func:`count_thresholds`, never with ``searchsorted``; and the
+      arrays built are handed to ``ProgenyBatch`` as they are.
     - ``sample_progeny(x, rng)`` returns the finite list of ``(u, y)``
       children of one parent of type ``x``. It is the per-parent draw of
       the dispersion estimate in ``certify``, so every law that lives on a
@@ -178,8 +204,9 @@ def advance_generation(
     if w.size and not (lowest >= 0.0 and w.max() < np.inf):
         raise ProgenyError("sampled offspring produced a negative or non-finite weight")
     if lowest == 0.0:
-        keep = w > 0.0
-        w, types = w[keep], types[keep]
+        # one index array serves the weights and types of any rank
+        keep = (w > 0.0).nonzero()[0]
+        w, types = w.take(keep), types.take(keep, axis=0)
     if w.size > cap:
         raise PopulationCapError(w.size, cap, g.index + 1)
     return Generation(w, types, index=g.index + 1)

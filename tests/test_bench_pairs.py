@@ -45,6 +45,11 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "bushy", "--pairs", "3"]
-    assert bench_pairs.main(argv) == 0
+    assert bench_pairs.main(argv + ["--json", str(tmp_path / "pairs.json")]) == 0
     assert order == ["base", "head", "head", "base", "base", "head"]
     assert "head better in 3/3" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "pairs.json").read_text())
+    assert summary["workload"] == "bushy" and summary["pairs"] == 3
+    wall = summary["metrics"][0]
+    assert wall["metric"] == "wall_s" and wall["head_wins"] == 3
+    assert wall["base_q1_median_q3"] == [7.0, 7.0, 7.0]

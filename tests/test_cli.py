@@ -215,6 +215,13 @@ def _with(model, **fields):
         ("simulate", _with("ifs", weights={"spec": "scaled_uniform", "c": "1.5"}), {}),
         ("simulate", _with("ifs", h="0.25"), {}),
         ("spectral", _with("ifs", h=True), {}),
+        # an ifs model without maps, and sections that are not mappings
+        *[(pipeline, _with("ifs", maps=[]), {}) for pipeline in _COMMANDS],
+        ("simulate", MODELS["cascade-split"], {"horizons": [1]}),
+        ("verify-theorem1", MODELS["cascade-split"], {"horizons": 6}),
+        ("simulate", MODELS["cascade-split"], {"caps": [1]}),
+        ("llogl", MODELS["cascade-mixture"], {"caps": "particles"}),
+        ("simulate", ["kind"], {}),
     ],
 )
 def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, pipeline, model, extra):
@@ -224,6 +231,15 @@ def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, p
     monkeypatch.setattr(harness, "run_replicates", no_replicates)
     assert _run(pipeline, _config(tmp_path, model, **extra), tmp_path / "out", threads=None) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("pipeline", _COMMANDS)
+def test_config_that_is_not_a_json_object_is_refused_with_exit_2(tmp_path, capsys, pipeline):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([{"model": MODELS["cascade-split"]}]))
+    assert _run(pipeline, str(config), tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: a config must be a JSON object")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", [0, -2])

@@ -5,7 +5,7 @@ from dense_kernels import dense, from_dense
 from wbp.cascades import DeterministicCascade, UniformSplitCascade
 from wbp.harness import ExperimentConfig, run_experiment
 from wbp.ifs import doob_transition, ifs_convergence_probe, ifs_weighted_law
-from wbp.population import advance_generation, cumulative_probs
+from wbp.population import advance_generation, count_thresholds, cumulative_probs
 from wbp.spectral import TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
 
@@ -32,7 +32,7 @@ def test_sample_progeny_stream_matches_array_map_draw():
         offspring = law.weights.sample_progeny(0, rng)
         out = []
         for u, _ in offspring:
-            z = int(law._draw_maps(1, rng)[0])
+            z = int(count_thresholds(rng.random(1), law._thresholds)[0])
             out.append((u, float(law._a[z] * float(x) + law._b[z])))
         return out
 

@@ -17,6 +17,7 @@ from wbp.population import (
     ProgenyError,
     ReproductionLaw,
     advance_generation,
+    count_thresholds,
     cumulative_probs,
     initial_generation,
     integrate,
@@ -55,15 +56,16 @@ def test_advance_validates_factors():
 
 
 class FixedBatchLaw(ReproductionLaw):
-    """Batch path that returns the given child weights, unchecked."""
+    """Batch path that returns the given child weights and types, unchecked."""
 
-    def __init__(self, child_weights):
+    def __init__(self, child_weights, child_types=None):
         self.child_weights = np.asarray(child_weights, dtype=np.float64)
+        n = self.child_weights.size
+        self.child_types = np.zeros(n, dtype=np.int64) if child_types is None else child_types
 
     def sample_generation(self, weights, types, rng):
-        # the tests advance one parent, so the brood is every child
-        n = self.child_weights.size
-        return ProgenyBatch(self.child_weights, np.zeros(n, dtype=np.int64), n)
+        # every slot split evenly over the parents
+        return ProgenyBatch(self.child_weights, self.child_types, self.child_weights.size // len(weights))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, -1e-300])
@@ -78,6 +80,18 @@ def test_advance_keeps_signed_zero_out_and_positive_weights_in():
     g = initial_generation([1.0], np.array([0]))
     h = advance_generation(g, FixedBatchLaw([0.25, -0.0, 0.0, 5e-324]), derive_stream(0, 0))
     assert np.array_equal(h.weights, [0.25, 5e-324])
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+def test_advance_drops_zero_slots_and_keeps_survivor_order_for_any_type_rank(shape):
+    # two parents in broods of four; the survivors sit between zero slots
+    w = [0.0, 0.5, 0.0, 0.0, 0.25, 0.0, 1.5, 0.0]
+    types = np.arange(8 * int(np.prod(shape)), dtype=np.float64).reshape(8, *shape)
+    g = initial_generation([1.0, 1.0], np.zeros((2, *shape)))
+    h = advance_generation(g, FixedBatchLaw(w, types), derive_stream(0, 0))
+    assert h.weights.tolist() == [0.5, 0.25, 1.5]
+    assert h.types.shape == (3, *shape)
+    assert np.array_equal(h.types, types[[1, 4, 6]])
 
 
 def test_deterministic_binary_tree_enumeration():
@@ -194,27 +208,27 @@ def test_mass_recursion_in_expectation():
     assert abs(masses.mean() - expected) <= 4 * se
 
 
-def _cascade(law):
-    return law, np.zeros(64, dtype=np.int64), law.sample_progeny
+def _cascade(law, p):
+    return law, np.zeros(p, dtype=np.int64), law.sample_progeny
 
 
-def _finite_type(law):
-    return law, derive_stream(9, 2).integers(0, law.n_types, 64), law.sample_progeny
+def _finite_type(law, p):
+    return law, derive_stream(9, 2).integers(0, law.n_types, p), law.sample_progeny
 
 
-def _ragged_kernel_product():
+def _ragged_kernel_product(p):
     # lists of one, two and three matrices: short lists are padded to three slots
     rng = np.random.default_rng(8)
     lists = ((rng.normal(size=(2, 2)),) * 3, (rng.normal(size=(2, 2)),), (rng.normal(size=(2, 2)),) * 2)
     law = KernelProductLaw(lists, (0.2, 0.5, 0.3))
-    return law, rng.normal(size=(64, 2, 2)), law.sample_progeny
+    return law, rng.normal(size=(p, 2, 2)), law.sample_progeny
 
 
-def _lineage():
+def _lineage(p):
     # the base law's children, each carrying its parent's running sum plus f of its type
     f = np.array([0.25, 1.5])
     base = MixtureFiniteTypeLaw(([(0.5, [(0.5, 0), (0.5, 1)]), (0.5, [(1.0, 1)])], [(1.0, [(0.75, 0)])]))
-    types = np.column_stack([derive_stream(9, 2).integers(0, 2, 64), np.linspace(0.0, 3.0, 64)])
+    types = np.column_stack([derive_stream(9, 2).integers(0, 2, p), np.linspace(0.0, 3.0, p)])
 
     def progeny(x, rng):
         return [(u, [float(y), x[1] + f[y]]) for u, y in base.sample_progeny(x[0], rng)]
@@ -223,32 +237,36 @@ def _lineage():
 
 
 BUILT_IN_LAWS = {
-    "deterministic": lambda: _cascade(DeterministicCascade((0.7, 0.0, 0.3))),
-    "split": lambda: _cascade(UniformSplitCascade(independent=False)),
-    "split-indep": lambda: _cascade(UniformSplitCascade(independent=True)),
-    "scaled": lambda: _cascade(ScaledUniformCascade(c=2.0)),
-    "mixture-cascade": lambda: _cascade(MixtureCascade(((0.25, 0.75), (1.0,), (0.8, 0.0)), (0.25, 0.5, 0.25))),
-    "flip": lambda: _finite_type(two_type_flip_law()),
-    "markov": lambda: _finite_type(markov_chain_law([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.4, 0.0, 0.6]])),
-    "finite-type": lambda: _finite_type(
+    "deterministic": lambda p: _cascade(DeterministicCascade((0.7, 0.0, 0.3)), p),
+    "split": lambda p: _cascade(UniformSplitCascade(independent=False), p),
+    "split-indep": lambda p: _cascade(UniformSplitCascade(independent=True), p),
+    "scaled": lambda p: _cascade(ScaledUniformCascade(c=2.0), p),
+    "mixture-cascade": lambda p: _cascade(
+        MixtureCascade(((0.25, 0.75), (1.0,), (0.8, 0.0)), (0.25, 0.5, 0.25)), p
+    ),
+    "flip": lambda p: _finite_type(two_type_flip_law(), p),
+    "markov": lambda p: _finite_type(markov_chain_law([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.4, 0.0, 0.6]]), p),
+    "finite-type": lambda p: _finite_type(
         MixtureFiniteTypeLaw(
             (
                 [(0.3, [(0.5, 1), (0.0, 0), (0.7, 0)]), (0.7, [(1.1, 1)])],
                 [(0.5, [(0.4, 0), (0.6, 1)]), (0.25, [(0.9, 0)]), (0.25, [(0.2, 1), (0.3, 1)])],
             )
-        )
+        ),
+        p,
     ),
     "kernel-product": _ragged_kernel_product,
     "lineage": _lineage,
 }
 
 
+@pytest.mark.parametrize("parents", [1, 64, 5000])
 @pytest.mark.parametrize("name", sorted(BUILT_IN_LAWS))
-def test_vectorized_matches_per_particle_sampling(name):
+def test_vectorized_matches_per_particle_sampling(name, parents):
     # same stream, same arithmetic: parent i's surviving slots are its
     # per-parent children, bitwise and in order. IfsLaw is left out, as its
     # batch path draws all weights before all maps.
-    law, types, progeny = BUILT_IN_LAWS[name]()
+    law, types, progeny = BUILT_IN_LAWS[name](parents)
     p = len(types)
     weights = derive_stream(9, 0).random(p) + 0.5
     batch = law.sample_generation(weights.copy(), types, derive_stream(8, 1))
@@ -307,6 +325,27 @@ def test_uniform_just_below_one_draws_last_atom(make):
     law, types, drew_last_atom = make()
     batch = law.sample_generation(np.ones(1), types, _AlmostOneRng())
     assert drew_last_atom(batch)
+
+
+@pytest.mark.parametrize(
+    "probs", [[1.0], [0.5, 0.5], [0.25, 0.0, 0.5, 0.25], [0.2, 0.3, 0.5, 0.0], [0.1] * 10, [1 / 3] * 3]
+)
+def test_count_thresholds_is_searchsorted_right(probs):
+    cum = cumulative_probs(probs)
+    thresholds = cum[cum < 1.0]
+    # every threshold exactly, its neighbours on both sides, the ends of [0, 1) and random draws
+    u = np.concatenate(
+        [
+            thresholds,
+            np.nextafter(thresholds, 0.0),
+            np.nextafter(thresholds, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+            derive_stream(3, 0).random(1000),
+        ]
+    )
+    j = count_thresholds(u, thresholds.tolist())
+    assert np.array_equal(j, np.searchsorted(cum, u, side="right"))
+    assert j.max() < len(probs)
 
 
 def test_cumulative_probs_ends_at_one_on_last_positive_atom():

@@ -10,7 +10,9 @@ Each run's end-to-end metrics are printed as they come. At the end, for
 every end-to-end metric of HEAD's ``BENCHMARK.json``, the tool prints the
 median and the quartiles of each side, the change of the median relative
 to BASE's, BASE's interquartile range and the number of pairs in which
-HEAD's run was strictly better, in the metric's own direction.
+HEAD's run was strictly better, in the metric's own direction; ``--json
+PATH`` also writes that summary to ``PATH`` (``tools/step_cost.py --pairs``
+reads it).
 
 Every run uses ``bench/run.py``'s default seed, and ``--seconds`` (default:
 each tree's ``run_seconds``) sets the length of both sides' runs. Nothing is
@@ -79,6 +81,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None, help="default: run_seconds of each tree")
+    parser.add_argument("--json", type=Path, default=None, help="also write the summary to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -105,6 +108,9 @@ def main(argv=None) -> int:
             f"median {100 * r['median_change']:+.1f}% (base IQR {r['base_iqr']:.3g})   "
             f"head better in {r['head_wins']}/{r['pairs']} ({r['better']} is better)"
         )
+    if args.json is not None:
+        summary = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds, "metrics": rows}
+        args.json.write_text(json.dumps(summary, indent=1) + "\n")
     return 0 if correct else 1
 
 

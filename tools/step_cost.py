@@ -94,8 +94,7 @@ def machine() -> dict:
 def pair_summary(path: Path) -> tuple:
     """``(workload, {metric: quartiles and wins})`` from a ``bench_pairs.py --json`` file."""
     summary = json.loads(path.read_text())
-    keep = ("base_q1_median_q3", "head_q1_median_q3", "median_change", "base_iqr", "head_wins", "pairs")
-    rows = {r["metric"]: {k: r[k] for k in keep} for r in summary["metrics"]}
+    rows = {r.pop("metric"): r for r in summary["metrics"]}
     return summary["workload"], {"seconds": summary["seconds"], "metrics": rows}
 
 

@@ -100,11 +100,11 @@ class KernelProductLaw(ReproductionLaw):
         child_w = self._live.take(j, axis=0)
         child_w *= w[:, None]
         child_w = child_w.ravel()
-        mag = np.abs(prod)
+        entries = np.abs(prod)
         # a rescale is rare, and one flat max rules it out far faster than
         # a max over each child's small trailing d x d axes
-        if mag.max(initial=0.0) > _RESCALE_THRESHOLD:
-            mag = mag.max(axis=(1, 2))
+        if entries.max(initial=0.0) > _RESCALE_THRESHOLD:
+            mag = entries.max(axis=(1, 2))
             big = mag > _RESCALE_THRESHOLD
             scale = 2.0 ** np.ceil(np.log2(mag[big]))
             prod[big] /= scale[:, None, None]

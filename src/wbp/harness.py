@@ -19,6 +19,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -46,6 +47,7 @@ from .martingale import (
 )
 from .population import (
     DEFAULT_PARTICLE_CAP,
+    Generation,
     PopulationCapError,
     advance_generation,
 )
@@ -254,30 +256,31 @@ def _build_model(model: dict) -> ModelBundle:
 # replicate running
 
 
-_MODES = ("mass_track", "type_mass_track", "kernel_product_track", "lineage_track")
+def _type_masses(g: Generation, d: int) -> np.ndarray:
+    """The mass on each of the ``d`` types of a finite-type generation."""
+    return np.bincount(np.asarray(g.types, dtype=np.int64), weights=g.weights, minlength=d)
 
 
-def _replicate_rows(model: dict, mode: str, horizon: int, start: int, stop: int, seed: int, cap: int):
-    """Summary rows of replicates ``start..stop``; a capped replicate's row is NaN.
+def _lineage_average(g: Generation) -> float:
+    """The lineage average ``A_n(f)``; NaN at generation 0, where it is undefined."""
+    return lineage_average_increment(g) if g.index else np.nan
 
-    A row holds one observation of each generation ``n = 0..horizon`` and
-    ends with the replicate's particle count. The observation is, by mode:
 
-    - ``mass_track``: the total mass, in column ``n``;
-    - ``type_mass_track``: the mass on each of the ``d`` types, in columns
-      ``n d .. n d + d - 1``;
-    - ``kernel_product_track``: ``kernel_product_observable``, in column ``n``;
-    - ``lineage_track``: the total mass in column ``n`` and, from generation
-      1 on, the lineage average in column ``horizon + n``.
+def _replicate_rows(
+    bundle: ModelBundle, observe, horizon: int, start: int, stop: int, seed: int, cap: int
+):
+    """Observation rows of replicates ``start..stop``; a capped replicate's row is NaN.
+
+    A row holds ``observe(G_n)`` of each generation ``n = 0..horizon``,
+    generation 0 included, and ends with the replicate's particle count.
+    ``observe`` returns one number, or a 1-D array whose length ``k`` is the
+    same for every generation (``k`` is read from ``observe(bundle.g0)``);
+    generation ``n`` fills columns ``n k .. n k + k - 1``. This runs in a
+    worker process when :func:`run_replicates` has more than one, so
+    ``observe`` must then pickle.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown summary mode {mode!r}")
-    bundle = make_model(model)
-    law = bundle.law
-    d = bundle.grid.size if mode == "type_mass_track" else 1
-    x_index, f = bundle.extras.get("x_index"), bundle.extras.get("f")
-    width = (horizon + 1) * d + (horizon if mode == "lineage_track" else 0) + 1
-    block = np.empty((stop - start, width))
+    k = np.size(observe(bundle.g0))
+    block = np.empty((stop - start, (horizon + 1) * k + 1))
     for i, row in zip(range(start, stop), block):
         rng = derive_stream(seed, i)
         g = bundle.g0
@@ -285,18 +288,9 @@ def _replicate_rows(model: dict, mode: str, horizon: int, start: int, stop: int,
         try:
             for n in range(horizon + 1):
                 if n:
-                    g = advance_generation(g, law, rng, cap=cap)
+                    g = advance_generation(g, bundle.law, rng, cap=cap)
                 particles += g.size
-                if mode == "type_mass_track":
-                    row[n * d : (n + 1) * d] = np.bincount(
-                        np.asarray(g.types, dtype=np.int64), weights=g.weights, minlength=d
-                    )
-                elif mode == "kernel_product_track":
-                    row[n] = kernel_product_observable(g, x_index, f)
-                else:
-                    row[n] = g.total_mass()
-                    if n and mode == "lineage_track":
-                        row[horizon + n] = lineage_average_increment(g)
+                row[n * k : (n + 1) * k] = observe(g)
         except PopulationCapError:
             row[:] = np.nan
             continue
@@ -306,7 +300,7 @@ def _replicate_rows(model: dict, mode: str, horizon: int, start: int, stop: int,
 
 @dataclass
 class ReplicateBlock:
-    """Stacked per-replicate summaries; NaN rows mark capped replicates."""
+    """Stacked per-replicate observations; NaN rows mark capped replicates."""
 
     data: np.ndarray
     n_capped: int
@@ -318,27 +312,35 @@ class ReplicateBlock:
 
 
 def run_replicates(
-    model: dict,
-    mode: str,
+    bundle: ModelBundle,
+    observe,
     horizon: int,
     replicates: int,
     seed: int,
     threads: int = 1,
     cap: int = DEFAULT_PARTICLE_CAP,
 ) -> ReplicateBlock:
-    """Run independent replicates; identical output for any ``threads``.
+    """Run independent replicates of ``bundle``, recording ``observe(G_n)``.
 
-    At most one worker process runs per CPU, whatever ``threads`` asks for.
+    Row ``i`` of the block holds replicate ``i``'s observations of
+    generations ``0..horizon``, generation 0 included (see
+    :func:`_replicate_rows`); ``observe`` returns one number or a 1-D array
+    of the same length for every generation. The output is identical for
+    any ``threads``. At most one worker process runs per CPU, whatever
+    ``threads`` asks for. With ``threads > 1``, ``bundle`` and ``observe``
+    are pickled to the workers, so ``observe`` must be a module-level
+    function, a method of a module-level class or a ``functools.partial``
+    of one, never a lambda or a closure.
     """
     workers = min(threads, os.cpu_count() or 1)
     n_chunks = min(replicates, workers * 4) if workers > 1 else 1
     if n_chunks <= 1:
-        out = _replicate_rows(model, mode, horizon, 0, replicates, seed, cap)
+        out = _replicate_rows(bundle, observe, horizon, 0, replicates, seed, cap)
     else:
         bounds = np.linspace(0, replicates, n_chunks + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_replicate_rows, model, mode, horizon, int(lo), int(hi), seed, cap)
+                pool.submit(_replicate_rows, bundle, observe, horizon, int(lo), int(hi), seed, cap)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
             out = np.concatenate([fut.result() for fut in futures])
@@ -411,9 +413,9 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _scaled_tracks(block: ReplicateBlock, theta: float, horizon: int) -> np.ndarray:
-    scales = theta ** -np.arange(horizon + 1, dtype=np.float64)
-    return block.data[:, : horizon + 1] * scales
+def _scaled_tracks(block: ReplicateBlock, theta: float) -> np.ndarray:
+    """Mass tracks ``theta^-n G_n(1)`` from a block of total masses."""
+    return block.data * theta ** -np.arange(block.data.shape[1], dtype=np.float64)
 
 
 def _mean_se(col: np.ndarray) -> tuple[float, float]:
@@ -438,17 +440,10 @@ def _mean_se_rows(values: np.ndarray) -> list:
 def pipeline_simulate(cfg: ExperimentConfig) -> RunResult:
     """Replicate simulation with per-generation mass statistics."""
     bundle = make_model(cfg.model)
-    mode = "type_mass_track" if bundle.kind in ("two_type_flip", "markov_chain") else "mass_track"
-    horizon = cfg.n_max
     block = run_replicates(
-        cfg.model, mode, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
+        bundle, Generation.total_mass, cfg.n_max, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
     )
-    if mode == "type_mass_track":
-        d = bundle.grid.size
-        masses = block.data.reshape(block.replicates, horizon + 1, d).sum(axis=2)
-    else:
-        masses = block.data[:, : horizon + 1]
-    rows = _mean_se_rows(masses)
+    rows = _mean_se_rows(block.data)
     results = {
         "replicates": cfg.replicates,
         "capped_replicates": block.n_capped,
@@ -594,21 +589,15 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
     if max(ms) + max(ns) > horizon:
         raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
     _, sd, cert, f = _certificate_for(cfg, bundle, horizon)
-    mode = "mass_track" if bundle.kind == "cascade" else "type_mass_track"
-    block = run_replicates(
-        cfg.model, mode, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
-    )
     d = bundle.grid.size
-    if mode == "type_mass_track":
-        per_type = block.data.reshape(block.replicates, horizon + 1, d)
-        raw_w = per_type @ sd.eta_f(f)
-        raw_f = per_type @ f
-    else:
-        raw_w = block.data[:, : horizon + 1] * float(sd.eta_f(f)[0])
-        raw_f = block.data[:, : horizon + 1] * float(f[0])
+    observe = Generation.total_mass if d == 1 else partial(_type_masses, d=d)
+    block = run_replicates(
+        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
+    )
+    per_type = block.data.reshape(block.replicates, horizon + 1, d)
     scales = sd.theta ** -np.arange(horizon + 1, dtype=np.float64)
-    tracks = raw_w * scales
-    fvals = raw_f * scales
+    tracks = (per_type @ sd.eta_f(f)) * scales
+    fvals = (per_type @ f) * scales
     if sd.beta:
         poly = np.arange(horizon + 1, dtype=np.float64) ** float(sd.beta)
         poly[0] = 1.0
@@ -677,9 +666,9 @@ def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
         if rho <= 1.0:
             raise ConfigError(f"rho must exceed 1, got {rho}")
     k = _integer(cfg.raw.get("k", 1), "k", least=0)
-    probe_cfg = cfg.raw.get("probe", {"n": cfg.n_max})
+    probe_cfg = cfg.raw.get("probe", {})
     epsilon = _probe_epsilon(probe_cfg)
-    probe_n = _integer(probe_cfg.get("n"), "probe.n", least=0)
+    probe_n = _integer(probe_cfg.get("n", cfg.n_max), "probe.n", least=0)
     law = bundle.law
     reports = liu_conditions(law, cfg.p)
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
@@ -707,9 +696,9 @@ def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
     )
     horizon = max(cfg.n_max, probe_n)
     block = run_replicates(
-        cfg.model, "mass_track", horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
+        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
     )
-    tracks = _scaled_tracks(block, theta1, horizon)
+    tracks = _scaled_tracks(block, theta1)
     probe = degeneracy_probe(tracks, epsilon, probe_n)
     verdicts = [r.verdict for r in reports.values()] + [hfk.verdict]
     results = {
@@ -753,10 +742,10 @@ def pipeline_cascade(cfg: ExperimentConfig) -> RunResult:
     eps = _probe_epsilon(cfg.raw.get("probe", {}))
     horizon = cfg.n_max
     block = run_replicates(
-        cfg.model, "mass_track", horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
+        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
     )
     theta1 = bundle.law.mean_total_mass()
-    tracks = _scaled_tracks(block, theta1, horizon)
+    tracks = _scaled_tracks(block, theta1)
     finite = np.all(np.isfinite(tracks), axis=1)
     try:
         flagged = martingale_increment_test(tracks[finite]).flagged
@@ -795,18 +784,13 @@ def pipeline_kernel_products(cfg: ExperimentConfig) -> RunResult:
     if bundle.kind != "kernel_product":
         raise ConfigError("kernel-products pipeline needs a kernel_product model")
     horizon = cfg.n_max
-    block = run_replicates(
-        cfg.model,
-        "kernel_product_track",
-        horizon,
-        cfg.replicates,
-        cfg.seed,
-        cfg.threads,
-        cfg.particle_cap,
-    )
-    pmat = bundle.law.mean_matrix()
     x = bundle.extras["x_index"]
     f = bundle.extras["f"]
+    observe = partial(kernel_product_observable, x_index=x, f=f)
+    block = run_replicates(
+        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
+    )
+    pmat = bundle.law.mean_matrix()
     rows = []
     worst_sigma = 0.0
     agrees = True
@@ -888,12 +872,11 @@ def pipeline_lineage(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError("lineage pipeline needs a lineage_chain model")
     horizon = cfg.n_max
     block = run_replicates(
-        cfg.model, "lineage_track", horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
+        bundle, _lineage_average, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
     )
-    averages = block.data[:, horizon + 1 :]
     pi = stationary_distribution(bundle.extras["transition"])
     target = float(np.dot(pi, bundle.extras["f"]))
-    rows = [(n, *_mean_se(averages[:, n - 1])) for n in range(1, horizon + 1)]
+    rows = [(n, *_mean_se(block.data[:, n])) for n in range(1, horizon + 1)]
     final_mean, final_se = rows[-1][1], rows[-1][2]
     agrees = mean_agrees(final_mean, final_se, target)
     if final_se > 0:

@@ -36,11 +36,9 @@ def mean_agrees(mean: float, se: float, exact: float) -> bool:
     return bool(abs(mean - exact) <= 4.0 * se + rounding_slack(exact))
 
 
-def track_matrix(tracks) -> np.ndarray:
-    """Stack tracks into an (replicates, horizon+1) array."""
-    if isinstance(tracks, np.ndarray):
-        return np.atleast_2d(tracks)
-    return np.vstack(tracks)
+def track_matrix(tracks: np.ndarray) -> np.ndarray:
+    """Tracks as a (replicates, horizon+1) array; a single track is one row."""
+    return np.atleast_2d(tracks)
 
 
 @dataclass

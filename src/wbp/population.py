@@ -213,19 +213,11 @@ def advance_generation(
 
 
 def integrate(g: Generation, f) -> float:
-    """``G_n(f) = sum_e w_e f(X_e)``; ``f`` is a callable or a per-type table."""
+    """``G_n(f) = sum_e w_e f(X_e)`` for a per-type table ``f``."""
     if g.size == 0:
         return 0.0
-    values = evaluate_on_types(f, g.types)
-    return float(np.dot(g.weights, values))
-
-
-def evaluate_on_types(f, types) -> np.ndarray:
-    if callable(f):
-        out = f(types)
-        return np.broadcast_to(np.asarray(out, dtype=np.float64), (types.shape[0],))
     table = np.asarray(f, dtype=np.float64)
-    return table[np.asarray(types, dtype=np.int64)]
+    return float(np.dot(g.weights, table[np.asarray(g.types, dtype=np.int64)]))
 
 
 def simulate_trajectory(

@@ -3,14 +3,18 @@
 import json
 import os
 from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
 
 from wbp import harness
 from wbp.cli import _COMMANDS, main
+from wbp.finite_type import MixtureFiniteTypeLaw
 from wbp.harness import _jsonable, run_replicates
 from wbp.martingale import LpErrorReport, mean_agrees
+from wbp.population import Generation
+from wbp.spectral import TypeGrid
 
 MODELS = {
     "cascade-split": {"kind": "cascade", "spec": "uniform_split"},
@@ -177,7 +181,7 @@ def _with(model, **fields):
         ("llogl", MODELS["cascade-mixture"], {"rho": "abc"}),
         ("llogl", MODELS["cascade-mixture"], {"rho": float("nan")}),
         ("llogl", MODELS["cascade-mixture"], {"k": -1}),
-        ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01}}),
+        ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": None}}),
         ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": -1}}),
         ("cascade", MODELS["cascade-split"], {"probe": {"epsilon": "x"}}),
         ("cascade", MODELS["cascade-split"], {"probe": 3}),
@@ -249,6 +253,15 @@ def test_threads_flag_below_one_is_refused_with_exit_2(tmp_path, capsys, threads
     assert not (tmp_path / "out").exists()
 
 
+def test_llogl_probe_without_n_probes_generation_n_max(tmp_path):
+    # as in the cascade pipeline, a probe mapping may set epsilon alone
+    config = _config(tmp_path, MODELS["cascade-mixture"], probe={"epsilon": 0.01})
+    out = tmp_path / "out"
+    assert _run("llogl", config, out) == 0
+    results = _result(out)["results"]
+    assert results["probe_n"] == 6 and results["probe_epsilon"] == 0.01
+
+
 def test_capped_lp_error_exits_3_with_an_inconclusive_result(tmp_path, capsys):
     config = _config(tmp_path, MODELS["cascade-split"], caps={"particles": 6})
     out = tmp_path / "out"
@@ -284,10 +297,10 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    model = MODELS["cascade-split-indep"]
-    serial = run_replicates(model, "mass_track", 3, 20, seed=1, threads=1)
+    bundle = harness.make_model(MODELS["cascade-split-indep"])
+    serial = run_replicates(bundle, Generation.total_mass, 3, 20, seed=1, threads=1)
     assert pools == []
-    pooled = run_replicates(model, "mass_track", 3, 20, seed=1, threads=64)
+    pooled = run_replicates(bundle, Generation.total_mass, 3, 20, seed=1, threads=64)
     (pool,) = pools
     assert pool.max_workers == 2
     assert pool.jobs == 8  # four chunks per worker
@@ -297,15 +310,28 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
 def test_replicate_rows_match_for_any_worker_count_with_capped_replicates():
     # one or two children per parent: the cap catches some replicates and not others;
     # 13 replicates split into uneven chunks for 2 and for 3 workers
-    model = {"kind": "cascade", "spec": "mixture", "atoms": [[0.5, 0.5], [1.0]], "probs": [0.5, 0.5]}
-    serial = run_replicates(model, "mass_track", 6, 13, seed=3, threads=1, cap=12)
-    assert 0 < serial.n_capped < serial.replicates == 13
-    assert np.isnan(serial.data).any(axis=1).sum() == serial.n_capped
-    for threads in (2, 3):
-        pooled = run_replicates(model, "mass_track", 6, 13, seed=3, threads=threads, cap=12)
-        assert np.array_equal(pooled.data, serial.data, equal_nan=True)
-        assert pooled.n_capped == serial.n_capped
-        assert pooled.particle_total == serial.particle_total
+    cascade = harness.make_model(
+        {"kind": "cascade", "spec": "mixture", "atoms": [[0.5, 0.5], [1.0]], "probs": [0.5, 0.5]}
+    )
+    # the same brood sizes on two types, observed as the mass on each type
+    one_or_two = [(0.5, [(0.5, 1)]), (0.5, [(0.5, 0), (0.5, 1)])]
+    law = MixtureFiniteTypeLaw((one_or_two, one_or_two))
+    two_types = harness.ModelBundle(law, TypeGrid.finite(2), law.root_generation(0), "finite")
+    for bundle, observe, width in (
+        (cascade, Generation.total_mass, 7),
+        (two_types, partial(harness._type_masses, d=2), 14),
+    ):
+        serial = run_replicates(bundle, observe, 6, 13, seed=3, threads=1, cap=12)
+        assert 0 < serial.n_capped < serial.replicates == 13
+        assert serial.data.shape == (13, width)
+        # a capped row is NaN across its full width, and no other row holds a NaN
+        assert np.isnan(serial.data).any(axis=1).sum() == serial.n_capped
+        assert np.isnan(serial.data).all(axis=1).sum() == serial.n_capped
+        for threads in (2, 3):
+            pooled = run_replicates(bundle, observe, 6, 13, seed=3, threads=threads, cap=12)
+            assert np.array_equal(pooled.data, serial.data, equal_nan=True)
+            assert pooled.n_capped == serial.n_capped
+            assert pooled.particle_total == serial.particle_total
 
 
 def test_ifs_pipeline_writes_its_boolean_verdicts(tmp_path):

@@ -1,0 +1,58 @@
+"""``tools/compare_outputs.py``: exit code and difference list, with stand-in runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+RESULT = {"result.json": "{}\n"}
+
+
+def _compare(tmp_path, monkeypatch, files, versions):
+    """Exit code of the tool on two trees whose op writes ``files[side]`` at every seed."""
+    for side in ("base", "head"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "head" / "bench").mkdir()
+    ops = [{"name": "op", "pipeline": "simulate", "config": "op.json"}]
+    (tmp_path / "head" / "bench" / "workloads.json").write_text(json.dumps({"w": {"ops": ops}}))
+
+    def fake_write_outputs(tree, bench, ops, out):
+        for op in ops:
+            for seed in compare_outputs.SEEDS:
+                outdir = out / op["name"] / f"seed{seed}"
+                outdir.mkdir(parents=True)
+                (outdir / "exit").write_text("0\n")
+                for name, text in files[tree.name].items():
+                    (outdir / name).write_text(text)
+
+    monkeypatch.setattr(compare_outputs, "write_outputs", fake_write_outputs)
+    monkeypatch.setattr(compare_outputs, "schema_version", lambda tree, cwd: versions[tree.name])
+    return compare_outputs.main([str(tmp_path / "base"), str(tmp_path / "head")])
+
+
+@pytest.mark.parametrize(
+    "head_files,head_version,code,listed",
+    [
+        (RESULT, "1", 0, []),
+        ({"result.json": "{1}\n"}, "1", 1, ["op/seed0/result.json", "op/seed7/result.json"]),
+        ({**RESULT, "series_mass.csv": "n\n"}, "1", 1, ["op/seed1/series_mass.csv (only in one tree)"]),
+        ({"result.json": "{1}\n"}, "2", 0, ["op/seed0/result.json"]),
+    ],
+    ids=["equal", "differs", "only-in-one-tree", "schema-bump"],
+)
+def test_exit_code_and_listed_differences(tmp_path, monkeypatch, capsys, head_files, head_version, code, listed):
+    files = {"base": RESULT, "head": head_files}
+    assert _compare(tmp_path, monkeypatch, files, {"base": "1", "head": head_version}) == code
+    out = capsys.readouterr().out
+    assert "1 ops x 3 seeds: 3 output files and 3 exit codes" in out
+    assert f"{3 if listed else 0} differ" in out
+    for path in listed:
+        assert f"differs: {path}\n" in out
+    if head_version != "1":
+        assert "SCHEMA_VERSION 1 -> 2: differences expected" in out

@@ -590,6 +590,7 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
     _, sd, cert, f = _certificate_for(cfg, bundle, horizon)
     d = bundle.grid.size
+    # a one-point grid keeps total_mass's pairwise sum; bincount would add in another order
     observe = Generation.total_mass if d == 1 else partial(_type_masses, d=d)
     block = run_replicates(
         bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap

@@ -66,7 +66,6 @@ from .population import (
     ReproductionLaw,
     advance_generation,
     initial_generation,
-    integrate,
     simulate_trajectory,
 )
 from .spectral import (

@@ -62,17 +62,18 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
 
     def sample_progeny(self, x, rng):
         t = int(x)
-        j = int(np.searchsorted(self._cum_table[t], rng.random(), side="right"))
+        # with no random atom choice in any type, neither path draws a uniform
+        j = int(np.searchsorted(self._cum_table[t], rng.random(), side="right")) if self._cum_cols else 0
         return [(float(u), int(y)) for u, y in self.atoms_per_type[t][j][1]]
 
     def sample_generation(self, weights, types, rng):
         t = np.asarray(types, dtype=np.int64)
-        p = t.shape[0]
-        u = rng.random(p)
-        # counting cum <= u is searchsorted(cum, u, side="right") per row
         row = t * self._max_atoms
-        for col in self._cum_cols:
-            row += col.take(t) <= u
+        if self._cum_cols:
+            u = rng.random(t.shape[0])
+            # counting cum <= u is searchsorted(cum, u, side="right") per row
+            for col in self._cum_cols:
+                row += col.take(t) <= u
         child_w = self._fac.take(row, axis=0)
         child_w *= np.asarray(weights, dtype=np.float64)[:, None]
         return ProgenyBatch(child_w.ravel(), self._typ.take(row, axis=0).ravel(), self._width)

@@ -54,7 +54,7 @@ from .population import (
 from .spectral import TypeGrid, attach_alpha, build_mean_kernel, estimate_beta, power_iteration
 from .streams import derive_stream
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(Exception):

@@ -8,12 +8,15 @@ broods: parent ``i``'s children fill slots ``i*brood .. i*brood+brood-1``,
 and a parent with fewer children pads its brood with weight-0 children.
 Generation advance multiplies factors into parent weights, drops the
 zero-weight children (padding included) and enforces a hard particle cap.
-Every progeny is finite, so no mass is ever truncated away.
+Every progeny is finite, so no mass is ever truncated away. A generation
+may hold many independent trees at once, each particle tagged with the
+index of its tree (``Generation.root``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -157,17 +160,28 @@ class ReproductionLaw:
 
 @dataclass
 class Generation:
-    """One generation: ``G_n = sum_e w_e . delta(X_e)``; ``index`` is ``n``."""
+    """One generation: ``G_n = sum_e w_e . delta(X_e)``; ``index`` is ``n``.
+
+    ``root`` is ``None`` for a single tree. A block of independent trees
+    simulated as one generation gives each particle the index of its tree
+    in ``root``, so a functional reduces per tree as
+    ``np.bincount(root, w * phi, minlength=trees)``.
+    """
 
     weights: np.ndarray
     types: np.ndarray
     index: int = 0
+    root: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.types = np.asarray(self.types)
         if self.weights.shape[0] != self.types.shape[0]:
             raise ValueError("weights and types must have equal leading length")
+        if self.root is not None:
+            self.root = np.asarray(self.root)
+            if self.root.shape != self.weights.shape:
+                raise ValueError("root must hold one tree index per particle")
 
     @property
     def size(self) -> int:
@@ -192,13 +206,16 @@ def advance_generation(
 
     Child weights are parent weight times the sampled factor; zero-weight
     children, brood padding among them, are dropped, and the survivors
-    keep their slot order. Raises :class:`PopulationCapError` when the new
-    generation would exceed ``cap`` particles.
+    keep their slot order. A multi-root generation's children inherit
+    their parent's ``root``. Raises :class:`PopulationCapError` when the
+    new generation would exceed ``cap`` particles.
     """
     batch = law.sample_generation(g.weights, g.types, rng)
-    w, types = batch.weights, batch.types
+    w, types, root = batch.weights, batch.types, g.root
     if w.shape[0] != batch.brood * g.size:
         raise ProgenyError(f"{w.shape[0]} children from {g.size} parents in broods of {batch.brood}")
+    if root is not None:
+        root = np.repeat(root, batch.brood)
     lowest = w.min() if w.size else np.inf
     # NaN fails both comparisons, so NaN, +-inf and negative weights are all rejected
     if w.size and not (lowest >= 0.0 and w.max() < np.inf):
@@ -207,17 +224,11 @@ def advance_generation(
         # one index array serves the weights and types of any rank
         keep = (w > 0.0).nonzero()[0]
         w, types = w.take(keep), types.take(keep, axis=0)
+        if root is not None:
+            root = root.take(keep)
     if w.size > cap:
         raise PopulationCapError(w.size, cap, g.index + 1)
-    return Generation(w, types, index=g.index + 1)
-
-
-def integrate(g: Generation, f) -> float:
-    """``G_n(f) = sum_e w_e f(X_e)`` for a per-type table ``f``."""
-    if g.size == 0:
-        return 0.0
-    table = np.asarray(f, dtype=np.float64)
-    return float(np.dot(g.weights, table[np.asarray(g.types, dtype=np.int64)]))
+    return Generation(w, types, g.index + 1, root)
 
 
 def simulate_trajectory(
@@ -227,7 +238,7 @@ def simulate_trajectory(
     rng: np.random.Generator,
     cap: int = DEFAULT_PARTICLE_CAP,
 ) -> list[Generation]:
-    """Generations ``G_0 .. G_horizon`` of one replicate."""
+    """Generations ``G_0 .. G_horizon`` of one replicate, or of one block of roots."""
     traj = [g0]
     g = g0
     for _ in range(horizon):

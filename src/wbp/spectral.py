@@ -18,14 +18,14 @@ where a dense kernel would take 2 GiB. The masses keep the attribute name
 sums, the benchmark tracer's count of stored cells) keep working.
 
 Each product rounds every ``mass * v[cell]`` on its own and then sums a
-row (``apply``) or a cell's column in row order (``apply_t``). That equals
-the dense BLAS product it replaced bit for bit when those products are
-exact (dyadic masses, or unit weights) and each row, or each column for
-``apply_t``, has at most two nonzero cells, since any summation order then
-rounds once. Otherwise the last bit may differ: BLAS sums in its own order
-and fuses multiply-adds, which round once where a product and a sum here
-round twice. The benchmark's kernels (two maps, or a single type) give
-byte-identical output files either way.
+row in slot order (``apply``) or a cell's column in row order
+(``apply_t``). That equals the dense BLAS product it replaced bit for bit
+when those products are exact (dyadic masses, or unit weights) and each
+row, or each column for ``apply_t``, has at most two nonzero cells, since
+any summation order then rounds once. Otherwise the last bit may differ:
+BLAS sums in its own order and fuses multiply-adds, which round once where
+a product and a sum here round twice. The benchmark's kernels (two maps,
+or a single type) give byte-identical output files either way.
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ class MeanKernel:
             raise ValueError("kernel entries must be finite and non-negative")
         self.cols = cols
         self.matrix = m
+        # slot-major copies for apply: row s holds every row's slot s
+        self._cols_t = np.ascontiguousarray(cols.T)
+        self._matrix_t = np.ascontiguousarray(m.T)
 
     @property
     def size(self) -> int:
@@ -139,8 +142,17 @@ class MeanKernel:
         return cls(packed_cols, packed, grid, order)
 
     def apply(self, v) -> np.ndarray:
-        """``Q v``: one gather and a row sum."""
-        return (self.matrix * np.asarray(v, dtype=np.float64)[self.cols]).sum(axis=1)
+        """``Q v``: one gather and a row sum, adding each row's slots left to right.
+
+        The gather runs over slot-major ``(w, d)`` copies of ``cols`` and
+        ``matrix`` and sums over the slot axis, so every row's products
+        add in slot order whatever ``d`` is. At ``d = 1`` numpy collapses
+        the ``(w, 1)`` array and sums it pairwise, which is the slot order
+        only for ``w < 8``.
+        """
+        x = np.asarray(v, dtype=np.float64).take(self._cols_t)
+        x *= self._matrix_t
+        return x.sum(axis=0)
 
     def apply_t(self, v) -> np.ndarray:
         """``v Q``: each row's masses, scaled by ``v``, summed into their cells in row order."""

@@ -72,7 +72,8 @@ def test_c3_refuses_a_budget_without_a_standard_error(budget):
 
 def per_draw_c3(law, k1, p, rng, budget=2000, max_points=32, max_cells=16):
     # reference: the per-draw, per-test-function loop estimate_c3 batches, in
-    # Python floats; each brood's sum adds its children's factors left to right
+    # Python floats; each brood's sum adds its children's factors left to
+    # right, and the (budget, tests) deviations take one array power
     grid = k1.grid
     d = grid.size
     cells = np.unique(np.linspace(0, d - 1, min(d, max_cells)).astype(int))
@@ -92,7 +93,8 @@ def per_draw_c3(law, k1, p, rng, budget=2000, max_points=32, max_cells=16):
                 z = 0.0
                 for u, y in zip(us, ys):
                     z += u * g[y]
-                devs[b, j] = abs(z - exact[j]) ** p
+                devs[b, j] = abs(z - exact[j])
+        devs = devs**p
         means = devs.mean(axis=0)
         ses = devs.std(axis=0, ddof=1) / np.sqrt(budget)
         for j in range(len(dictionary)):

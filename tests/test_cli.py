@@ -11,7 +11,7 @@ import pytest
 from wbp import harness
 from wbp.cli import _COMMANDS, main
 from wbp.finite_type import MixtureFiniteTypeLaw
-from wbp.harness import _jsonable, run_replicates
+from wbp.harness import SCHEMA_VERSION, _jsonable, run_replicates
 from wbp.martingale import LpErrorReport, mean_agrees
 from wbp.population import Generation
 from wbp.spectral import TypeGrid
@@ -70,7 +70,7 @@ def _run(pipeline, config, out, threads=1):
 def _result(out):
     with open(out / "result.json") as fh:
         payload = json.load(fh)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == SCHEMA_VERSION
     return payload
 
 
@@ -115,119 +115,125 @@ def _with(model, **fields):
     return {**MODELS[model], **fields}
 
 
-@pytest.mark.parametrize(
-    "pipeline,model,extra",
-    [
-        ("simulate", {"kind": "markov_chain"}, {}),
-        ("simulate", {"kind": "markov_chain", "transition": [[0.5, 0.4], [0.2, 0.8]]}, {}),
-        ("cascade", {"kind": "cascade", "spec": "mixture", "atoms": [[0.5]], "probs": [0.5]}, {}),
-        ("simulate", {"kind": "ifs", "maps": [[1.5, 0.0]]}, {}),
-        ("simulate", _with("ifs", map_probs=[0.5, 0.49999999]), {}),
-        ("spectral", MODELS["markov_chain"], {"beta_window": [1, 3]}),
-        # an observable, start type or budget that does not fit the model
-        ("spectral", MODELS["markov_chain"], {"f": [1, 2, 3]}),
-        ("certify", MODELS["markov_chain"], {"f": [1, 2, 3]}),
-        ("kernel-products", {"kind": "kernel_product", "atoms": [[[[0.5]]]], "probs": [1.0], "x_index": 3}, {}),
-        ("kernel-products", _with("kernel_product", f=[1.0, 2.0, 3.0]), {}),
-        ("lineage", _with("lineage_chain", f=[1.0]), {}),
-        ("simulate", _with("markov_chain", x0=5), {}),
-        ("simulate", _with("two_type_flip", x0=2), {}),
-        ("lineage", _with("lineage_chain", x0=5), {}),
-        # a start type that is not an index, a start point off [0, 1]
-        ("simulate", _with("markov_chain", x0=1.5), {}),
-        ("simulate", _with("two_type_flip", x0=0.5), {}),
-        ("lineage", _with("lineage_chain", x0=1.5), {}),
-        ("simulate", _with("markov_chain", x0=float("nan")), {}),
-        ("simulate", _with("markov_chain", x0="1"), {}),
-        ("simulate", _with("ifs", x0=5.0), {}),
-        ("simulate", _with("ifs", x0=-1.0), {}),
-        ("simulate", _with("ifs", x0=float("nan")), {}),
-        ("simulate", _with("ifs", x0=float("inf")), {}),
-        ("simulate", _with("ifs", x0="0.5"), {}),
-        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [0, 1], "n": [2, 3]}}),
-        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1, 2], "n": [0, 3]}}),
-        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [], "n": [2]}}),
-        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"n": [2]}}),
-        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": ["a"], "n": [2]}}),
-        ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 0}),
-        ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 1}),
-        ("ifs", MODELS["ifs"], {"dispersion_budget": 1}),
-        ("llogl", MODELS["cascade-mixture"], {"mc_budget": 1}),
-        # a horizon or particle cap below 1
-        ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": -1}}),
-        ("kernel-products", MODELS["kernel_product"], {"horizons": {"n_max": -1}}),
-        ("ifs", MODELS["ifs"], {"horizons": {"n_max": 0}}),
-        ("lineage", MODELS["lineage_chain"], {"horizons": {"n_max": 0}}),
-        ("verify-theorem1", MODELS["cascade-split"], {"caps": {"particles": -5}}),
-        ("simulate", MODELS["cascade-split"], {"caps": {"particles": 0}}),
-        # cascade factors and kernel-product matrices that are not finite and non-negative
-        ("cascade", _with("cascade-scaled", c=-1.0), {}),
-        ("cascade", _with("cascade-scaled", c=float("nan")), {}),
-        ("cascade", _with("cascade-scaled", c=float("inf")), {}),
-        ("cascade", _with("cascade-deterministic", factors=[0.5, float("nan")]), {}),
-        ("cascade", _with("cascade-deterministic", factors=[float("inf"), 0.5]), {}),
-        ("cascade", _with("cascade-mixture", atoms=[[0.6, float("nan")], [0.8, 0.0]]), {}),
-        ("cascade", _with("cascade-mixture", atoms=[[0.6, 0.6], [float("inf"), 0.0]]), {}),
-        ("simulate", _with("ifs", weights={"spec": "scaled_uniform", "c": float("nan")}), {}),
-        ("kernel-products", _with("kernel_product", atoms=[[[[1.0, float("nan")], [0.0, 1.0]]]], probs=[1.0]), {}),
-        ("kernel-products", _with("kernel_product", atoms=[[[[1.0, float("inf")], [0.0, 1.0]]]], probs=[1.0]), {}),
-        # a worker count below 1
-        ("simulate", MODELS["cascade-split"], {"threads": 0}),
-        ("cascade", MODELS["cascade-split"], {"threads": -2}),
-        ("verify-theorem1", MODELS["cascade-mixture"], {"threads": 0}),
-        # pipeline-only keys out of range or of the wrong type
-        ("llogl", MODELS["cascade-mixture"], {"rho": 1.0}),
-        ("llogl", MODELS["cascade-mixture"], {"rho": 0.5}),
-        ("llogl", MODELS["cascade-mixture"], {"rho": "abc"}),
-        ("llogl", MODELS["cascade-mixture"], {"rho": float("nan")}),
-        ("llogl", MODELS["cascade-mixture"], {"k": -1}),
-        ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": None}}),
-        ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": -1}}),
-        ("cascade", MODELS["cascade-split"], {"probe": {"epsilon": "x"}}),
-        ("cascade", MODELS["cascade-split"], {"probe": 3}),
-        ("certify", MODELS["markov_chain"], {"f": "abc"}),
-        ("spectral", MODELS["markov_chain"], {"beta_window": [5]}),
-        ("spectral", MODELS["markov_chain"], {"beta_window": 5}),
-        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1.5], "n": [2]}}),
-        # integer fields given a bool or a non-integral number
-        ("simulate", MODELS["cascade-split"], {"threads": 2.7}),
-        ("simulate", MODELS["cascade-split"], {"threads": True}),
-        ("simulate", MODELS["cascade-split"], {"replicates": 99.9}),
-        ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": 3.9}}),
-        ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": 3, "proxy": 7.5}}),
-        ("simulate", MODELS["cascade-split"], {"seed": 1.5}),
-        ("simulate", MODELS["cascade-split"], {"caps": {"particles": 1000.5}}),
-        ("llogl", MODELS["cascade-mixture"], {"k": 1.5}),
-        ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": 2.5}}),
-        ("llogl", MODELS["cascade-mixture"], {"mc_budget": 50.5}),
-        ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 50.5}),
-        ("spectral", MODELS["markov_chain"], {"beta_window": [1.5, 20]}),
-        ("spectral", MODELS["markov_chain"], {"beta_window": [1, True]}),
-        ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1], "n": [2.5]}}),
-        ("kernel-products", _with("kernel_product", x_index=0.5), {}),
-        ("simulate", _with("markov_chain", x0=True), {}),
-        # an ifs cell width that does not divide [0, 1]
-        ("spectral", _with("ifs", h=0.3), {}),
-        ("simulate", _with("ifs", h=0.3), {}),
-        ("simulate", _with("ifs", h=0.4), {}),
-        ("simulate", _with("ifs", h=2.0), {}),
-        # real fields given a string or a bool
-        ("cascade", MODELS["cascade-split"], {"p": "1.5"}),
-        ("verify-theorem1", MODELS["cascade-split"], {"p": "2"}),
-        ("simulate", _with("cascade-scaled", c="1.5"), {}),
-        ("cascade", _with("cascade-scaled", c=True), {}),
-        ("simulate", _with("ifs", weights={"spec": "scaled_uniform", "c": "1.5"}), {}),
-        ("simulate", _with("ifs", h="0.25"), {}),
-        ("spectral", _with("ifs", h=True), {}),
-        # an ifs model without maps, and sections that are not mappings
-        *[(pipeline, _with("ifs", maps=[]), {}) for pipeline in _COMMANDS],
-        ("simulate", MODELS["cascade-split"], {"horizons": [1]}),
-        ("verify-theorem1", MODELS["cascade-split"], {"horizons": 6}),
-        ("simulate", MODELS["cascade-split"], {"caps": [1]}),
-        ("llogl", MODELS["cascade-mixture"], {"caps": "particles"}),
-        ("simulate", ["kind"], {}),
-    ],
-)
+MALFORMED = [
+    ("simulate", {"kind": "markov_chain"}, {}),
+    ("simulate", {"kind": "markov_chain", "transition": [[0.5, 0.4], [0.2, 0.8]]}, {}),
+    ("cascade", {"kind": "cascade", "spec": "mixture", "atoms": [[0.5]], "probs": [0.5]}, {}),
+    ("simulate", {"kind": "ifs", "maps": [[1.5, 0.0]]}, {}),
+    ("simulate", _with("ifs", map_probs=[0.5, 0.49999999]), {}),
+    ("spectral", MODELS["markov_chain"], {"beta_window": [1, 3]}),
+    # an observable, start type or budget that does not fit the model
+    ("spectral", MODELS["markov_chain"], {"f": [1, 2, 3]}),
+    ("certify", MODELS["markov_chain"], {"f": [1, 2, 3]}),
+    ("kernel-products", {"kind": "kernel_product", "atoms": [[[[0.5]]]], "probs": [1.0], "x_index": 3}, {}),
+    ("kernel-products", _with("kernel_product", f=[1.0, 2.0, 3.0]), {}),
+    ("lineage", _with("lineage_chain", f=[1.0]), {}),
+    ("simulate", _with("markov_chain", x0=5), {}),
+    ("simulate", _with("two_type_flip", x0=2), {}),
+    ("lineage", _with("lineage_chain", x0=5), {}),
+    # a start type that is not an index, a start point off [0, 1]
+    ("simulate", _with("markov_chain", x0=1.5), {}),
+    ("simulate", _with("two_type_flip", x0=0.5), {}),
+    ("lineage", _with("lineage_chain", x0=1.5), {}),
+    ("simulate", _with("markov_chain", x0=float("nan")), {}),
+    ("simulate", _with("markov_chain", x0="1"), {}),
+    ("simulate", _with("ifs", x0=5.0), {}),
+    ("simulate", _with("ifs", x0=-1.0), {}),
+    ("simulate", _with("ifs", x0=float("nan")), {}),
+    ("simulate", _with("ifs", x0=float("inf")), {}),
+    ("simulate", _with("ifs", x0="0.5"), {}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [0, 1], "n": [2, 3]}}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1, 2], "n": [0, 3]}}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [], "n": [2]}}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"n": [2]}}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": ["a"], "n": [2]}}),
+    ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 0}),
+    ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 1}),
+    ("ifs", MODELS["ifs"], {"dispersion_budget": 1}),
+    ("llogl", MODELS["cascade-mixture"], {"mc_budget": 1}),
+    # a horizon or particle cap below 1
+    ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": -1}}),
+    ("kernel-products", MODELS["kernel_product"], {"horizons": {"n_max": -1}}),
+    ("ifs", MODELS["ifs"], {"horizons": {"n_max": 0}}),
+    ("lineage", MODELS["lineage_chain"], {"horizons": {"n_max": 0}}),
+    ("verify-theorem1", MODELS["cascade-split"], {"caps": {"particles": -5}}),
+    ("simulate", MODELS["cascade-split"], {"caps": {"particles": 0}}),
+    # cascade factors and kernel-product matrices that are not finite and non-negative
+    ("cascade", _with("cascade-scaled", c=-1.0), {}),
+    ("cascade", _with("cascade-scaled", c=float("nan")), {}),
+    ("cascade", _with("cascade-scaled", c=float("inf")), {}),
+    ("cascade", _with("cascade-deterministic", factors=[0.5, float("nan")]), {}),
+    ("cascade", _with("cascade-deterministic", factors=[float("inf"), 0.5]), {}),
+    ("cascade", _with("cascade-mixture", atoms=[[0.6, float("nan")], [0.8, 0.0]]), {}),
+    ("cascade", _with("cascade-mixture", atoms=[[0.6, 0.6], [float("inf"), 0.0]]), {}),
+    ("simulate", _with("ifs", weights={"spec": "scaled_uniform", "c": float("nan")}), {}),
+    ("kernel-products", _with("kernel_product", atoms=[[[[1.0, float("nan")], [0.0, 1.0]]]], probs=[1.0]), {}),
+    ("kernel-products", _with("kernel_product", atoms=[[[[1.0, float("inf")], [0.0, 1.0]]]], probs=[1.0]), {}),
+    # a worker count below 1
+    ("simulate", MODELS["cascade-split"], {"threads": 0}),
+    ("cascade", MODELS["cascade-split"], {"threads": -2}),
+    ("verify-theorem1", MODELS["cascade-mixture"], {"threads": 0}),
+    # pipeline-only keys out of range or of the wrong type
+    ("llogl", MODELS["cascade-mixture"], {"rho": 1.0}),
+    ("llogl", MODELS["cascade-mixture"], {"rho": 0.5}),
+    ("llogl", MODELS["cascade-mixture"], {"rho": "abc"}),
+    ("llogl", MODELS["cascade-mixture"], {"rho": float("nan")}),
+    ("llogl", MODELS["cascade-mixture"], {"k": -1}),
+    ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": None}}),
+    ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": -1}}),
+    ("cascade", MODELS["cascade-split"], {"probe": {"epsilon": "x"}}),
+    ("cascade", MODELS["cascade-split"], {"probe": 3}),
+    ("certify", MODELS["markov_chain"], {"f": "abc"}),
+    ("spectral", MODELS["markov_chain"], {"beta_window": [5]}),
+    ("spectral", MODELS["markov_chain"], {"beta_window": 5}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1.5], "n": [2]}}),
+    # integer fields given a bool or a non-integral number
+    ("simulate", MODELS["cascade-split"], {"threads": 2.7}),
+    ("simulate", MODELS["cascade-split"], {"threads": True}),
+    ("simulate", MODELS["cascade-split"], {"replicates": 99.9}),
+    ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": 3.9}}),
+    ("simulate", MODELS["cascade-split"], {"horizons": {"n_max": 3, "proxy": 7.5}}),
+    ("simulate", MODELS["cascade-split"], {"seed": 1.5}),
+    ("simulate", MODELS["cascade-split"], {"caps": {"particles": 1000.5}}),
+    ("llogl", MODELS["cascade-mixture"], {"k": 1.5}),
+    ("llogl", MODELS["cascade-mixture"], {"probe": {"epsilon": 0.01, "n": 2.5}}),
+    ("llogl", MODELS["cascade-mixture"], {"mc_budget": 50.5}),
+    ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 50.5}),
+    ("spectral", MODELS["markov_chain"], {"beta_window": [1.5, 20]}),
+    ("spectral", MODELS["markov_chain"], {"beta_window": [1, True]}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1], "n": [2.5]}}),
+    ("kernel-products", _with("kernel_product", x_index=0.5), {}),
+    ("simulate", _with("markov_chain", x0=True), {}),
+    # an ifs cell width that does not divide [0, 1]
+    ("spectral", _with("ifs", h=0.3), {}),
+    ("simulate", _with("ifs", h=0.3), {}),
+    ("simulate", _with("ifs", h=0.4), {}),
+    ("simulate", _with("ifs", h=2.0), {}),
+    # real fields given a string or a bool
+    ("cascade", MODELS["cascade-split"], {"p": "1.5"}),
+    ("verify-theorem1", MODELS["cascade-split"], {"p": "2"}),
+    ("simulate", _with("cascade-scaled", c="1.5"), {}),
+    ("cascade", _with("cascade-scaled", c=True), {}),
+    ("simulate", _with("ifs", weights={"spec": "scaled_uniform", "c": "1.5"}), {}),
+    ("simulate", _with("ifs", h="0.25"), {}),
+    ("spectral", _with("ifs", h=True), {}),
+    # an ifs model without maps, and sections that are not mappings
+    *[(pipeline, _with("ifs", maps=[]), {}) for pipeline in _COMMANDS],
+    ("simulate", MODELS["cascade-split"], {"horizons": [1]}),
+    ("verify-theorem1", MODELS["cascade-split"], {"horizons": 6}),
+    ("simulate", MODELS["cascade-split"], {"caps": [1]}),
+    ("llogl", MODELS["cascade-mixture"], {"caps": "particles"}),
+    ("simulate", ["kind"], {}),
+]
+
+
+def _case_id(pipeline, model, extra):
+    # from the case's content, so adding or deleting a case renames no other
+    compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    return f"{pipeline}:{compact(model)}:{compact(extra)}"
+
+
+@pytest.mark.parametrize("pipeline,model,extra", MALFORMED, ids=[_case_id(*case) for case in MALFORMED])
 def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, pipeline, model, extra):
     def no_replicates(*args, **kwargs):
         raise AssertionError("a replicate ran before the refusal")

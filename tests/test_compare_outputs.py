@@ -36,23 +36,42 @@ def _compare(tmp_path, monkeypatch, files, versions):
     return compare_outputs.main([str(tmp_path / "base"), str(tmp_path / "head")])
 
 
+def _versioned(version, value):
+    return {"result.json": json.dumps({"schema_version": version, "x": value}, sort_keys=True, indent=2) + "\n"}
+
+
 @pytest.mark.parametrize(
-    "head_files,head_version,code,listed",
+    "base_files,head_files,head_version,code,listed",
     [
-        (RESULT, "1", 0, []),
-        ({"result.json": "{1}\n"}, "1", 1, ["op/seed0/result.json", "op/seed7/result.json"]),
-        ({**RESULT, "series_mass.csv": "n\n"}, "1", 1, ["op/seed1/series_mass.csv (only in one tree)"]),
-        ({"result.json": "{1}\n"}, "2", 0, ["op/seed0/result.json"]),
+        (RESULT, RESULT, "1", 0, []),
+        (RESULT, {"result.json": "{1}\n"}, "1", 1, ["op/seed0/result.json", "op/seed7/result.json"]),
+        (RESULT, {**RESULT, "series_mass.csv": "n\n"}, "1", 1, ["op/seed1/series_mass.csv (only in one tree)"]),
+        (RESULT, {"result.json": "{1}\n"}, "2", 0, ["op/seed0/result.json"]),
+        (_versioned(1, 0.5), _versioned(2, 0.5), "2", 0, []),
+        (_versioned(1, 0.5), _versioned(2, 0.25), "2", 0, ["op/seed1/result.json"]),
+        (_versioned(1, float("nan")), _versioned(2, float("nan")), "2", 0, []),
+        (_versioned(1, 0.5), _versioned(2, 0.5), "1", 1, ["op/seed7/result.json"]),
     ],
-    ids=["equal", "differs", "only-in-one-tree", "schema-bump"],
+    ids=[
+        "equal",
+        "differs",
+        "only-in-one-tree",
+        "schema-bump",
+        "schema-bump-only-the-version-differs",
+        "schema-bump-a-value-differs",
+        "schema-bump-nan-equals-nan",
+        "same-version-the-version-key-counts",
+    ],
 )
-def test_exit_code_and_listed_differences(tmp_path, monkeypatch, capsys, head_files, head_version, code, listed):
-    files = {"base": RESULT, "head": head_files}
+def test_exit_code_and_listed_differences(
+    tmp_path, monkeypatch, capsys, base_files, head_files, head_version, code, listed
+):
+    files = {"base": base_files, "head": head_files}
     assert _compare(tmp_path, monkeypatch, files, {"base": "1", "head": head_version}) == code
     out = capsys.readouterr().out
     assert "1 ops x 3 seeds: 3 output files and 3 exit codes" in out
     assert f"{3 if listed else 0} differ" in out
     for path in listed:
         assert f"differs: {path}\n" in out
-    if head_version != "1":
+    if head_version != "1" and listed:
         assert "SCHEMA_VERSION 1 -> 2: differences expected" in out

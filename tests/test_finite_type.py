@@ -114,3 +114,25 @@ def test_zero_factor_is_accepted_and_leaves_no_child():
     law = MixtureFiniteTypeLaw(([(1.0, [(0.0, 0), (0.5, 0)])],))
     nxt = advance_generation(law.root_generation(), law, derive_stream(0, 0))
     assert nxt.weights.tolist() == [0.5]
+
+
+class NoUniforms:
+    """Stand-in generator that fails the test if a uniform is drawn."""
+
+    def random(self, size=None):
+        raise AssertionError("drew a uniform")
+
+
+def test_no_uniform_is_drawn_when_no_type_has_an_atom_choice():
+    # one atom per type, or a first atom of probability 1: the draw is certain
+    law = MixtureFiniteTypeLaw(([(1.0, [(0.5, 1), (0.5, 1)])], [(1.0, [(0.25, 0)]), (0.0, [(1.0, 1)])]))
+    batch = law.sample_generation(np.array([1.0, 2.0]), np.array([0, 1]), NoUniforms())
+    assert batch.weights.tolist() == [0.5, 0.5, 0.5, 0.0]
+    assert batch.types.tolist() == [1, 1, 0, 0]
+    assert law.sample_progeny(1, NoUniforms()) == [(0.25, 0)]
+    # one type with a choice: every parent draws, in both paths, as the paths share the stream
+    law = MixtureFiniteTypeLaw(([(1.0, [(0.5, 1)])], [(0.5, [(0.25, 0)]), (0.5, [(1.0, 1)])]))
+    with pytest.raises(AssertionError, match="drew a uniform"):
+        law.sample_generation(np.ones(1), np.zeros(1, dtype=np.int64), NoUniforms())
+    with pytest.raises(AssertionError, match="drew a uniform"):
+        law.sample_progeny(0, NoUniforms())

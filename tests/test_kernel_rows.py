@@ -197,3 +197,29 @@ def test_fine_ifs_grid_builds_and_solves_without_a_dense_kernel():
     assert period == 1
     assert sd.theta == pytest.approx(1.0, abs=1e-12)
     assert elapsed < 5.0
+
+
+def _slot_order_sums(k, v):
+    # each row's products added left to right in slot order, in Python floats
+    out = []
+    for cols, masses in zip(k.cols.tolist(), k.matrix.tolist()):
+        acc = masses[0] * v[cols[0]]
+        for c, m in zip(cols[1:], masses[1:]):
+            acc += m * v[c]
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "d,width", [(d, w) for d in (2, 5, 24) for w in range(1, 13)] + [(1, w) for w in range(1, 8)]
+)
+def test_apply_adds_each_row_in_slot_order(d, width):
+    # inexact masses, so a pairwise or unrolled row sum would round differently;
+    # rows are built directly, so a cell may fill several slots of a row
+    rng = np.random.default_rng(100 * d + width)
+    cols = rng.integers(0, d, size=(d, width))
+    masses = rng.uniform(0.0, 1.0, size=(d, width)) / 3.0
+    k = MeanKernel(cols, masses, TypeGrid.finite(d))
+    for _ in range(5):
+        v = rng.normal(size=d)
+        assert np.array_equal(k.apply(v), _slot_order_sums(k, v.tolist()))

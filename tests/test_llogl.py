@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from wbp import llogl
 from wbp.cascades import DeterministicCascade, ScaledUniformCascade, UniformSplitCascade
 from wbp.llogl import default_rho, hfk_partial_sums, liu_conditions
+from wbp.population import simulate_trajectory
 from wbp.spectral import TypeGrid, build_mean_kernel
 from wbp.streams import derive_stream
 
@@ -21,6 +23,8 @@ def test_liu_conditions_deterministic_half_half():
     nums = reports["p-moment-contraction"].numbers
     assert nums["offspring_p_moment"] == pytest.approx(0.5)
     assert nums["mass_p_moment"] == pytest.approx(1.0)
+    # closed forms only: no standard-error fields
+    assert set(nums) == {"mass_p_moment", "offspring_p_moment", "mass_loglog_moment", "p"}
     assert reports["p-moment-contraction"].verdict == "holds"
     assert reports["mass-LlogL"].verdict == "holds"
 
@@ -46,12 +50,43 @@ def hfk(law, k, rho, theta1, p, n_max, **kw):
     return hfk_partial_sums(law, ONE_POINT, np.ones(1), k, rho, theta1, p, n_max, *kernels, **kw)
 
 
-def test_hfk_deterministic_all_zero_holds():
-    law = DeterministicCascade((0.5, 0.5))
-    rep = hfk(law, 1, 2.0, 1.0, 2.0, 10, mc_budget=200, rng=derive_stream(4, 0))
+@pytest.mark.parametrize("factors,k", [((0.5, 0.5), 1), ((0.25, 0.0, 0.75), 4)])
+def test_hfk_deterministic_all_zero_holds(factors, k):
+    # every tree's mass after k steps is exactly 1, its mean: each sample is 0
+    law = DeterministicCascade(factors)
+    rep = hfk(law, k, 2.0, 1.0, 2.0, 10, mc_budget=200, rng=derive_stream(4, 0))
     assert rep.verdict == "holds"
+    for name in ("terms_first_moment", "terms_p_moment", "terms_first_moment_se", "terms_p_moment_se"):
+        assert np.all(rep.numbers[name] == 0.0)
     assert rep.numbers["partial_sum_first"] == 0.0
     assert rep.numbers["partial_sum_p"] == 0.0
+
+
+def test_hfk_runs_in_blocks_of_at_most_2_20_expected_particles(monkeypatch):
+    # two children per particle and k = 11: one root's 12 generations hold
+    # 2^12 - 1 particles, so 256 roots fill a block and 1 100 trajectories
+    # take blocks of 256, 256, 256, 256 and 76 roots
+    blocks = []
+
+    def recording_trajectory(law, g0, horizon, rng):
+        traj = simulate_trajectory(law, g0, horizon, rng)
+        blocks.append((g0.size, sum(g.size for g in traj)))
+        return traj
+
+    monkeypatch.setattr(llogl, "simulate_trajectory", recording_trajectory)
+    law = DeterministicCascade((0.5, 0.5))
+    rep = hfk(law, 11, 2.0, 1.0, 2.0, 6, mc_budget=1100, rng=derive_stream(4, 1))
+    assert blocks == [(256, 256 * 4095)] * 4 + [(76, 76 * 4095)]
+    assert 256 * 4095 <= 2**20 < 257 * 4095
+    assert rep.numbers["partial_sum_p"] == 0.0
+
+
+def test_hfk_block_size_survives_a_long_supercritical_horizon():
+    # 2^k overflows a float long before k = 2000; the block is then one root
+    law = DeterministicCascade((0.5, 0.5))
+    assert llogl._block_roots(law, ONE_POINT, 2000) == 1
+    assert llogl._block_roots(law, ONE_POINT, 0) == 2**20
+    assert llogl._block_roots(DeterministicCascade((1.0,)), ONE_POINT, 3) == 2**18
 
 
 def test_hfk_uniform_split_exact_null_holds():

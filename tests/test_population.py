@@ -12,6 +12,7 @@ from wbp.ifs import AffineMap, IfsLaw
 from wbp.kernel_products import KernelProductLaw
 from wbp.lineage import LineageLaw
 from wbp.population import (
+    Generation,
     PopulationCapError,
     ProgenyBatch,
     ProgenyError,
@@ -20,7 +21,6 @@ from wbp.population import (
     count_thresholds,
     cumulative_probs,
     initial_generation,
-    integrate,
     simulate_trajectory,
 )
 from wbp.streams import derive_stream
@@ -159,13 +159,27 @@ def test_empty_generation_advance():
     g = initial_generation([], np.array([], dtype=np.int64))
     h = advance_generation(g, law, derive_stream(0, 0))
     assert h.size == 0
-    assert integrate(h, np.ones(1)) == 0.0
+    assert h.total_mass() == 0.0
 
 
-def test_integrate_direct_arithmetic():
-    g = initial_generation([2.0, 3.0], np.array([0, 1]))
-    assert integrate(g, np.array([1.0, -1.0])) == -1.0
-    assert integrate(g, np.ones(2)) == 5.0
+def test_advance_carries_each_particle_root_through_zero_weight_filtering():
+    # every atom's factors add up to 1 in dyadic arithmetic, so a tree keeps
+    # its root weight exactly, however many of its children had factor 0
+    law = MixtureCascade(((0.5, 0.0, 0.5), (0.25, 0.75, 0.0), (1.0, 0.0, 0.0)), (0.25, 0.5, 0.25))
+    start = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
+    g = Generation(start, np.zeros(5, dtype=np.int64), root=np.arange(5))
+    rng = derive_stream(12, 0)
+    for n in range(1, 7):
+        slots = 3 * g.size
+        g = advance_generation(g, law, rng)
+        assert g.index == n and g.root.shape == g.weights.shape
+        assert g.size < slots and np.all(g.weights > 0)
+        # survivors keep slot order, so the roots stay sorted
+        assert np.all(np.diff(g.root) >= 0)
+        assert np.array_equal(np.bincount(g.root, g.weights, 5), start)
+    assert np.unique(np.bincount(g.root, minlength=5)).size > 1  # the trees differ in size
+    # a single tree carries no root array
+    assert advance_generation(law.root_generation(), law, rng).root is None
 
 
 def test_zero_weight_children_are_dropped():

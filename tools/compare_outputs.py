@@ -11,7 +11,10 @@ byte, exit codes included. Nothing under ``bench/`` is written.
 Exits 0 when every file matches, 1 on any difference, unless the trees
 declare different ``SCHEMA_VERSION`` values: a documented change to the
 output format is then expected to change the files, and the differences
-are listed but do not fail the check.
+are listed but do not fail the check. Every ``result.json`` records the
+version, so across a bump each one is compared with its
+``schema_version`` key removed, and only files that changed otherwise
+are listed.
 """
 
 from __future__ import annotations
@@ -62,12 +65,35 @@ def write_outputs(tree: Path, bench: Path, ops: list, out: Path) -> None:
             (outdir / "exit").write_text(f"{proc.returncode}\n")
 
 
-def differences(a: Path, b: Path) -> tuple[int, list]:
-    """Number of files under ``a`` and the relative paths that differ from ``b``."""
+def _content(path: Path, drop_schema: bool):
+    """The bytes of ``path``; a ``result.json`` without its ``schema_version`` if ``drop_schema``."""
+    data = path.read_bytes()
+    if not drop_schema or path.name != "result.json":
+        return data
+    try:
+        payload = json.loads(data)
+    except ValueError:
+        return data
+    if isinstance(payload, dict):
+        payload.pop("schema_version", None)
+    # re-serialised as the CLI writes it, so a NaN compares equal to itself
+    return json.dumps(payload, sort_keys=True, indent=2).encode()
+
+
+def differences(a: Path, b: Path, drop_schema: bool = False) -> tuple[int, list]:
+    """Number of files under ``a`` and the relative paths that differ from ``b``.
+
+    With ``drop_schema``, ``result.json`` files are compared without their
+    ``schema_version`` key.
+    """
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     diffs = sorted(str(f) + " (only in one tree)" for f in files_a ^ files_b)
-    diffs += sorted(str(f) for f in files_a & files_b if (a / f).read_bytes() != (b / f).read_bytes())
+    diffs += sorted(
+        str(f)
+        for f in files_a & files_b
+        if _content(a / f, drop_schema) != _content(b / f, drop_schema)
+    )
     return len(files_a), diffs
 
 
@@ -86,7 +112,8 @@ def main(argv=None) -> int:
         versions = {name: schema_version(tree, work) for name, tree in (("base", base), ("head", head))}
         for name, tree in (("base", base), ("head", head)):
             write_outputs(tree, bench, ops, work / name)
-        n_files, diffs = differences(work / "base", work / "head")
+        bumped = versions["base"] != versions["head"]
+        n_files, diffs = differences(work / "base", work / "head", drop_schema=bumped)
 
     for d in diffs:
         print(f"differs: {d}")
@@ -97,7 +124,7 @@ def main(argv=None) -> int:
     )
     if not diffs:
         return 0
-    if versions["base"] != versions["head"]:
+    if bumped:
         print(f"SCHEMA_VERSION {versions['base']} -> {versions['head']}: differences expected")
         return 0
     print(f"SCHEMA_VERSION is {versions['head']} in both trees: outputs must be byte-identical")

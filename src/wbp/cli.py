@@ -5,7 +5,9 @@ Exit codes:
 
 - 0 success;
 - 2 refusal with a named reason on stderr, and no result files: a
-  configuration error, spectral data that cannot be computed (for
+  configuration error (a value out of range, a model kind the pipeline
+  does not run on, or an unknown key at any level of the config, named
+  with its closest known key), spectral data that cannot be computed (for
   example a periodic kernel) or a certificate that cannot be established;
 - 3 particle cap exceeded by some replicates (result files are written);
 - 4 inconclusive verdict under --strict.
@@ -18,20 +20,10 @@ import sys
 import time
 
 from .certify import CertificationError
-from .harness import ConfigError, ExperimentConfig, run_experiment
+from .harness import _PIPELINES, ConfigError, ExperimentConfig, run_experiment
 from .spectral import SpectralConvergenceError
 
-_COMMANDS = (
-    "simulate",
-    "spectral",
-    "certify",
-    "verify-theorem1",
-    "llogl",
-    "cascade",
-    "kernel-products",
-    "ifs",
-    "lineage",
-)
+_COMMANDS = tuple(_PIPELINES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,18 +52,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_json(args.config)
-        raw = dict(cfg.raw)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.replicates is not None:
-            raw["replicates"] = args.replicates
-        if args.threads is not None:
-            raw["threads"] = args.threads
-        cfg = ExperimentConfig.from_dict(raw)
+        flags = {"seed": args.seed, "replicates": args.replicates, "threads": args.threads}
+        cfg = ExperimentConfig.from_dict({**cfg.raw, **{k: v for k, v in flags.items() if v is not None}})
     except ConfigError as exc:
         return _refuse("config error", exc)
 
-    outdir = args.out or cfg.raw.get("out", ".")
+    outdir = args.out or cfg.out
     t0 = time.perf_counter()
     try:
         result = run_experiment(cfg, args.command)

@@ -13,6 +13,7 @@ re-running with any worker count reproduces byte-identical outputs.
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 import numbers
@@ -56,9 +57,16 @@ from .streams import derive_stream
 
 SCHEMA_VERSION = 2
 
+_REQUIRED = object()  # the default of a key that has none
+
 
 class ConfigError(Exception):
     """Invalid experiment configuration."""
+
+
+# ---------------------------------------------------------------------------
+# readers: each takes a config value and its key's path, and returns the
+# value as the code uses it or raises a ConfigError
 
 
 def _integer(value, name: str, least: Optional[int] = None) -> int:
@@ -72,81 +80,84 @@ def _integer(value, name: str, least: Optional[int] = None) -> int:
     return int(value)
 
 
-def _section(cfg: dict, name: str) -> dict:
-    """The mapping ``cfg[name]`` (empty when absent); any other value is a ``ConfigError``."""
-    value = cfg.get(name, {})
+def _real(value, name: str, above: Optional[float] = None, most: Optional[float] = None) -> float:
+    """``value`` as a finite float in ``(above, most]``; a bool, a non-number,
+    NaN/inf or a value out of range is a ``ConfigError``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if above is not None and value <= above:
+        raise ConfigError(f"{name} must exceed {above}, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be <= {most}, got {value!r}")
+    return float(value)
+
+
+def _integers(value, name: str, least: Optional[int] = None, length: Optional[int] = None) -> tuple:
+    """``value`` as a non-empty tuple of integers of at least ``least``, ``length`` of them if given."""
+    if not isinstance(value, (list, tuple)) or not value or length not in (None, len(value)):
+        raise ConfigError(f"{name} must be a list of {length or 'one or more'} integers, got {value!r}")
+    return tuple(_integer(v, f"{name} entries", least) for v in value)
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _version(value, name: str) -> int:
+    if value != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported {name} {value!r}")
+    return value
+
+
+def _value(value, name: str):
+    """``value`` as given: the law or the pipeline that uses it checks it."""
+    return value
+
+
+def _mapping(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a mapping, got {value!r}")
     return value
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a finite float; a bool, a non-number or NaN/inf is a ``ConfigError``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+def _choice(value, known, what: str, prefix: str = ""):
+    """``value`` if it is one of ``known``; else a ``ConfigError`` naming
+    ``prefix + value`` and the closest of ``known``."""
+    if isinstance(value, str) and value in known:
+        return value
+    close = difflib.get_close_matches(str(value), list(known), n=1)
+    hint = f"did you mean {prefix + close[0]!r}?" if close else f"expected one of {', '.join(known)}"
+    raise ConfigError(f"unknown {what} {prefix + str(value)!r}; {hint}")
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated run parameters; ``raw`` keeps the original mapping for echo."""
+def _read(mapping: dict, table: dict, prefix: str) -> dict:
+    """Every key of ``table`` read from ``mapping``, whose keys are at ``prefix``.
 
-    model: dict
-    seed: int = 0
-    replicates: int = 1000
-    threads: int = 1
-    p: float = 2.0
-    n_max: int = 12
-    proxy_horizon: Optional[int] = None
-    particle_cap: int = DEFAULT_PARTICLE_CAP
-    raw: dict = field(default_factory=dict)
+    ``table`` maps a key to its ``(reader, default)``, or to the table of a
+    section, whose keys come back as ``section_key``. A key of ``mapping``
+    that ``table`` does not list is a ``ConfigError``.
+    """
+    for key in mapping:
+        _choice(key, table, "key", prefix)
+    values = {}
+    for key, entry in table.items():
+        name = prefix + key
+        if isinstance(entry, dict):
+            section = _read(_mapping(mapping.get(key, {}), name), entry, name + ".")
+            values.update((f"{key}_{k}", v) for k, v in section.items())
+        elif key in mapping:
+            values[key] = entry[0](mapping[key], name)
+        elif entry[1] is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        else:
+            values[key] = entry[1]
+    return values
 
-    @staticmethod
-    def from_dict(cfg: dict) -> "ExperimentConfig":
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"a config must be a JSON object, got {type(cfg).__name__}")
-        try:
-            version = cfg.get("schema_version", SCHEMA_VERSION)
-            if version != SCHEMA_VERSION:
-                raise ConfigError(f"unsupported schema_version {version}")
-            model = _section(cfg, "model")
-            if "kind" not in model:
-                raise ConfigError("model.kind is required")
-            horizons = _section(cfg, "horizons")
-            n_max = _integer(horizons.get("n_max", 12), "horizons.n_max", least=1)
-            proxy = horizons.get("proxy")
-            if proxy is not None:
-                proxy = _integer(proxy, "horizons.proxy")
-            replicates = _integer(cfg.get("replicates", 1000), "replicates", least=1)
-            p = _real(cfg.get("p", 2.0), "p")
-            cap = _section(cfg, "caps").get("particles", DEFAULT_PARTICLE_CAP)
-            particle_cap = _integer(cap, "caps.particles", least=1)
-            threads = _integer(cfg.get("threads", 1), "threads", least=1)
-            if not 1.0 < p <= 2.0:
-                raise ConfigError("p must lie in (1, 2]")
-            if proxy is not None and n_max > proxy:
-                raise ConfigError("horizons.n_max must not exceed horizons.proxy")
-            return ExperimentConfig(
-                model=model,
-                seed=_integer(cfg.get("seed", 0), "seed"),
-                replicates=replicates,
-                threads=threads,
-                p=p,
-                n_max=n_max,
-                proxy_horizon=proxy,
-                particle_cap=particle_cap,
-                raw=cfg,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
 
-    @staticmethod
-    def from_json(path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                return ExperimentConfig.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(str(exc)) from exc
+# ---------------------------------------------------------------------------
+# models
 
 
 @dataclass
@@ -156,47 +167,79 @@ class ModelBundle:
     law: object
     grid: Optional[TypeGrid]
     g0: object
-    kind: str
-    extras: dict = field(default_factory=dict)
 
 
-def _cascade_law(model: dict) -> CascadeLaw:
-    spec = model.get("spec", "uniform_split")
+# each cascade spec's keys, as (reader, default); a cascade model and the
+# weights of an ifs model take them
+_CASCADE_SPECS = {
+    "uniform_split": {},
+    "uniform_split_indep": {},
+    "scaled_uniform": {"c": (_real, 2.0)},
+    "deterministic": {"factors": (_value, (0.5, 0.5))},
+    "mixture": {"atoms": (_value, _REQUIRED), "probs": (_value, _REQUIRED)},
+}
+
+
+def _cascade_keys(cascade: dict) -> dict:
+    """The keys of a cascade mapping: ``spec`` and the keys of its spec."""
+    spec = _choice(cascade.get("spec", "uniform_split"), _CASCADE_SPECS, "cascade spec")
+    return {"spec": (_value, "uniform_split"), **_CASCADE_SPECS[spec]}
+
+
+def _read_weights(value, name: str) -> dict:
+    """The cascade mapping ``weights`` of an ifs model."""
+    weights = _mapping(value, name)
+    return _read(weights, _cascade_keys(weights), name + ".")
+
+
+# each model kind's keys besides ``kind``, as (reader, default); a cascade's
+# are those of its spec. A check that needs the law (a start type or an
+# observable that fits its types) is made where the law is built.
+_MODEL_KINDS = {
+    "cascade": _CASCADE_SPECS,
+    "two_type_flip": {"x0": (_integer, 0)},
+    "markov_chain": {"transition": (_value, _REQUIRED), "x0": (_integer, 0)},
+    "lineage_chain": {"transition": (_value, _REQUIRED), "f": (_value, _REQUIRED), "x0": (_integer, 0)},
+    "ifs": {
+        "maps": (_value, _REQUIRED),
+        "map_probs": (_value, None),  # uniform
+        "weights": (_read_weights, {"spec": "uniform_split"}),
+        "h": (_real, 2.0**-10),
+        "x0": (_real, 0.5),
+    },
+    "kernel_product": {
+        "atoms": (_value, _REQUIRED),
+        "probs": (_value, _REQUIRED),
+        "x_index": (partial(_integer, least=0), 0),
+        "f": (_value, None),  # ones; read by the kernel-products pipeline
+    },
+}
+
+
+def _read_model(value, name: str) -> dict:
+    """A model mapping read by the keys of its kind, defaults filled in.
+
+    Reading a model that this returned gives it back unchanged.
+    """
+    model = _mapping(value, name)
+    if "kind" not in model:
+        raise ConfigError(f"{name}.kind is required")
+    kind = _choice(model["kind"], _MODEL_KINDS, "model kind")
+    keys = _cascade_keys(model) if kind == "cascade" else _MODEL_KINDS[kind]
+    return _read(model, {"kind": (_value, kind), **keys}, name + ".")
+
+
+def _cascade_law(cascade: dict) -> CascadeLaw:
+    spec = cascade["spec"]
     if spec == "uniform_split":
         return UniformSplitCascade(independent=False)
     if spec == "uniform_split_indep":
         return UniformSplitCascade(independent=True)
     if spec == "scaled_uniform":
-        return ScaledUniformCascade(c=_real(model.get("c", 2.0), "c"))
+        return ScaledUniformCascade(c=cascade["c"])
     if spec == "deterministic":
-        return DeterministicCascade(tuple(model.get("factors", (0.5, 0.5))))
-    if spec == "mixture":
-        return MixtureCascade(
-            tuple(tuple(a) for a in model["atoms"]), tuple(model["probs"])
-        )
-    raise ConfigError(f"unknown cascade spec {spec!r}")
-
-
-def make_model(model: dict) -> ModelBundle:
-    """Instantiate the configured model with its grid and root generation."""
-    try:
-        return _build_model(model)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model ({type(exc).__name__}): {exc}") from exc
-
-
-def _start_type(model: dict, d: int) -> int:
-    x0 = _integer(model.get("x0", 0), "x0")
-    if not 0 <= x0 < d:
-        raise ConfigError(f"x0 = {x0!r} is not one of the model's {d} types")
-    return x0
-
-
-def _start_point(model: dict) -> float:
-    x0 = model.get("x0", 0.5)
-    if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not 0.0 <= x0 <= 1.0:
-        raise ConfigError(f"x0 = {x0!r} is not a point of the type space [0, 1]")
-    return float(x0)
+        return DeterministicCascade(tuple(cascade["factors"]))
+    return MixtureCascade(tuple(tuple(a) for a in cascade["atoms"]), tuple(cascade["probs"]))
 
 
 def _table(values, d: int, name: str) -> np.ndarray:
@@ -209,47 +252,121 @@ def _table(values, d: int, name: str) -> np.ndarray:
     return table
 
 
-def _build_model(model: dict) -> ModelBundle:
-    kind = model.get("kind")
-    if kind == "cascade":
-        law = _cascade_law(model)
-        return ModelBundle(law, TypeGrid.finite(1), law.root_generation(), kind)
-    if kind == "two_type_flip":
-        law = two_type_flip_law()
-        return ModelBundle(law, TypeGrid.finite(2), law.root_generation(_start_type(model, 2)), kind)
-    if kind == "markov_chain":
-        transition = model["transition"]
-        law = markov_chain_law(transition)
-        d = len(transition)
-        return ModelBundle(law, TypeGrid.finite(d), law.root_generation(_start_type(model, d)), kind)
-    if kind == "lineage_chain":
-        transition = model["transition"]
-        d = len(transition)
-        f_table = _table(model["f"], d, "model.f")
-        law = LineageLaw(markov_chain_law(transition), f_table)
-        g0 = law.root_generation(_start_type(model, d))
-        return ModelBundle(
-            law, TypeGrid.finite(d), g0, kind, {"transition": np.asarray(transition), "f": f_table}
-        )
-    if kind == "ifs":
-        weights = _cascade_law({"kind": "cascade", **model.get("weights", {"spec": "uniform_split"})})
-        maps = [tuple(mb) for mb in model["maps"]]
-        if not maps:
-            raise ConfigError("model.maps must list at least one map")
-        law = ifs_weighted_law(maps, tuple(model.get("map_probs", [1.0 / len(maps)] * len(maps))), weights)
-        grid = TypeGrid.interval(0.0, 1.0, _real(model.get("h", 2.0**-10), "h"))
-        return ModelBundle(law, grid, law.root_generation(_start_point(model)), kind)
-    if kind == "kernel_product":
-        atoms = tuple(
-            tuple(np.asarray(a, dtype=np.float64) for a in lst) for lst in model["atoms"]
-        )
-        law = KernelProductLaw(atoms, tuple(model["probs"]))
-        x_index = _integer(model.get("x_index", 0), "x_index")
-        if not 0 <= x_index < law.dim:
-            raise ConfigError(f"x_index = {x_index} is not a row of the {law.dim}x{law.dim} matrices")
-        extras = {"x_index": x_index, "f": _table(model.get("f", np.ones(law.dim)), law.dim, "model.f")}
-        return ModelBundle(law, None, law.root_generation(), kind, extras)
-    raise ConfigError(f"unknown model kind {kind!r}")
+def make_model(model: dict) -> ModelBundle:
+    """Instantiate a model mapping with its grid and root generation.
+
+    ``model`` is read by its kind's keys first, so a raw mapping and the
+    ``model`` of an ``ExperimentConfig`` give the same bundle.
+    """
+    model = _read_model(model, "model")
+    kind = model["kind"]
+    try:
+        if kind == "cascade":
+            law = _cascade_law(model)
+            return ModelBundle(law, TypeGrid.finite(1), law.root_generation())
+        if kind == "ifs":
+            maps = [tuple(mb) for mb in model["maps"]]
+            if not maps:
+                raise ConfigError("model.maps must list at least one map")
+            map_probs = model["map_probs"]
+            if map_probs is None:
+                map_probs = [1.0 / len(maps)] * len(maps)
+            law = ifs_weighted_law(maps, tuple(map_probs), _cascade_law(model["weights"]))
+            grid = TypeGrid.interval(0.0, 1.0, model["h"])
+            if not 0.0 <= model["x0"] <= 1.0:
+                raise ConfigError(f"model.x0 = {model['x0']!r} is not a point of the type space [0, 1]")
+            return ModelBundle(law, grid, law.root_generation(model["x0"]))
+        if kind == "kernel_product":
+            atoms = tuple(tuple(np.asarray(a, dtype=np.float64) for a in lst) for lst in model["atoms"])
+            law = KernelProductLaw(atoms, tuple(model["probs"]))
+            x = model["x_index"]
+            if x >= law.dim:
+                raise ConfigError(f"model.x_index = {x} is not a row of the {law.dim}x{law.dim} matrices")
+            return ModelBundle(law, None, law.root_generation())
+        # a finite-type kind
+        if kind == "two_type_flip":
+            law, d = two_type_flip_law(), 2
+        else:
+            transition = model["transition"]
+            law, d = markov_chain_law(transition), len(transition)
+        if kind == "lineage_chain":
+            law = LineageLaw(law, _table(model["f"], d, "model.f"))
+        if not 0 <= model["x0"] < d:
+            raise ConfigError(f"model.x0 = {model['x0']!r} is not one of the model's {d} types")
+        return ModelBundle(law, TypeGrid.finite(d), law.root_generation(model["x0"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid model ({type(exc).__name__}): {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# configs
+
+# each config key, as (reader, default); a mapping is a section. A default of
+# None is filled in where the pipeline or the model is known.
+_CONFIG_KEYS = {
+    "schema_version": (_version, SCHEMA_VERSION),
+    "model": (_read_model, _REQUIRED),
+    "seed": (_integer, 0),
+    "replicates": (partial(_integer, least=1), 1000),
+    "threads": (partial(_integer, least=1), 1),
+    "p": (partial(_real, above=1.0, most=2.0), 2.0),
+    "out": (_text, "."),
+    "horizons": {
+        "n_max": (partial(_integer, least=1), 12),
+        "proxy": (_integer, None),  # n_max
+    },
+    "caps": {"particles": (partial(_integer, least=1), DEFAULT_PARTICLE_CAP)},
+    # the observable of the grid pipelines: one value per cell, ones by default
+    "f": (_value, None),
+    "beta_window": (partial(_integers, length=2), None),
+    # Monte Carlo budgets: a standard error needs two draws
+    "dispersion_budget": (partial(_integer, least=2), None),  # 2000, 200 on ifs
+    "mc_budget": (partial(_integer, least=2), 2000),
+    "mn_grid": {
+        "m": (partial(_integers, least=1), (2, 4, 6, 8, 10)),
+        "n": (partial(_integers, least=1), (2, 4, 6, 8, 10)),
+    },
+    "rho": (partial(_real, above=1.0), None),  # computed from the law
+    "k": (partial(_integer, least=0), 1),
+    "probe": {
+        "epsilon": (_real, 1e-3),
+        "n": (partial(_integer, least=0), None),  # n_max
+    },
+}
+
+
+class ExperimentConfig:
+    """Validated run parameters: one attribute per key of ``_CONFIG_KEYS``.
+
+    ``_CONFIG_KEYS`` and, for ``model``, ``_MODEL_KINDS`` are the one list
+    of config keys, their readers and their defaults. A section's key is
+    the attribute ``section_key`` (``horizons.n_max`` is ``horizons_n_max``);
+    ``model`` is the model mapping with its defaults filled in. ``raw``
+    keeps the original mapping for echo.
+    """
+
+    def __init__(self, raw: dict, **values):
+        self.raw = raw
+        vars(self).update(values)
+
+    @staticmethod
+    def from_dict(cfg: dict) -> "ExperimentConfig":
+        """Read every key of ``cfg`` once; an unknown key at any level is a ``ConfigError``."""
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(cfg).__name__}")
+        values = _read(cfg, _CONFIG_KEYS, "")
+        proxy = values["horizons_proxy"]
+        if proxy is not None and values["horizons_n_max"] > proxy:
+            raise ConfigError("horizons.n_max must not exceed horizons.proxy")
+        return ExperimentConfig(cfg, **values)
+
+    @staticmethod
+    def from_json(path: str) -> "ExperimentConfig":
+        try:
+            with open(path) as fh:
+                return ExperimentConfig.from_dict(json.load(fh))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +554,36 @@ def _mean_se_rows(values: np.ndarray) -> list:
     return [(n, *_mean_se(values[:, n])) for n in range(values.shape[1])]
 
 
-def pipeline_simulate(cfg: ExperimentConfig) -> RunResult:
-    """Replicate simulation with per-generation mass statistics."""
-    bundle = make_model(cfg.model)
-    block = run_replicates(
-        bundle, Generation.total_mass, cfg.n_max, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
+def _block_counts(block: ReplicateBlock) -> dict:
+    return {"capped_replicates": block.n_capped, "particle_total": block.particle_total}
+
+
+def _conditions(reports: dict) -> dict:
+    return {name: {"verdict": r.verdict, "numbers": _jsonable(r.numbers)} for name, r in reports.items()}
+
+
+def _replicates(cfg: ExperimentConfig, bundle: ModelBundle, observe, horizon: int) -> ReplicateBlock:
+    """The config's replicates of ``bundle`` to ``horizon``, observed by ``observe``."""
+    return run_replicates(
+        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps_particles
     )
+
+
+def pipeline_simulate(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+    """Replicate simulation with per-generation mass statistics."""
+    block = _replicates(cfg, bundle, Generation.total_mass, cfg.horizons_n_max)
     rows = _mean_se_rows(block.data)
     results = {
         "replicates": cfg.replicates,
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
+        **_block_counts(block),
         "mean_final_mass": rows[-1][1],
     }
-    return RunResult(
-        "simulate",
-        cfg.raw,
-        results,
-        {"mass": (("n", "estimate", "stderr"), rows)},
-        exit_code=3 if block.n_capped else 0,
-    )
+    series = {"mass": (("n", "estimate", "stderr"), rows)}
+    return RunResult("simulate", cfg.raw, results, series, exit_code=3 if block.n_capped else 0)
 
 
 def _grid_law(bundle: ModelBundle):
     """The law whose mean kernels live on the model's grid."""
-    if bundle.grid is None:
-        raise ConfigError("kernel_product models use the mean matrix, not a grid kernel")
     return bundle.law.base_law if isinstance(bundle.law, LineageLaw) else bundle.law
 
 
@@ -474,22 +595,17 @@ def _spectral_for(cfg: ExperimentConfig, bundle: ModelBundle, horizon: int, f=No
     """
     law = _grid_law(bundle)
     if f is None:
-        f = _table(cfg.raw.get("f", np.ones(bundle.grid.size)), bundle.grid.size, "f")
+        d = bundle.grid.size
+        f = _table(np.ones(d) if cfg.f is None else cfg.f, d, "f")
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
     sd = power_iteration(k1)
     attach_alpha(k1, f, sd, horizon)
     return k1, sd, f
 
 
-def pipeline_spectral(cfg: ExperimentConfig) -> RunResult:
+def pipeline_spectral(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Kernel construction, dominant eigendata, deviation sequence."""
-    bundle = make_model(cfg.model)
-    beta_window = cfg.raw.get("beta_window")
-    if beta_window is not None:
-        if not isinstance(beta_window, (list, tuple)) or len(beta_window) != 2:
-            raise ConfigError(f"beta_window must be [first, last], got {beta_window!r}")
-        first, last = (_integer(n, "beta_window entries") for n in beta_window)
-    k1, sd, f = _spectral_for(cfg, bundle, cfg.n_max)
+    k1, sd, f = _spectral_for(cfg, bundle, cfg.horizons_n_max)
     results = {
         "theta": sd.theta,
         "beta": sd.beta,
@@ -497,30 +613,21 @@ def pipeline_spectral(cfg: ExperimentConfig) -> RunResult:
         "residual_left": sd.residual_left,
         "alpha_burn_in": sd.alpha_burn_in,
     }
-    if beta_window is not None:
+    if cfg.beta_window is not None:
+        first, last = cfg.beta_window
         try:
             fit = estimate_beta(k1, f, window=range(first, last + 1))
         except ValueError as exc:
             raise ConfigError(f"beta_window: {exc}") from exc
         results["beta_fit"] = {
-            "theta": fit.theta,
-            "beta": fit.beta,
-            "beta_raw": fit.beta_raw,
-            "residual": fit.residual,
+            "theta": fit.theta, "beta": fit.beta, "beta_raw": fit.beta_raw, "residual": fit.residual
         }
     rows = [(n + 1, float(a)) for n, a in enumerate(sd.alpha)]
-    return RunResult(
-        "spectral", cfg.raw, results, {"alpha": (("n", "alpha"), rows)}
-    )
+    return RunResult("spectral", cfg.raw, results, {"alpha": (("n", "alpha"), rows)})
 
 
 def _certificate_for(
-    cfg: ExperimentConfig,
-    bundle: ModelBundle,
-    horizon: int,
-    f=None,
-    stream: int = 2**32,
-    budget: int = 2000,
+    cfg: ExperimentConfig, bundle: ModelBundle, horizon: int, f=None, stream=2**32, budget=2000
 ):
     """The one path from a model to its certificate, in sup norms on the grid.
 
@@ -529,27 +636,18 @@ def _certificate_for(
     ``dispersion_budget`` draws (default ``budget``) from
     ``derive_stream(seed, stream)``. Returns ``(k1, sd, cert, f)``.
     """
-    # a standard error needs two draws
-    budget = _integer(cfg.raw.get("dispersion_budget", budget), "dispersion_budget", least=2)
     k1, sd, f = _spectral_for(cfg, bundle, horizon, f)
     law = _grid_law(bundle)
     kp = build_mean_kernel(law, bundle.grid, cfg.p)
-    cert = certify_md(
-        k1,
-        kp,
-        sd,
-        horizon,
-        law=law,
-        rng=derive_stream(cfg.seed, stream),
-        dispersion_budget=budget,
-    )
+    rng = derive_stream(cfg.seed, stream)
+    budget = cfg.dispersion_budget or budget
+    cert = certify_md(k1, kp, sd, horizon, law=law, rng=rng, dispersion_budget=budget)
     return k1, sd, cert, f
 
 
-def pipeline_certify(cfg: ExperimentConfig) -> RunResult:
+def pipeline_certify(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Full moment-drift certificate for the configured model."""
-    bundle = make_model(cfg.model)
-    _, sd, cert, _ = _certificate_for(cfg, bundle, cfg.proxy_horizon or cfg.n_max)
+    _, sd, cert, _ = _certificate_for(cfg, bundle, cfg.horizons_proxy or cfg.horizons_n_max)
     results = {
         "theta": sd.theta,
         "beta": sd.beta,
@@ -565,36 +663,20 @@ def pipeline_certify(cfg: ExperimentConfig) -> RunResult:
         (n, float(g), float(a))
         for n, (g, a) in enumerate(zip(cert.gamma, np.concatenate([[np.nan], sd.alpha])))
     ]
-    return RunResult(
-        "certify", cfg.raw, results, {"certificate": (("n", "gamma", "alpha"), rows)}
-    )
+    return RunResult("certify", cfg.raw, results, {"certificate": (("n", "gamma", "alpha"), rows)})
 
 
-def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
+def pipeline_verify_theorem1(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Monte Carlo L^p error against the certified bound on an (m, n) grid."""
-    bundle = make_model(cfg.model)
-    if bundle.kind not in ("cascade", "two_type_flip", "markov_chain"):
-        raise ConfigError("verify-theorem1 runs on cascade or finite-type models")
-    if cfg.replicates < 100:
-        raise ConfigError("verify-theorem1 needs at least 100 replicates")
-    horizon = cfg.proxy_horizon or cfg.n_max
-    mn = cfg.raw.get("mn_grid", {"m": [2, 4, 6, 8, 10], "n": [2, 4, 6, 8, 10]})
-    try:
-        ms = [_integer(m, "mn_grid.m entries", least=1) for m in mn["m"]]
-        ns = [_integer(n, "mn_grid.n entries", least=1) for n in mn["n"]]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"mn_grid needs non-empty lists m and n of integers: {exc!r}") from exc
-    if not ms or not ns:
-        raise ConfigError(f"mn_grid needs non-empty lists m and n of integers, got {mn}")
+    horizon = cfg.horizons_proxy or cfg.horizons_n_max
+    ms, ns = cfg.mn_grid_m, cfg.mn_grid_n
     if max(ms) + max(ns) > horizon:
         raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
     _, sd, cert, f = _certificate_for(cfg, bundle, horizon)
     d = bundle.grid.size
     # a one-point grid keeps total_mass's pairwise sum; bincount would add in another order
     observe = Generation.total_mass if d == 1 else partial(_type_masses, d=d)
-    block = run_replicates(
-        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
-    )
+    block = _replicates(cfg, bundle, observe, horizon)
     per_type = block.data.reshape(block.replicates, horizon + 1, d)
     scales = sd.theta ** -np.arange(horizon + 1, dtype=np.float64)
     tracks = (per_type @ sd.eta_f(f)) * scales
@@ -619,9 +701,7 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
                 rep.rhs_bound = theorem1_rhs(cert, sd, f_norm, eta_norm, init_p, init_mass, m, n)
                 holds = rep.bound_holds()
                 all_hold = all_hold and holds
-                rows.append(
-                    (m, n, rep.lhs_estimate, rep.stderr, rep.rhs_bound, "yes" if holds else "no")
-                )
+                rows.append((m, n, rep.lhs_estimate, rep.stderr, rep.rhs_bound, "yes" if holds else "no"))
         verdict = "holds" if all_hold else "fails"
     except TooFewReplicatesError:
         # capped replicates are NaN rows; too few left to estimate the L^p error
@@ -629,47 +709,21 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig) -> RunResult:
     results = {
         "bound_holds_everywhere": all_hold,
         "replicates": cfg.replicates,
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
+        **_block_counts(block),
         "proxy_horizon": horizon,
         "proxy_gap_bound": gap,
         "theta": sd.theta,
         "c0": cert.c0,
         "Gamma0": cert.Gamma(0),
     }
-    return RunResult(
-        "verify-theorem1",
-        cfg.raw,
-        results,
-        {"theorem1": (("m", "n", "estimate", "stderr", "bound", "holds"), rows)},
-        exit_code=3 if block.n_capped else 0,
-        verdicts=[verdict],
-    )
+    series = {"theorem1": (("m", "n", "estimate", "stderr", "bound", "holds"), rows)}
+    return RunResult("verify-theorem1", cfg.raw, results, series, 3 if block.n_capped else 0, [verdict])
 
 
-def _probe_epsilon(probe) -> float:
-    """The threshold ``epsilon`` (default 1e-3) of a degeneracy ``probe`` mapping."""
-    if not isinstance(probe, dict):
-        raise ConfigError(f"probe must be a mapping, got {probe!r}")
-    return _real(probe.get("epsilon", 1e-3), "probe.epsilon")
-
-
-def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
+def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Moment-condition verdicts plus a degeneracy probe for cascade models."""
-    bundle = make_model(cfg.model)
-    if bundle.kind != "cascade":
-        raise ConfigError("llogl runs on cascade models")
-    # a standard error needs two draws
-    mc_budget = _integer(cfg.raw.get("mc_budget", 2000), "mc_budget", least=2)
-    rho = cfg.raw.get("rho")
-    if rho is not None:
-        rho = _real(rho, "rho")
-        if rho <= 1.0:
-            raise ConfigError(f"rho must exceed 1, got {rho}")
-    k = _integer(cfg.raw.get("k", 1), "k", least=0)
-    probe_cfg = cfg.raw.get("probe", {})
-    epsilon = _probe_epsilon(probe_cfg)
-    probe_n = _integer(probe_cfg.get("n", cfg.n_max), "probe.n", least=0)
+    rho = cfg.rho
+    probe_n = cfg.horizons_n_max if cfg.probe_n is None else cfg.probe_n
     law = bundle.law
     reports = liu_conditions(law, cfg.p)
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
@@ -681,70 +735,43 @@ def pipeline_llogl(cfg: ExperimentConfig) -> RunResult:
             rho = default_rho(theta1, theta2, cfg.p)
         except ValueError:
             rho = 2.0  # outside the contractive regime there is no canonical base
-    hfk = hfk_partial_sums(
-        law,
-        bundle.grid,
-        np.ones(1),
-        k,
-        rho,
-        theta1,
-        cfg.p,
-        cfg.n_max,
-        k1,
-        kp,
-        mc_budget=mc_budget,
-        rng=derive_stream(cfg.seed, 2**32 + 2),
-    )
-    horizon = max(cfg.n_max, probe_n)
-    block = run_replicates(
-        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
-    )
+    rng = derive_stream(cfg.seed, 2**32 + 2)
+    try:
+        hfk = hfk_partial_sums(
+            law, bundle.grid, np.ones(1), cfg.k, rho, theta1, cfg.p, cfg.horizons_n_max, k1, kp,
+            mc_budget=cfg.mc_budget, rng=rng, cap=cfg.caps_particles,
+        )
+    except PopulationCapError as exc:
+        raise ConfigError(
+            f"k = {cfg.k}: generation {exc.generation_index} of the series' trajectories would "
+            f"hold {exc.count} particles, over caps.particles = {exc.cap}"
+        ) from exc
+    horizon = max(cfg.horizons_n_max, probe_n)
+    block = _replicates(cfg, bundle, Generation.total_mass, horizon)
     tracks = _scaled_tracks(block, theta1)
-    probe = degeneracy_probe(tracks, epsilon, probe_n)
+    probe = degeneracy_probe(tracks, cfg.probe_epsilon, probe_n)
     verdicts = [r.verdict for r in reports.values()] + [hfk.verdict]
     results = {
-        "conditions": {
-            name: {"verdict": r.verdict, "numbers": _jsonable(r.numbers)}
-            for name, r in reports.items()
-        },
+        "conditions": _conditions(reports),
         "series_verdict": hfk.verdict,
         "rho": rho,
         "theta1": theta1,
         "theta2": theta2,
         "degeneracy_probe": probe,
-        "probe_epsilon": epsilon,
+        "probe_epsilon": cfg.probe_epsilon,
         "probe_n": probe_n,
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
+        **_block_counts(block),
     }
-    rows = [
-        (n + 1, float(t1), float(t2))
-        for n, (t1, t2) in enumerate(
-            zip(hfk.numbers["terms_first_moment"], hfk.numbers["terms_p_moment"])
-        )
-    ]
-    return RunResult(
-        "llogl",
-        cfg.raw,
-        results,
-        {"llogl_terms": (("n", "first_moment_term", "p_moment_term"), rows)},
-        exit_code=3 if block.n_capped else 0,
-        verdicts=verdicts,
-    )
+    terms = zip(hfk.numbers["terms_first_moment"], hfk.numbers["terms_p_moment"])
+    rows = [(n + 1, float(t1), float(t2)) for n, (t1, t2) in enumerate(terms)]
+    series = {"llogl_terms": (("n", "first_moment_term", "p_moment_term"), rows)}
+    return RunResult("llogl", cfg.raw, results, series, 3 if block.n_capped else 0, verdicts)
 
 
-def pipeline_cascade(cfg: ExperimentConfig) -> RunResult:
+def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Cascade mass martingale: increments, moment verdicts, degeneracy curve."""
-    bundle = make_model(cfg.model)
-    if bundle.kind != "cascade":
-        raise ConfigError("cascade pipeline needs a cascade model")
-    if cfg.replicates < 100:
-        raise ConfigError("the cascade increment test needs at least 100 replicates")
-    eps = _probe_epsilon(cfg.raw.get("probe", {}))
-    horizon = cfg.n_max
-    block = run_replicates(
-        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
-    )
+    horizon = cfg.horizons_n_max
+    block = _replicates(cfg, bundle, Generation.total_mass, horizon)
     theta1 = bundle.law.mean_total_mass()
     tracks = _scaled_tracks(block, theta1)
     finite = np.all(np.isfinite(tracks), axis=1)
@@ -753,44 +780,30 @@ def pipeline_cascade(cfg: ExperimentConfig) -> RunResult:
     except TooFewReplicatesError:
         flagged = None  # capped replicates left too few tracks; the run exits 3
     reports = liu_conditions(bundle.law, cfg.p)
-    probe_rows = [(n, degeneracy_probe(tracks, eps, n)) for n in range(horizon + 1)]
+    probe_rows = [(n, degeneracy_probe(tracks, cfg.probe_epsilon, n)) for n in range(horizon + 1)]
     rows = _mean_se_rows(tracks[finite])
     results = {
         "theta1": theta1,
         "flagged_increments": flagged,
-        "conditions": {
-            name: {"verdict": r.verdict, "numbers": _jsonable(r.numbers)}
-            for name, r in reports.items()
-        },
+        "conditions": _conditions(reports),
         "degeneracy_final": probe_rows[-1][1],
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
+        **_block_counts(block),
     }
-    return RunResult(
-        "cascade",
-        cfg.raw,
-        results,
-        {
-            "martingale": (("n", "estimate", "stderr"), rows),
-            "degeneracy": (("n", "fraction"), probe_rows),
-        },
-        exit_code=3 if block.n_capped else 0,
-        verdicts=[r.verdict for r in reports.values()],
-    )
+    series = {
+        "martingale": (("n", "estimate", "stderr"), rows),
+        "degeneracy": (("n", "fraction"), probe_rows),
+    }
+    verdicts = [r.verdict for r in reports.values()]
+    return RunResult("cascade", cfg.raw, results, series, 3 if block.n_capped else 0, verdicts)
 
 
-def pipeline_kernel_products(cfg: ExperimentConfig) -> RunResult:
+def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Monte Carlo product observable against mean-matrix powers."""
-    bundle = make_model(cfg.model)
-    if bundle.kind != "kernel_product":
-        raise ConfigError("kernel-products pipeline needs a kernel_product model")
-    horizon = cfg.n_max
-    x = bundle.extras["x_index"]
-    f = bundle.extras["f"]
-    observe = partial(kernel_product_observable, x_index=x, f=f)
-    block = run_replicates(
-        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
-    )
+    horizon = cfg.horizons_n_max
+    x = cfg.model["x_index"]
+    d = bundle.law.dim
+    f = _table(np.ones(d) if cfg.model["f"] is None else cfg.model["f"], d, "model.f")
+    block = _replicates(cfg, bundle, partial(kernel_product_observable, x_index=x, f=f), horizon)
     pmat = bundle.law.mean_matrix()
     rows = []
     worst_sigma = 0.0
@@ -806,30 +819,21 @@ def pipeline_kernel_products(cfg: ExperimentConfig) -> RunResult:
         "worst_sigma": worst_sigma,
         "matches_mean_matrix": agrees,
         "mean_matrix_norm": kernel_norm(pmat),
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
+        **_block_counts(block),
     }
-    return RunResult(
-        "kernel-products",
-        cfg.raw,
-        results,
-        {"kernel_products": (("n", "estimate", "stderr", "exact"), rows)},
-        exit_code=3 if block.n_capped else 0,
-        verdicts=[_agreement_verdict(agrees, block)],
-    )
+    series = {"kernel_products": (("n", "estimate", "stderr", "exact"), rows)}
+    verdicts = [_agreement_verdict(agrees, block)]
+    return RunResult("kernel-products", cfg.raw, results, series, 3 if block.n_capped else 0, verdicts)
 
 
-def pipeline_ifs(cfg: ExperimentConfig) -> RunResult:
+def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Contraction-rate probe, certificate and killing-profile identity for an IFS model.
 
     The observable is the position ``f(x) = x``; the certificate runs to
     ``n_max`` on its own stream, with 200 dispersion draws by default.
     """
-    bundle = make_model(cfg.model)
-    if bundle.kind != "ifs":
-        raise ConfigError("ifs pipeline needs an ifs model")
     k1, sd, cert, f = _certificate_for(
-        cfg, bundle, cfg.n_max, f=bundle.grid.points, stream=2**32 + 3, budget=200
+        cfg, bundle, cfg.horizons_n_max, f=bundle.grid.points, stream=2**32 + 3, budget=200
     )
     probe = ifs_convergence_probe(bundle.law, sd, p=cfg.p)
     doob = doob_transition(k1, sd.theta)
@@ -838,7 +842,7 @@ def pipeline_ifs(cfg: ExperimentConfig) -> RunResult:
     rhs_samples = {
         f"{m},{n}": theorem1_rhs(cert, sd, f_norm, eta_norm, 1.0, 1.0, m, n)
         for m, n in ((5, 5), (10, 10))
-        if n <= cfg.n_max  # the deviation sequence stops at n_max
+        if n <= cfg.horizons_n_max  # the deviation sequence stops at n_max
     }
     rows = [(n + 1, float(a)) for n, a in enumerate(sd.alpha)]
     results = {
@@ -857,26 +861,15 @@ def pipeline_ifs(cfg: ExperimentConfig) -> RunResult:
         "Gamma0": cert.Gamma(0),
         "rhs_samples": rhs_samples,
     }
-    return RunResult(
-        "ifs",
-        cfg.raw,
-        results,
-        {"alpha": (("n", "alpha"), rows)},
-        verdicts=[probe.verdict],
-    )
+    return RunResult("ifs", cfg.raw, results, {"alpha": (("n", "alpha"), rows)}, verdicts=[probe.verdict])
 
 
-def pipeline_lineage(cfg: ExperimentConfig) -> RunResult:
+def pipeline_lineage(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Lineage ergodic averages against the stationary law of the base chain."""
-    bundle = make_model(cfg.model)
-    if bundle.kind != "lineage_chain":
-        raise ConfigError("lineage pipeline needs a lineage_chain model")
-    horizon = cfg.n_max
-    block = run_replicates(
-        bundle, _lineage_average, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.particle_cap
-    )
-    pi = stationary_distribution(bundle.extras["transition"])
-    target = float(np.dot(pi, bundle.extras["f"]))
+    horizon = cfg.horizons_n_max
+    block = _replicates(cfg, bundle, _lineage_average, horizon)
+    pi = stationary_distribution(cfg.model["transition"])
+    target = float(np.dot(pi, bundle.law.f_table))
     rows = [(n, *_mean_se(block.data[:, n])) for n in range(1, horizon + 1)]
     final_mean, final_se = rows[-1][1], rows[-1][2]
     agrees = mean_agrees(final_mean, final_se, target)
@@ -890,35 +883,36 @@ def pipeline_lineage(cfg: ExperimentConfig) -> RunResult:
         "final_stderr": final_se,
         "final_sigma": sigma,
         "matches_stationary": agrees,
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
+        **_block_counts(block),
     }
-    return RunResult(
-        "lineage",
-        cfg.raw,
-        results,
-        {"lineage": (("n", "estimate", "stderr"), rows)},
-        exit_code=3 if block.n_capped else 0,
-        verdicts=[_agreement_verdict(agrees, block)],
-    )
+    series = {"lineage": (("n", "estimate", "stderr"), rows)}
+    verdicts = [_agreement_verdict(agrees, block)]
+    return RunResult("lineage", cfg.raw, results, series, 3 if block.n_capped else 0, verdicts)
 
 
+_GRID_KINDS = ("cascade", "two_type_flip", "markov_chain", "lineage_chain", "ifs")
+
+# each pipeline: its function, the model kinds it runs on and its least replicate count
 _PIPELINES = {
-    "simulate": pipeline_simulate,
-    "spectral": pipeline_spectral,
-    "certify": pipeline_certify,
-    "verify-theorem1": pipeline_verify_theorem1,
-    "llogl": pipeline_llogl,
-    "cascade": pipeline_cascade,
-    "kernel-products": pipeline_kernel_products,
-    "ifs": pipeline_ifs,
-    "lineage": pipeline_lineage,
+    "simulate": (pipeline_simulate, tuple(_MODEL_KINDS), 1),
+    "spectral": (pipeline_spectral, _GRID_KINDS, 1),
+    "certify": (pipeline_certify, _GRID_KINDS, 1),
+    "verify-theorem1": (pipeline_verify_theorem1, ("cascade", "two_type_flip", "markov_chain"), 100),
+    "llogl": (pipeline_llogl, ("cascade",), 1),
+    "cascade": (pipeline_cascade, ("cascade",), 100),
+    "kernel-products": (pipeline_kernel_products, ("kernel_product",), 1),
+    "ifs": (pipeline_ifs, ("ifs",), 1),
+    "lineage": (pipeline_lineage, ("lineage_chain",), 1),
 }
 
 
-def run_experiment(cfg: ExperimentConfig, command: Optional[str] = None) -> RunResult:
-    """Execute the configured pipeline (``command`` overrides config)."""
-    name = command or cfg.raw.get("pipeline", "simulate")
-    if name not in _PIPELINES:
-        raise ConfigError(f"unknown pipeline {name!r}")
-    return _PIPELINES[name](cfg)
+def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
+    """Run pipeline ``command`` on ``cfg``; a model kind it does not run on,
+    or too few replicates, is a ``ConfigError``."""
+    pipeline, kinds, least = _PIPELINES[_choice(command, _PIPELINES, "pipeline")]
+    kind = cfg.model["kind"]
+    if kind not in kinds:
+        raise ConfigError(f"{command} runs on {', '.join(kinds)} models, not {kind}")
+    if cfg.replicates < least:
+        raise ConfigError(f"{command} needs at least {least} replicates, got {cfg.replicates}")
+    return pipeline(cfg, make_model(cfg.model))

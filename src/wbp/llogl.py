@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .cascades import CascadeLaw
-from .population import Generation, ReproductionLaw, simulate_trajectory
+from .population import DEFAULT_PARTICLE_CAP, Generation, ReproductionLaw, simulate_trajectory
 from .spectral import MeanKernel, TypeGrid, kernel_power_apply
 
 # expected particles that one block of hfk trajectories holds, all generations together
@@ -97,6 +97,7 @@ def hfk_partial_sums(
     kernelp: MeanKernel,
     mc_budget: int = 2000,
     rng: Optional[np.random.Generator] = None,
+    cap: int = DEFAULT_PARTICLE_CAP,
 ) -> LlogLReport:
     """Partial sums of the truncated-moment series behind uniform integrability.
 
@@ -117,7 +118,8 @@ def hfk_partial_sums(
     expects ``sum_{j <= k} m^j`` of them, where ``m`` (at least 1) bounds
     the expected children per particle by the largest row sum of
     ``law.moment_rows(grid, 0.0)``. ``rng`` is consumed grid point by grid
-    point and, within a point, block by block.
+    point and, within a point, block by block. A block generation of more
+    than ``cap`` particles raises ``PopulationCapError``.
     """
     if rng is None:
         raise ValueError("needs an rng for the centered-functional samples")
@@ -132,7 +134,7 @@ def hfk_partial_sums(
         for start in range(0, mc_budget, block):
             roots = min(block, mc_budget - start)
             g0 = Generation(np.ones(roots), np.full(roots, grid.points[i]), root=np.arange(roots))
-            g = simulate_trajectory(law, g0, k, rng)[-1]
+            g = simulate_trajectory(law, g0, k, rng, cap=cap)[-1]
             values = g.weights * fvec.take(grid.locate(g.types))
             samples[i, start : start + roots] = np.bincount(g.root, values, roots) - exact[i]
     absx = np.abs(samples)

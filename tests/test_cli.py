@@ -46,6 +46,22 @@ MODELS = {
 }
 
 
+CASCADES = {name for name in MODELS if name.startswith("cascade-")}
+
+# the models each pipeline exits 0 on; it refuses every other model with exit 2
+EXITS_0 = {
+    "simulate": set(MODELS),
+    "spectral": set(MODELS) - {"kernel_product", "two_type_flip"},
+    "certify": CASCADES - {"cascade-scaled"} | {"ifs"},
+    "verify-theorem1": CASCADES - {"cascade-scaled"},
+    "llogl": CASCADES,
+    "cascade": CASCADES,
+    "kernel-products": {"kernel_product"},
+    "ifs": {"ifs"},
+    "lineage": {"lineage_chain"},
+}
+
+
 def _config(tmp_path, model, **extra):
     cfg = {
         "model": model,
@@ -82,7 +98,7 @@ def test_pipeline_ends_with_documented_exit_and_worker_invariant_output(
     config = _config(tmp_path, MODELS[model])
     one, two = tmp_path / "threads1", tmp_path / "threads2"
     code = _run(pipeline, config, one)
-    assert code in (0, 2, 3, 4)
+    assert code == (0 if model in EXITS_0[pipeline] else 2)
     if code == 2:
         # a refusal names its reason and writes nothing
         assert capsys.readouterr().err.strip()
@@ -224,6 +240,20 @@ MALFORMED = [
     ("simulate", MODELS["cascade-split"], {"caps": [1]}),
     ("llogl", MODELS["cascade-mixture"], {"caps": "particles"}),
     ("simulate", ["kind"], {}),
+    # a series whose trajectories pass the particle cap, and an output directory that is not a path
+    ("llogl", MODELS["cascade-split"], {"k": 8, "caps": {"particles": 100}}),
+    ("simulate", MODELS["cascade-split"], {"out": 5}),
+    # one misspelt key per level, a key no config takes any more, and keys of another model kind
+    ("simulate", MODELS["cascade-split"], {"replicate": 10}),
+    ("simulate", MODELS["cascade-split"], {"horizons": {"n_mx": 3}}),
+    ("simulate", MODELS["cascade-split"], {"caps": {"particle": 10}}),
+    ("cascade", MODELS["cascade-split"], {"probe": {"epsilom": 0.01}}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"mm": [1], "n": [2]}}),
+    ("simulate", _with("markov_chain", x_0=1), {}),
+    ("simulate", _with("ifs", weights={"spce": "uniform_split_indep"}), {}),
+    ("simulate", MODELS["cascade-split"], {"pipeline": "simulate"}),
+    ("simulate", _with("cascade-split", transition=[[1.0]]), {}),
+    ("simulate", _with("cascade-split", c=2.0), {}),
 ]
 
 
@@ -241,6 +271,15 @@ def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, p
     monkeypatch.setattr(harness, "run_replicates", no_replicates)
     assert _run(pipeline, _config(tmp_path, model, **extra), tmp_path / "out", threads=None) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_unknown_key_is_named_with_its_path_and_closest_known_key(tmp_path, capsys):
+    for model, extra, message in (
+        (MODELS["markov_chain"], {"replicate": 10}, "unknown key 'replicate'; did you mean 'replicates'?"),
+        (_with("markov_chain", x_0=1), {}, "unknown key 'model.x_0'; did you mean 'model.x0'?"),
+    ):
+        assert _run("simulate", _config(tmp_path, model, **extra), tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("pipeline", _COMMANDS)
@@ -322,7 +361,7 @@ def test_replicate_rows_match_for_any_worker_count_with_capped_replicates():
     # the same brood sizes on two types, observed as the mass on each type
     one_or_two = [(0.5, [(0.5, 1)]), (0.5, [(0.5, 0), (0.5, 1)])]
     law = MixtureFiniteTypeLaw((one_or_two, one_or_two))
-    two_types = harness.ModelBundle(law, TypeGrid.finite(2), law.root_generation(0), "finite")
+    two_types = harness.ModelBundle(law, TypeGrid.finite(2), law.root_generation(0))
     for bundle, observe, width in (
         (cascade, Generation.total_mass, 7),
         (two_types, partial(harness._type_masses, d=2), 14),

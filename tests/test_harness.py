@@ -1,6 +1,7 @@
-"""One analysis per run: each pipeline builds a grid kernel and its spectrum once."""
+"""One analysis per run, and every bench config loads."""
 
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +52,10 @@ def test_each_kernel_is_built_and_iterated_once(monkeypatch, pipeline, model, bu
     )
     run_experiment(cfg, pipeline)
     assert counts == {"build_mean_kernel": builds, "power_iteration": iterations}
+
+
+def test_every_bench_config_loads():
+    paths = sorted((Path(__file__).resolve().parent.parent / "bench" / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        assert ExperimentConfig.from_json(str(path)).raw

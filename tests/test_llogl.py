@@ -68,8 +68,8 @@ def test_hfk_runs_in_blocks_of_at_most_2_20_expected_particles(monkeypatch):
     # take blocks of 256, 256, 256, 256 and 76 roots
     blocks = []
 
-    def recording_trajectory(law, g0, horizon, rng):
-        traj = simulate_trajectory(law, g0, horizon, rng)
+    def recording_trajectory(law, g0, horizon, rng, cap):
+        traj = simulate_trajectory(law, g0, horizon, rng, cap)
         blocks.append((g0.size, sum(g.size for g in traj)))
         return traj
 

@@ -136,8 +136,8 @@ def _read(mapping: dict, table: dict, prefix: str) -> dict:
     """Every key of ``table`` read from ``mapping``, whose keys are at ``prefix``.
 
     ``table`` maps a key to its ``(reader, default)``, or to the table of a
-    section, whose keys come back as ``section_key``. A key of ``mapping``
-    that ``table`` does not list is a ``ConfigError``.
+    section, which comes back as the mapping of its keys' values. A key of
+    ``mapping`` that ``table`` does not list is a ``ConfigError``.
     """
     for key in mapping:
         _choice(key, table, "key", prefix)
@@ -145,8 +145,7 @@ def _read(mapping: dict, table: dict, prefix: str) -> dict:
     for key, entry in table.items():
         name = prefix + key
         if isinstance(entry, dict):
-            section = _read(_mapping(mapping.get(key, {}), name), entry, name + ".")
-            values.update((f"{key}_{k}", v) for k, v in section.items())
+            values[key] = _read(_mapping(mapping.get(key, {}), name), entry, name + ".")
         elif key in mapping:
             values[key] = entry[0](mapping[key], name)
         elif entry[1] is _REQUIRED:
@@ -167,6 +166,7 @@ class ModelBundle:
     law: object
     grid: Optional[TypeGrid]
     g0: object
+    f: Optional[np.ndarray] = None  # a kernel_product model's observable
 
 
 # each cascade spec's keys, as (reader, default); a cascade model and the
@@ -211,16 +211,13 @@ _MODEL_KINDS = {
         "atoms": (_value, _REQUIRED),
         "probs": (_value, _REQUIRED),
         "x_index": (partial(_integer, least=0), 0),
-        "f": (_value, None),  # ones; read by the kernel-products pipeline
+        "f": (_value, None),  # ones
     },
 }
 
 
 def _read_model(value, name: str) -> dict:
-    """A model mapping read by the keys of its kind, defaults filled in.
-
-    Reading a model that this returned gives it back unchanged.
-    """
+    """A model mapping read by the keys of its kind, defaults filled in."""
     model = _mapping(value, name)
     if "kind" not in model:
         raise ConfigError(f"{name}.kind is required")
@@ -253,11 +250,7 @@ def _table(values, d: int, name: str) -> np.ndarray:
 
 
 def make_model(model: dict) -> ModelBundle:
-    """Instantiate a model mapping with its grid and root generation.
-
-    ``model`` is read by its kind's keys first, so a raw mapping and the
-    ``model`` of an ``ExperimentConfig`` give the same bundle.
-    """
+    """Instantiate a model mapping with its grid and root generation."""
     model = _read_model(model, "model")
     kind = model["kind"]
     try:
@@ -282,7 +275,8 @@ def make_model(model: dict) -> ModelBundle:
             x = model["x_index"]
             if x >= law.dim:
                 raise ConfigError(f"model.x_index = {x} is not a row of the {law.dim}x{law.dim} matrices")
-            return ModelBundle(law, None, law.root_generation())
+            f = _table(np.ones(law.dim) if model["f"] is None else model["f"], law.dim, "model.f")
+            return ModelBundle(law, None, law.root_generation(), f)
         # a finite-type kind
         if kind == "two_type_flip":
             law, d = two_type_flip_law(), 2
@@ -339,10 +333,10 @@ class ExperimentConfig:
     """Validated run parameters: one attribute per key of ``_CONFIG_KEYS``.
 
     ``_CONFIG_KEYS`` and, for ``model``, ``_MODEL_KINDS`` are the one list
-    of config keys, their readers and their defaults. A section's key is
-    the attribute ``section_key`` (``horizons.n_max`` is ``horizons_n_max``);
-    ``model`` is the model mapping with its defaults filled in. ``raw``
-    keeps the original mapping for echo.
+    of config keys, their readers and their defaults. A section is the
+    mapping of its keys' values (``horizons.n_max`` is
+    ``cfg.horizons["n_max"]``), and ``model`` is the model mapping with
+    its defaults filled in. ``raw`` keeps the original mapping for echo.
     """
 
     def __init__(self, raw: dict, **values):
@@ -355,8 +349,8 @@ class ExperimentConfig:
         if not isinstance(cfg, dict):
             raise ConfigError(f"a config must be a JSON object, got {type(cfg).__name__}")
         values = _read(cfg, _CONFIG_KEYS, "")
-        proxy = values["horizons_proxy"]
-        if proxy is not None and values["horizons_n_max"] > proxy:
+        horizons = values["horizons"]
+        if horizons["proxy"] is not None and horizons["n_max"] > horizons["proxy"]:
             raise ConfigError("horizons.n_max must not exceed horizons.proxy")
         return ExperimentConfig(cfg, **values)
 
@@ -550,36 +544,32 @@ def _agreement_verdict(agrees: bool, block: ReplicateBlock) -> str:
     return "holds" if agrees else "fails"
 
 
+
+
 def _mean_se_rows(values: np.ndarray) -> list:
     return [(n, *_mean_se(values[:, n])) for n in range(values.shape[1])]
 
 
-def _block_counts(block: ReplicateBlock) -> dict:
-    return {"capped_replicates": block.n_capped, "particle_total": block.particle_total}
-
-
-def _conditions(reports: dict) -> dict:
-    return {name: {"verdict": r.verdict, "numbers": _jsonable(r.numbers)} for name, r in reports.items()}
-
-
-def _replicates(cfg: ExperimentConfig, bundle: ModelBundle, observe, horizon: int) -> ReplicateBlock:
-    """The config's replicates of ``bundle`` to ``horizon``, observed by ``observe``."""
-    return run_replicates(
-        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps_particles
-    )
-
-
 def pipeline_simulate(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Replicate simulation with per-generation mass statistics."""
-    block = _replicates(cfg, bundle, Generation.total_mass, cfg.horizons_n_max)
+    horizon = cfg.horizons["n_max"]
+    block = run_replicates(
+        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
+    )
     rows = _mean_se_rows(block.data)
     results = {
         "replicates": cfg.replicates,
-        **_block_counts(block),
+        "capped_replicates": block.n_capped,
+        "particle_total": block.particle_total,
         "mean_final_mass": rows[-1][1],
     }
-    series = {"mass": (("n", "estimate", "stderr"), rows)}
-    return RunResult("simulate", cfg.raw, results, series, exit_code=3 if block.n_capped else 0)
+    return RunResult(
+        "simulate",
+        cfg.raw,
+        results,
+        {"mass": (("n", "estimate", "stderr"), rows)},
+        exit_code=3 if block.n_capped else 0,
+    )
 
 
 def _grid_law(bundle: ModelBundle):
@@ -605,7 +595,7 @@ def _spectral_for(cfg: ExperimentConfig, bundle: ModelBundle, horizon: int, f=No
 
 def pipeline_spectral(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Kernel construction, dominant eigendata, deviation sequence."""
-    k1, sd, f = _spectral_for(cfg, bundle, cfg.horizons_n_max)
+    k1, sd, f = _spectral_for(cfg, bundle, cfg.horizons["n_max"])
     results = {
         "theta": sd.theta,
         "beta": sd.beta,
@@ -620,14 +610,24 @@ def pipeline_spectral(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
         except ValueError as exc:
             raise ConfigError(f"beta_window: {exc}") from exc
         results["beta_fit"] = {
-            "theta": fit.theta, "beta": fit.beta, "beta_raw": fit.beta_raw, "residual": fit.residual
+            "theta": fit.theta,
+            "beta": fit.beta,
+            "beta_raw": fit.beta_raw,
+            "residual": fit.residual,
         }
     rows = [(n + 1, float(a)) for n, a in enumerate(sd.alpha)]
-    return RunResult("spectral", cfg.raw, results, {"alpha": (("n", "alpha"), rows)})
+    return RunResult(
+        "spectral", cfg.raw, results, {"alpha": (("n", "alpha"), rows)}
+    )
 
 
 def _certificate_for(
-    cfg: ExperimentConfig, bundle: ModelBundle, horizon: int, f=None, stream=2**32, budget=2000
+    cfg: ExperimentConfig,
+    bundle: ModelBundle,
+    horizon: int,
+    f=None,
+    stream: int = 2**32,
+    budget: int = 2000,
 ):
     """The one path from a model to its certificate, in sup norms on the grid.
 
@@ -639,15 +639,21 @@ def _certificate_for(
     k1, sd, f = _spectral_for(cfg, bundle, horizon, f)
     law = _grid_law(bundle)
     kp = build_mean_kernel(law, bundle.grid, cfg.p)
-    rng = derive_stream(cfg.seed, stream)
-    budget = cfg.dispersion_budget or budget
-    cert = certify_md(k1, kp, sd, horizon, law=law, rng=rng, dispersion_budget=budget)
+    cert = certify_md(
+        k1,
+        kp,
+        sd,
+        horizon,
+        law=law,
+        rng=derive_stream(cfg.seed, stream),
+        dispersion_budget=cfg.dispersion_budget or budget,
+    )
     return k1, sd, cert, f
 
 
 def pipeline_certify(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Full moment-drift certificate for the configured model."""
-    _, sd, cert, _ = _certificate_for(cfg, bundle, cfg.horizons_proxy or cfg.horizons_n_max)
+    _, sd, cert, _ = _certificate_for(cfg, bundle, cfg.horizons["proxy"] or cfg.horizons["n_max"])
     results = {
         "theta": sd.theta,
         "beta": sd.beta,
@@ -663,20 +669,24 @@ def pipeline_certify(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
         (n, float(g), float(a))
         for n, (g, a) in enumerate(zip(cert.gamma, np.concatenate([[np.nan], sd.alpha])))
     ]
-    return RunResult("certify", cfg.raw, results, {"certificate": (("n", "gamma", "alpha"), rows)})
+    return RunResult(
+        "certify", cfg.raw, results, {"certificate": (("n", "gamma", "alpha"), rows)}
+    )
 
 
 def pipeline_verify_theorem1(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Monte Carlo L^p error against the certified bound on an (m, n) grid."""
-    horizon = cfg.horizons_proxy or cfg.horizons_n_max
-    ms, ns = cfg.mn_grid_m, cfg.mn_grid_n
+    horizon = cfg.horizons["proxy"] or cfg.horizons["n_max"]
+    ms, ns = cfg.mn_grid["m"], cfg.mn_grid["n"]
     if max(ms) + max(ns) > horizon:
         raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
     _, sd, cert, f = _certificate_for(cfg, bundle, horizon)
     d = bundle.grid.size
     # a one-point grid keeps total_mass's pairwise sum; bincount would add in another order
     observe = Generation.total_mass if d == 1 else partial(_type_masses, d=d)
-    block = _replicates(cfg, bundle, observe, horizon)
+    block = run_replicates(
+        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
+    )
     per_type = block.data.reshape(block.replicates, horizon + 1, d)
     scales = sd.theta ** -np.arange(horizon + 1, dtype=np.float64)
     tracks = (per_type @ sd.eta_f(f)) * scales
@@ -701,7 +711,9 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig, bundle: ModelBundle) -> RunR
                 rep.rhs_bound = theorem1_rhs(cert, sd, f_norm, eta_norm, init_p, init_mass, m, n)
                 holds = rep.bound_holds()
                 all_hold = all_hold and holds
-                rows.append((m, n, rep.lhs_estimate, rep.stderr, rep.rhs_bound, "yes" if holds else "no"))
+                rows.append(
+                    (m, n, rep.lhs_estimate, rep.stderr, rep.rhs_bound, "yes" if holds else "no")
+                )
         verdict = "holds" if all_hold else "fails"
     except TooFewReplicatesError:
         # capped replicates are NaN rows; too few left to estimate the L^p error
@@ -709,21 +721,28 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig, bundle: ModelBundle) -> RunR
     results = {
         "bound_holds_everywhere": all_hold,
         "replicates": cfg.replicates,
-        **_block_counts(block),
+        "capped_replicates": block.n_capped,
+        "particle_total": block.particle_total,
         "proxy_horizon": horizon,
         "proxy_gap_bound": gap,
         "theta": sd.theta,
         "c0": cert.c0,
         "Gamma0": cert.Gamma(0),
     }
-    series = {"theorem1": (("m", "n", "estimate", "stderr", "bound", "holds"), rows)}
-    return RunResult("verify-theorem1", cfg.raw, results, series, 3 if block.n_capped else 0, [verdict])
+    return RunResult(
+        "verify-theorem1",
+        cfg.raw,
+        results,
+        {"theorem1": (("m", "n", "estimate", "stderr", "bound", "holds"), rows)},
+        exit_code=3 if block.n_capped else 0,
+        verdicts=[verdict],
+    )
 
 
 def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Moment-condition verdicts plus a degeneracy probe for cascade models."""
-    rho = cfg.rho
-    probe_n = cfg.horizons_n_max if cfg.probe_n is None else cfg.probe_n
+    n_max, rho = cfg.horizons["n_max"], cfg.rho
+    probe_n = n_max if cfg.probe["n"] is None else cfg.probe["n"]
     law = bundle.law
     reports = liu_conditions(law, cfg.p)
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
@@ -735,43 +754,72 @@ def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
             rho = default_rho(theta1, theta2, cfg.p)
         except ValueError:
             rho = 2.0  # outside the contractive regime there is no canonical base
-    rng = derive_stream(cfg.seed, 2**32 + 2)
     try:
         hfk = hfk_partial_sums(
-            law, bundle.grid, np.ones(1), cfg.k, rho, theta1, cfg.p, cfg.horizons_n_max, k1, kp,
-            mc_budget=cfg.mc_budget, rng=rng, cap=cfg.caps_particles,
+            law,
+            bundle.grid,
+            np.ones(1),
+            cfg.k,
+            rho,
+            theta1,
+            cfg.p,
+            n_max,
+            k1,
+            kp,
+            mc_budget=cfg.mc_budget,
+            rng=derive_stream(cfg.seed, 2**32 + 2),
+            cap=cfg.caps["particles"],
         )
     except PopulationCapError as exc:
         raise ConfigError(
-            f"k = {cfg.k}: generation {exc.generation_index} of the series' trajectories would "
-            f"hold {exc.count} particles, over caps.particles = {exc.cap}"
+            f"the series at k = {cfg.k} grows one trajectory to {exc.count} particles at "
+            f"generation {exc.generation_index}, over caps.particles = {exc.cap}"
         ) from exc
-    horizon = max(cfg.horizons_n_max, probe_n)
-    block = _replicates(cfg, bundle, Generation.total_mass, horizon)
+    horizon = max(n_max, probe_n)
+    block = run_replicates(
+        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
+    )
     tracks = _scaled_tracks(block, theta1)
-    probe = degeneracy_probe(tracks, cfg.probe_epsilon, probe_n)
+    probe = degeneracy_probe(tracks, cfg.probe["epsilon"], probe_n)
     verdicts = [r.verdict for r in reports.values()] + [hfk.verdict]
     results = {
-        "conditions": _conditions(reports),
+        "conditions": {
+            name: {"verdict": r.verdict, "numbers": _jsonable(r.numbers)}
+            for name, r in reports.items()
+        },
         "series_verdict": hfk.verdict,
         "rho": rho,
         "theta1": theta1,
         "theta2": theta2,
         "degeneracy_probe": probe,
-        "probe_epsilon": cfg.probe_epsilon,
+        "probe_epsilon": cfg.probe["epsilon"],
         "probe_n": probe_n,
-        **_block_counts(block),
+        "capped_replicates": block.n_capped,
+        "particle_total": block.particle_total,
     }
-    terms = zip(hfk.numbers["terms_first_moment"], hfk.numbers["terms_p_moment"])
-    rows = [(n + 1, float(t1), float(t2)) for n, (t1, t2) in enumerate(terms)]
-    series = {"llogl_terms": (("n", "first_moment_term", "p_moment_term"), rows)}
-    return RunResult("llogl", cfg.raw, results, series, 3 if block.n_capped else 0, verdicts)
+    rows = [
+        (n + 1, float(t1), float(t2))
+        for n, (t1, t2) in enumerate(
+            zip(hfk.numbers["terms_first_moment"], hfk.numbers["terms_p_moment"])
+        )
+    ]
+    return RunResult(
+        "llogl",
+        cfg.raw,
+        results,
+        {"llogl_terms": (("n", "first_moment_term", "p_moment_term"), rows)},
+        exit_code=3 if block.n_capped else 0,
+        verdicts=verdicts,
+    )
 
 
 def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Cascade mass martingale: increments, moment verdicts, degeneracy curve."""
-    horizon = cfg.horizons_n_max
-    block = _replicates(cfg, bundle, Generation.total_mass, horizon)
+    eps = cfg.probe["epsilon"]
+    horizon = cfg.horizons["n_max"]
+    block = run_replicates(
+        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
+    )
     theta1 = bundle.law.mean_total_mass()
     tracks = _scaled_tracks(block, theta1)
     finite = np.all(np.isfinite(tracks), axis=1)
@@ -780,30 +828,41 @@ def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     except TooFewReplicatesError:
         flagged = None  # capped replicates left too few tracks; the run exits 3
     reports = liu_conditions(bundle.law, cfg.p)
-    probe_rows = [(n, degeneracy_probe(tracks, cfg.probe_epsilon, n)) for n in range(horizon + 1)]
+    probe_rows = [(n, degeneracy_probe(tracks, eps, n)) for n in range(horizon + 1)]
     rows = _mean_se_rows(tracks[finite])
     results = {
         "theta1": theta1,
         "flagged_increments": flagged,
-        "conditions": _conditions(reports),
+        "conditions": {
+            name: {"verdict": r.verdict, "numbers": _jsonable(r.numbers)}
+            for name, r in reports.items()
+        },
         "degeneracy_final": probe_rows[-1][1],
-        **_block_counts(block),
+        "capped_replicates": block.n_capped,
+        "particle_total": block.particle_total,
     }
-    series = {
-        "martingale": (("n", "estimate", "stderr"), rows),
-        "degeneracy": (("n", "fraction"), probe_rows),
-    }
-    verdicts = [r.verdict for r in reports.values()]
-    return RunResult("cascade", cfg.raw, results, series, 3 if block.n_capped else 0, verdicts)
+    return RunResult(
+        "cascade",
+        cfg.raw,
+        results,
+        {
+            "martingale": (("n", "estimate", "stderr"), rows),
+            "degeneracy": (("n", "fraction"), probe_rows),
+        },
+        exit_code=3 if block.n_capped else 0,
+        verdicts=[r.verdict for r in reports.values()],
+    )
 
 
 def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Monte Carlo product observable against mean-matrix powers."""
-    horizon = cfg.horizons_n_max
+    horizon = cfg.horizons["n_max"]
     x = cfg.model["x_index"]
-    d = bundle.law.dim
-    f = _table(np.ones(d) if cfg.model["f"] is None else cfg.model["f"], d, "model.f")
-    block = _replicates(cfg, bundle, partial(kernel_product_observable, x_index=x, f=f), horizon)
+    f = bundle.f
+    observe = partial(kernel_product_observable, x_index=x, f=f)
+    block = run_replicates(
+        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
+    )
     pmat = bundle.law.mean_matrix()
     rows = []
     worst_sigma = 0.0
@@ -819,11 +878,17 @@ def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> RunR
         "worst_sigma": worst_sigma,
         "matches_mean_matrix": agrees,
         "mean_matrix_norm": kernel_norm(pmat),
-        **_block_counts(block),
+        "capped_replicates": block.n_capped,
+        "particle_total": block.particle_total,
     }
-    series = {"kernel_products": (("n", "estimate", "stderr", "exact"), rows)}
-    verdicts = [_agreement_verdict(agrees, block)]
-    return RunResult("kernel-products", cfg.raw, results, series, 3 if block.n_capped else 0, verdicts)
+    return RunResult(
+        "kernel-products",
+        cfg.raw,
+        results,
+        {"kernel_products": (("n", "estimate", "stderr", "exact"), rows)},
+        exit_code=3 if block.n_capped else 0,
+        verdicts=[_agreement_verdict(agrees, block)],
+    )
 
 
 def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
@@ -832,8 +897,9 @@ def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     The observable is the position ``f(x) = x``; the certificate runs to
     ``n_max`` on its own stream, with 200 dispersion draws by default.
     """
+    n_max = cfg.horizons["n_max"]
     k1, sd, cert, f = _certificate_for(
-        cfg, bundle, cfg.horizons_n_max, f=bundle.grid.points, stream=2**32 + 3, budget=200
+        cfg, bundle, n_max, f=bundle.grid.points, stream=2**32 + 3, budget=200
     )
     probe = ifs_convergence_probe(bundle.law, sd, p=cfg.p)
     doob = doob_transition(k1, sd.theta)
@@ -842,7 +908,7 @@ def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     rhs_samples = {
         f"{m},{n}": theorem1_rhs(cert, sd, f_norm, eta_norm, 1.0, 1.0, m, n)
         for m, n in ((5, 5), (10, 10))
-        if n <= cfg.horizons_n_max  # the deviation sequence stops at n_max
+        if n <= n_max  # the deviation sequence stops at n_max
     }
     rows = [(n + 1, float(a)) for n, a in enumerate(sd.alpha)]
     results = {
@@ -861,13 +927,21 @@ def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
         "Gamma0": cert.Gamma(0),
         "rhs_samples": rhs_samples,
     }
-    return RunResult("ifs", cfg.raw, results, {"alpha": (("n", "alpha"), rows)}, verdicts=[probe.verdict])
+    return RunResult(
+        "ifs",
+        cfg.raw,
+        results,
+        {"alpha": (("n", "alpha"), rows)},
+        verdicts=[probe.verdict],
+    )
 
 
 def pipeline_lineage(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     """Lineage ergodic averages against the stationary law of the base chain."""
-    horizon = cfg.horizons_n_max
-    block = _replicates(cfg, bundle, _lineage_average, horizon)
+    horizon = cfg.horizons["n_max"]
+    block = run_replicates(
+        bundle, _lineage_average, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
+    )
     pi = stationary_distribution(cfg.model["transition"])
     target = float(np.dot(pi, bundle.law.f_table))
     rows = [(n, *_mean_se(block.data[:, n])) for n in range(1, horizon + 1)]
@@ -883,11 +957,17 @@ def pipeline_lineage(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
         "final_stderr": final_se,
         "final_sigma": sigma,
         "matches_stationary": agrees,
-        **_block_counts(block),
+        "capped_replicates": block.n_capped,
+        "particle_total": block.particle_total,
     }
-    series = {"lineage": (("n", "estimate", "stderr"), rows)}
-    verdicts = [_agreement_verdict(agrees, block)]
-    return RunResult("lineage", cfg.raw, results, series, 3 if block.n_capped else 0, verdicts)
+    return RunResult(
+        "lineage",
+        cfg.raw,
+        results,
+        {"lineage": (("n", "estimate", "stderr"), rows)},
+        exit_code=3 if block.n_capped else 0,
+        verdicts=[_agreement_verdict(agrees, block)],
+    )
 
 
 _GRID_KINDS = ("cascade", "two_type_flip", "markov_chain", "lineage_chain", "ifs")
@@ -915,4 +995,4 @@ def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
         raise ConfigError(f"{command} runs on {', '.join(kinds)} models, not {kind}")
     if cfg.replicates < least:
         raise ConfigError(f"{command} needs at least {least} replicates, got {cfg.replicates}")
-    return pipeline(cfg, make_model(cfg.model))
+    return pipeline(cfg, make_model(cfg.raw["model"]))

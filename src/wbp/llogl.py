@@ -118,8 +118,9 @@ def hfk_partial_sums(
     expects ``sum_{j <= k} m^j`` of them, where ``m`` (at least 1) bounds
     the expected children per particle by the largest row sum of
     ``law.moment_rows(grid, 0.0)``. ``rng`` is consumed grid point by grid
-    point and, within a point, block by block. A block generation of more
-    than ``cap`` particles raises ``PopulationCapError``.
+    point and, within a point, block by block. ``cap`` bounds each root's
+    tree, as it bounds one replicate: a generation in which one tree holds
+    more than ``cap`` particles raises ``PopulationCapError``.
     """
     if rng is None:
         raise ValueError("needs an rng for the centered-functional samples")

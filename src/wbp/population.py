@@ -208,7 +208,8 @@ def advance_generation(
     children, brood padding among them, are dropped, and the survivors
     keep their slot order. A multi-root generation's children inherit
     their parent's ``root``. Raises :class:`PopulationCapError` when the
-    new generation would exceed ``cap`` particles.
+    new generation would exceed ``cap`` particles in one tree: ``cap``
+    bounds each tree of a multi-root generation, not their sum.
     """
     batch = law.sample_generation(g.weights, g.types, rng)
     w, types, root = batch.weights, batch.types, g.root
@@ -227,7 +228,9 @@ def advance_generation(
         if root is not None:
             root = root.take(keep)
     if w.size > cap:
-        raise PopulationCapError(w.size, cap, g.index + 1)
+        count = w.size if root is None else int(np.bincount(root).max())
+        if count > cap:
+            raise PopulationCapError(count, cap, g.index + 1)
     return Generation(w, types, g.index + 1, root)
 
 

@@ -240,9 +240,12 @@ MALFORMED = [
     ("simulate", MODELS["cascade-split"], {"caps": [1]}),
     ("llogl", MODELS["cascade-mixture"], {"caps": "particles"}),
     ("simulate", ["kind"], {}),
-    # a series whose trajectories pass the particle cap, and an output directory that is not a path
+    # a series trajectory of 2^7 particles over the cap, and an output directory that is not a path
     ("llogl", MODELS["cascade-split"], {"k": 8, "caps": {"particles": 100}}),
     ("simulate", MODELS["cascade-split"], {"out": 5}),
+    # a kernel_product observable that does not fit the 2x2 matrices, on a pipeline that never reads it
+    ("simulate", _with("kernel_product", f=[1.0, 2.0, 3.0]), {}),
+    ("simulate", _with("kernel_product", f="abc"), {}),
     # one misspelt key per level, a key no config takes any more, and keys of another model kind
     ("simulate", MODELS["cascade-split"], {"replicate": 10}),
     ("simulate", MODELS["cascade-split"], {"horizons": {"n_mx": 3}}),
@@ -280,6 +283,18 @@ def test_unknown_key_is_named_with_its_path_and_closest_known_key(tmp_path, caps
     ):
         assert _run("simulate", _config(tmp_path, model, **extra), tmp_path / "out") == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_particle_cap_bounds_each_series_trajectory_not_their_block(tmp_path, capsys):
+    # the series runs its 50 trajectories as one block; at k = 6 they hold 2^6 particles each
+    config = _config(tmp_path, MODELS["cascade-split"], k=6, caps={"particles": 64})
+    assert _run("llogl", config, tmp_path / "k6") == 0
+    config = _config(tmp_path, MODELS["cascade-split"], k=7, caps={"particles": 64})
+    assert _run("llogl", config, tmp_path / "k7") == 2
+    assert capsys.readouterr().err == (
+        "config error: the series at k = 7 grows one trajectory to 128 particles at generation 7, "
+        "over caps.particles = 64\n"
+    )
 
 
 @pytest.mark.parametrize("pipeline", _COMMANDS)

@@ -200,6 +200,19 @@ def test_population_cap_raises():
     assert err.value.cap == 100
 
 
+def test_population_cap_bounds_each_tree_of_a_multi_root_generation():
+    # 50 trees of 2^n particles: together over the cap from n = 2, one tree only at n = 7
+    law = DeterministicCascade((0.5, 0.5))
+    g = Generation(np.ones(50), np.zeros(50, dtype=np.int64), root=np.arange(50))
+    rng = derive_stream(0, 0)
+    for _ in range(6):
+        g = advance_generation(g, law, rng, cap=100)
+    assert g.size == 50 * 64
+    with pytest.raises(PopulationCapError) as err:
+        advance_generation(g, law, rng, cap=100)
+    assert (err.value.generation_index, err.value.count, err.value.cap) == (7, 128, 100)
+
+
 def test_determinism_bit_identical():
     law = UniformSplitCascade(independent=True)
     a = simulate_trajectory(law, law.root_generation(), 8, derive_stream(7, 3))

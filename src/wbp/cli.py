@@ -4,11 +4,13 @@ One subcommand per pipeline; common flags override the config file.
 Exit codes:
 
 - 0 success;
-- 2 refusal with a named reason on stderr, and no result files: a
-  configuration error (a value out of range, a model kind the pipeline
-  does not run on, or an unknown key at any level of the config, named
-  with its closest known key), spectral data that cannot be computed (for
-  example a periodic kernel) or a certificate that cannot be established;
+- 2 refusal with a named reason on stderr: a configuration error (a
+  value out of range, a model kind the pipeline does not run on, or an
+  unknown key at any level of the config, named with its closest known
+  key), spectral data that cannot be computed (for example a periodic
+  kernel) or a certificate that cannot be established, all with no result
+  files; or an output directory that cannot be written, named with the
+  path;
 - 3 particle cap exceeded by some replicates (result files are written);
 - 4 inconclusive verdict under --strict.
 """
@@ -51,9 +53,9 @@ def _refuse(reason: str, exc: Exception) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_json(args.config)
-        flags = {"seed": args.seed, "replicates": args.replicates, "threads": args.threads}
-        cfg = ExperimentConfig.from_dict({**cfg.raw, **{k: v for k, v in flags.items() if v is not None}})
+        cfg = ExperimentConfig.from_json(
+            args.config, seed=args.seed, replicates=args.replicates, threads=args.threads
+        )
     except ConfigError as exc:
         return _refuse("config error", exc)
 
@@ -68,7 +70,10 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         return _refuse("no certificate", exc)
     elapsed = time.perf_counter() - t0
-    paths = result.write(outdir)
+    try:
+        paths = result.write(outdir)
+    except OSError as exc:
+        return _refuse(f"cannot write to {outdir}", exc)
     # timing goes to the console only; result files stay reproducible
     print(f"{args.command}: wrote {', '.join(paths)} in {elapsed:.2f}s")
     for verdict in result.verdicts:

@@ -1,9 +1,15 @@
 """Experiment orchestration: configs, replicate running, pipelines, reports.
 
-Run assembly lives here. A pipeline gets a model's grid kernels, their
-spectral data and its certificate from ``_spectral_for`` and
-``_certificate_for``, which build each of them once per run; the law
-modules (``ifs``, ``llogl``, ...) only read what they are given.
+Run assembly lives here. A config is read once, by
+``ExperimentConfig.from_dict``, and ``make_model`` builds from the model
+it read. A pipeline returns ``(results, series, verdicts, block)``: its
+own result fields, its series, its verdicts and its ``ReplicateBlock``
+(None if it runs no replicates). ``run_experiment`` alone adds the
+command name, the config echo, the block's cap and particle counts, and
+exit code 3 when a replicate hit the cap. Kernels, spectral data and
+certificates come from ``_spectral_for`` and ``_certificate_for``, which
+build each once per run; the law modules (``ifs``, ``llogl``, ...) only
+read what they are given.
 
 Every run is fully determined by (config, seed): replicate ``i`` always
 draws from its own derived stream, aggregation touches per-replicate
@@ -19,7 +25,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
 
@@ -111,11 +117,6 @@ def _version(value, name: str) -> int:
     return value
 
 
-def _value(value, name: str):
-    """``value`` as given: the law or the pipeline that uses it checks it."""
-    return value
-
-
 def _mapping(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a mapping, got {value!r}")
@@ -136,8 +137,10 @@ def _read(mapping: dict, table: dict, prefix: str) -> dict:
     """Every key of ``table`` read from ``mapping``, whose keys are at ``prefix``.
 
     ``table`` maps a key to its ``(reader, default)``, or to the table of a
-    section, which comes back as the mapping of its keys' values. A key of
-    ``mapping`` that ``table`` does not list is a ``ConfigError``.
+    section, which comes back as the mapping of its keys' values. A reader
+    of None keeps the value as given: the law or the pipeline that uses it
+    checks it. A key of ``mapping`` that ``table`` does not list is a
+    ``ConfigError``.
     """
     for key in mapping:
         _choice(key, table, "key", prefix)
@@ -147,7 +150,7 @@ def _read(mapping: dict, table: dict, prefix: str) -> dict:
         if isinstance(entry, dict):
             values[key] = _read(_mapping(mapping.get(key, {}), name), entry, name + ".")
         elif key in mapping:
-            values[key] = entry[0](mapping[key], name)
+            values[key] = mapping[key] if entry[0] is None else entry[0](mapping[key], name)
         elif entry[1] is _REQUIRED:
             raise ConfigError(f"{name} is required")
         else:
@@ -175,15 +178,15 @@ _CASCADE_SPECS = {
     "uniform_split": {},
     "uniform_split_indep": {},
     "scaled_uniform": {"c": (_real, 2.0)},
-    "deterministic": {"factors": (_value, (0.5, 0.5))},
-    "mixture": {"atoms": (_value, _REQUIRED), "probs": (_value, _REQUIRED)},
+    "deterministic": {"factors": (None, (0.5, 0.5))},
+    "mixture": {"atoms": (None, _REQUIRED), "probs": (None, _REQUIRED)},
 }
 
 
 def _cascade_keys(cascade: dict) -> dict:
     """The keys of a cascade mapping: ``spec`` and the keys of its spec."""
     spec = _choice(cascade.get("spec", "uniform_split"), _CASCADE_SPECS, "cascade spec")
-    return {"spec": (_value, "uniform_split"), **_CASCADE_SPECS[spec]}
+    return {"spec": (None, "uniform_split"), **_CASCADE_SPECS[spec]}
 
 
 def _read_weights(value, name: str) -> dict:
@@ -198,20 +201,20 @@ def _read_weights(value, name: str) -> dict:
 _MODEL_KINDS = {
     "cascade": _CASCADE_SPECS,
     "two_type_flip": {"x0": (_integer, 0)},
-    "markov_chain": {"transition": (_value, _REQUIRED), "x0": (_integer, 0)},
-    "lineage_chain": {"transition": (_value, _REQUIRED), "f": (_value, _REQUIRED), "x0": (_integer, 0)},
+    "markov_chain": {"transition": (None, _REQUIRED), "x0": (_integer, 0)},
+    "lineage_chain": {"transition": (None, _REQUIRED), "f": (None, _REQUIRED), "x0": (_integer, 0)},
     "ifs": {
-        "maps": (_value, _REQUIRED),
-        "map_probs": (_value, None),  # uniform
+        "maps": (None, _REQUIRED),
+        "map_probs": (None, None),  # uniform
         "weights": (_read_weights, {"spec": "uniform_split"}),
         "h": (_real, 2.0**-10),
         "x0": (_real, 0.5),
     },
     "kernel_product": {
-        "atoms": (_value, _REQUIRED),
-        "probs": (_value, _REQUIRED),
+        "atoms": (None, _REQUIRED),
+        "probs": (None, _REQUIRED),
         "x_index": (partial(_integer, least=0), 0),
-        "f": (_value, None),  # ones
+        "f": (None, None),  # ones
     },
 }
 
@@ -223,7 +226,7 @@ def _read_model(value, name: str) -> dict:
         raise ConfigError(f"{name}.kind is required")
     kind = _choice(model["kind"], _MODEL_KINDS, "model kind")
     keys = _cascade_keys(model) if kind == "cascade" else _MODEL_KINDS[kind]
-    return _read(model, {"kind": (_value, kind), **keys}, name + ".")
+    return _read(model, {"kind": (None, kind), **keys}, name + ".")
 
 
 def _cascade_law(cascade: dict) -> CascadeLaw:
@@ -250,8 +253,7 @@ def _table(values, d: int, name: str) -> np.ndarray:
 
 
 def make_model(model: dict) -> ModelBundle:
-    """Instantiate a model mapping with its grid and root generation."""
-    model = _read_model(model, "model")
+    """Instantiate a read model mapping (``cfg.model``) with its grid and root generation."""
     kind = model["kind"]
     try:
         if kind == "cascade":
@@ -296,7 +298,8 @@ def make_model(model: dict) -> ModelBundle:
 # configs
 
 # each config key, as (reader, default); a mapping is a section. A default of
-# None is filled in where the pipeline or the model is known.
+# None is filled in by from_dict when it follows from other keys, else where
+# the pipeline or the model is known.
 _CONFIG_KEYS = {
     "schema_version": (_version, SCHEMA_VERSION),
     "model": (_read_model, _REQUIRED),
@@ -311,14 +314,14 @@ _CONFIG_KEYS = {
     },
     "caps": {"particles": (partial(_integer, least=1), DEFAULT_PARTICLE_CAP)},
     # the observable of the grid pipelines: one value per cell, ones by default
-    "f": (_value, None),
+    "f": (None, None),
     "beta_window": (partial(_integers, length=2), None),
     # Monte Carlo budgets: a standard error needs two draws
     "dispersion_budget": (partial(_integer, least=2), None),  # 2000, 200 on ifs
     "mc_budget": (partial(_integer, least=2), 2000),
     "mn_grid": {
-        "m": (partial(_integers, least=1), (2, 4, 6, 8, 10)),
-        "n": (partial(_integers, least=1), (2, 4, 6, 8, 10)),
+        "m": (partial(_integers, least=1), None),  # 2, 4, ..., proxy / 2
+        "n": (partial(_integers, least=1), None),  # 2, 4, ..., proxy / 2
     },
     "rho": (partial(_real, above=1.0), None),  # computed from the law
     "k": (partial(_integer, least=0), 1),
@@ -345,22 +348,34 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        """Read every key of ``cfg`` once; an unknown key at any level is a ``ConfigError``."""
+        """Read every key of ``cfg`` once, filling in the defaults that follow
+        from other keys; an unknown key at any level is a ``ConfigError``."""
         if not isinstance(cfg, dict):
             raise ConfigError(f"a config must be a JSON object, got {type(cfg).__name__}")
         values = _read(cfg, _CONFIG_KEYS, "")
-        horizons = values["horizons"]
-        if horizons["proxy"] is not None and horizons["n_max"] > horizons["proxy"]:
+        horizons, probe, grid = values["horizons"], values["probe"], values["mn_grid"]
+        if horizons["proxy"] is None:
+            horizons["proxy"] = horizons["n_max"]
+        if horizons["n_max"] > horizons["proxy"]:
             raise ConfigError("horizons.n_max must not exceed horizons.proxy")
+        if probe["n"] is None:
+            probe["n"] = horizons["n_max"]
+        for axis in ("m", "n"):
+            if grid[axis] is None:
+                grid[axis] = tuple(range(2, horizons["proxy"] // 2 + 1, 2))  # empty below proxy 4
         return ExperimentConfig(cfg, **values)
 
     @staticmethod
-    def from_json(path: str) -> "ExperimentConfig":
+    def from_json(path: str, **overrides) -> "ExperimentConfig":
+        """The config at ``path``, each override that is not None set over its key."""
         try:
             with open(path) as fh:
-                return ExperimentConfig.from_dict(json.load(fh))
+                cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(str(exc)) from exc
+        if isinstance(cfg, dict):
+            cfg.update((key, value) for key, value in overrides.items() if value is not None)
+        return ExperimentConfig.from_dict(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +482,14 @@ def run_replicates(
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     return obj
 
@@ -488,9 +501,9 @@ class RunResult:
     command: str
     config: dict
     results: dict
-    series: dict = field(default_factory=dict)  # name -> (header, rows)
-    exit_code: int = 0
-    verdicts: list = field(default_factory=list)
+    series: dict  # name -> (header, rows)
+    exit_code: int
+    verdicts: list
 
     def to_json(self) -> str:
         payload = {
@@ -503,11 +516,9 @@ class RunResult:
 
     def write(self, outdir: str) -> list[str]:
         os.makedirs(outdir, exist_ok=True)
-        paths = []
-        result_path = os.path.join(outdir, "result.json")
-        with open(result_path, "w") as fh:
+        paths = [os.path.join(outdir, "result.json")]
+        with open(paths[0], "w") as fh:
             fh.write(self.to_json())
-        paths.append(result_path)
         for name, (header, rows) in self.series.items():
             path = os.path.join(outdir, f"series_{name}.csv")
             with open(path, "w") as fh:
@@ -544,32 +555,28 @@ def _agreement_verdict(agrees: bool, block: ReplicateBlock) -> str:
     return "holds" if agrees else "fails"
 
 
-
-
 def _mean_se_rows(values: np.ndarray) -> list:
     return [(n, *_mean_se(values[:, n])) for n in range(values.shape[1])]
 
 
-def pipeline_simulate(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def _replicates(cfg: ExperimentConfig, bundle: ModelBundle, observe, horizon: int) -> ReplicateBlock:
+    """The config's replicates of ``bundle`` to ``horizon``, on its seed, workers and particle cap."""
+    return run_replicates(
+        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
+    )
+
+
+def _conditions(reports: dict) -> dict:
+    """The verdict and the numbers of each moment condition of ``liu_conditions``."""
+    return {name: {"verdict": r.verdict, "numbers": r.numbers} for name, r in reports.items()}
+
+
+def pipeline_simulate(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Replicate simulation with per-generation mass statistics."""
-    horizon = cfg.horizons["n_max"]
-    block = run_replicates(
-        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
-    )
+    block = _replicates(cfg, bundle, Generation.total_mass, cfg.horizons["n_max"])
     rows = _mean_se_rows(block.data)
-    results = {
-        "replicates": cfg.replicates,
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
-        "mean_final_mass": rows[-1][1],
-    }
-    return RunResult(
-        "simulate",
-        cfg.raw,
-        results,
-        {"mass": (("n", "estimate", "stderr"), rows)},
-        exit_code=3 if block.n_capped else 0,
-    )
+    results = {"replicates": cfg.replicates, "mean_final_mass": rows[-1][1]}
+    return results, {"mass": (("n", "estimate", "stderr"), rows)}, [], block
 
 
 def _grid_law(bundle: ModelBundle):
@@ -593,7 +600,7 @@ def _spectral_for(cfg: ExperimentConfig, bundle: ModelBundle, horizon: int, f=No
     return k1, sd, f
 
 
-def pipeline_spectral(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def pipeline_spectral(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Kernel construction, dominant eigendata, deviation sequence."""
     k1, sd, f = _spectral_for(cfg, bundle, cfg.horizons["n_max"])
     results = {
@@ -609,16 +616,9 @@ def pipeline_spectral(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
             fit = estimate_beta(k1, f, window=range(first, last + 1))
         except ValueError as exc:
             raise ConfigError(f"beta_window: {exc}") from exc
-        results["beta_fit"] = {
-            "theta": fit.theta,
-            "beta": fit.beta,
-            "beta_raw": fit.beta_raw,
-            "residual": fit.residual,
-        }
+        results["beta_fit"] = asdict(fit)
     rows = [(n + 1, float(a)) for n, a in enumerate(sd.alpha)]
-    return RunResult(
-        "spectral", cfg.raw, results, {"alpha": (("n", "alpha"), rows)}
-    )
+    return results, {"alpha": (("n", "alpha"), rows)}, [], None
 
 
 def _certificate_for(
@@ -651,9 +651,9 @@ def _certificate_for(
     return k1, sd, cert, f
 
 
-def pipeline_certify(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def pipeline_certify(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Full moment-drift certificate for the configured model."""
-    _, sd, cert, _ = _certificate_for(cfg, bundle, cfg.horizons["proxy"] or cfg.horizons["n_max"])
+    _, sd, cert, _ = _certificate_for(cfg, bundle, cfg.horizons["proxy"])
     results = {
         "theta": sd.theta,
         "beta": sd.beta,
@@ -669,24 +669,22 @@ def pipeline_certify(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
         (n, float(g), float(a))
         for n, (g, a) in enumerate(zip(cert.gamma, np.concatenate([[np.nan], sd.alpha])))
     ]
-    return RunResult(
-        "certify", cfg.raw, results, {"certificate": (("n", "gamma", "alpha"), rows)}
-    )
+    return results, {"certificate": (("n", "gamma", "alpha"), rows)}, [], None
 
 
-def pipeline_verify_theorem1(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def pipeline_verify_theorem1(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Monte Carlo L^p error against the certified bound on an (m, n) grid."""
-    horizon = cfg.horizons["proxy"] or cfg.horizons["n_max"]
+    horizon = cfg.horizons["proxy"]
     ms, ns = cfg.mn_grid["m"], cfg.mn_grid["n"]
+    if not ms or not ns:
+        raise ConfigError(f"the default mn_grid 2, 4, ... needs a proxy horizon of at least 4, got {horizon}")
     if max(ms) + max(ns) > horizon:
         raise ConfigError(f"mn_grid needs m + n <= the proxy horizon {horizon}")
     _, sd, cert, f = _certificate_for(cfg, bundle, horizon)
     d = bundle.grid.size
     # a one-point grid keeps total_mass's pairwise sum; bincount would add in another order
     observe = Generation.total_mass if d == 1 else partial(_type_masses, d=d)
-    block = run_replicates(
-        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
-    )
+    block = _replicates(cfg, bundle, observe, horizon)
     per_type = block.data.reshape(block.replicates, horizon + 1, d)
     scales = sd.theta ** -np.arange(horizon + 1, dtype=np.float64)
     tracks = (per_type @ sd.eta_f(f)) * scales
@@ -721,28 +719,19 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig, bundle: ModelBundle) -> RunR
     results = {
         "bound_holds_everywhere": all_hold,
         "replicates": cfg.replicates,
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
         "proxy_horizon": horizon,
         "proxy_gap_bound": gap,
         "theta": sd.theta,
         "c0": cert.c0,
         "Gamma0": cert.Gamma(0),
     }
-    return RunResult(
-        "verify-theorem1",
-        cfg.raw,
-        results,
-        {"theorem1": (("m", "n", "estimate", "stderr", "bound", "holds"), rows)},
-        exit_code=3 if block.n_capped else 0,
-        verdicts=[verdict],
-    )
+    series = {"theorem1": (("m", "n", "estimate", "stderr", "bound", "holds"), rows)}
+    return results, series, [verdict], block
 
 
-def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Moment-condition verdicts plus a degeneracy probe for cascade models."""
-    n_max, rho = cfg.horizons["n_max"], cfg.rho
-    probe_n = n_max if cfg.probe["n"] is None else cfg.probe["n"]
+    n_max, rho, probe_n = cfg.horizons["n_max"], cfg.rho, cfg.probe["n"]
     law = bundle.law
     reports = liu_conditions(law, cfg.p)
     k1 = build_mean_kernel(law, bundle.grid, 1.0)
@@ -775,18 +764,10 @@ def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
             f"the series at k = {cfg.k} grows one trajectory to {exc.count} particles at "
             f"generation {exc.generation_index}, over caps.particles = {exc.cap}"
         ) from exc
-    horizon = max(n_max, probe_n)
-    block = run_replicates(
-        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
-    )
-    tracks = _scaled_tracks(block, theta1)
-    probe = degeneracy_probe(tracks, cfg.probe["epsilon"], probe_n)
-    verdicts = [r.verdict for r in reports.values()] + [hfk.verdict]
+    block = _replicates(cfg, bundle, Generation.total_mass, max(n_max, probe_n))
+    probe = degeneracy_probe(_scaled_tracks(block, theta1), cfg.probe["epsilon"], probe_n)
     results = {
-        "conditions": {
-            name: {"verdict": r.verdict, "numbers": _jsonable(r.numbers)}
-            for name, r in reports.items()
-        },
+        "conditions": _conditions(reports),
         "series_verdict": hfk.verdict,
         "rho": rho,
         "theta1": theta1,
@@ -794,8 +775,6 @@ def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
         "degeneracy_probe": probe,
         "probe_epsilon": cfg.probe["epsilon"],
         "probe_n": probe_n,
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
     }
     rows = [
         (n + 1, float(t1), float(t2))
@@ -803,23 +782,15 @@ def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
             zip(hfk.numbers["terms_first_moment"], hfk.numbers["terms_p_moment"])
         )
     ]
-    return RunResult(
-        "llogl",
-        cfg.raw,
-        results,
-        {"llogl_terms": (("n", "first_moment_term", "p_moment_term"), rows)},
-        exit_code=3 if block.n_capped else 0,
-        verdicts=verdicts,
-    )
+    verdicts = [r.verdict for r in reports.values()] + [hfk.verdict]
+    return results, {"llogl_terms": (("n", "first_moment_term", "p_moment_term"), rows)}, verdicts, block
 
 
-def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Cascade mass martingale: increments, moment verdicts, degeneracy curve."""
     eps = cfg.probe["epsilon"]
     horizon = cfg.horizons["n_max"]
-    block = run_replicates(
-        bundle, Generation.total_mass, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
-    )
+    block = _replicates(cfg, bundle, Generation.total_mass, horizon)
     theta1 = bundle.law.mean_total_mass()
     tracks = _scaled_tracks(block, theta1)
     finite = np.all(np.isfinite(tracks), axis=1)
@@ -833,36 +804,22 @@ def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
     results = {
         "theta1": theta1,
         "flagged_increments": flagged,
-        "conditions": {
-            name: {"verdict": r.verdict, "numbers": _jsonable(r.numbers)}
-            for name, r in reports.items()
-        },
+        "conditions": _conditions(reports),
         "degeneracy_final": probe_rows[-1][1],
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
     }
-    return RunResult(
-        "cascade",
-        cfg.raw,
-        results,
-        {
-            "martingale": (("n", "estimate", "stderr"), rows),
-            "degeneracy": (("n", "fraction"), probe_rows),
-        },
-        exit_code=3 if block.n_capped else 0,
-        verdicts=[r.verdict for r in reports.values()],
-    )
+    series = {
+        "martingale": (("n", "estimate", "stderr"), rows),
+        "degeneracy": (("n", "fraction"), probe_rows),
+    }
+    return results, series, [r.verdict for r in reports.values()], block
 
 
-def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Monte Carlo product observable against mean-matrix powers."""
     horizon = cfg.horizons["n_max"]
     x = cfg.model["x_index"]
     f = bundle.f
-    observe = partial(kernel_product_observable, x_index=x, f=f)
-    block = run_replicates(
-        bundle, observe, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
-    )
+    block = _replicates(cfg, bundle, partial(kernel_product_observable, x_index=x, f=f), horizon)
     pmat = bundle.law.mean_matrix()
     rows = []
     worst_sigma = 0.0
@@ -878,20 +835,12 @@ def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> RunR
         "worst_sigma": worst_sigma,
         "matches_mean_matrix": agrees,
         "mean_matrix_norm": kernel_norm(pmat),
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
     }
-    return RunResult(
-        "kernel-products",
-        cfg.raw,
-        results,
-        {"kernel_products": (("n", "estimate", "stderr", "exact"), rows)},
-        exit_code=3 if block.n_capped else 0,
-        verdicts=[_agreement_verdict(agrees, block)],
-    )
+    series = {"kernel_products": (("n", "estimate", "stderr", "exact"), rows)}
+    return results, series, [_agreement_verdict(agrees, block)], block
 
 
-def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Contraction-rate probe, certificate and killing-profile identity for an IFS model.
 
     The observable is the position ``f(x) = x``; the certificate runs to
@@ -927,21 +876,13 @@ def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
         "Gamma0": cert.Gamma(0),
         "rhs_samples": rhs_samples,
     }
-    return RunResult(
-        "ifs",
-        cfg.raw,
-        results,
-        {"alpha": (("n", "alpha"), rows)},
-        verdicts=[probe.verdict],
-    )
+    return results, {"alpha": (("n", "alpha"), rows)}, [probe.verdict], None
 
 
-def pipeline_lineage(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
+def pipeline_lineage(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     """Lineage ergodic averages against the stationary law of the base chain."""
     horizon = cfg.horizons["n_max"]
-    block = run_replicates(
-        bundle, _lineage_average, horizon, cfg.replicates, cfg.seed, cfg.threads, cfg.caps["particles"]
-    )
+    block = _replicates(cfg, bundle, _lineage_average, horizon)
     pi = stationary_distribution(cfg.model["transition"])
     target = float(np.dot(pi, bundle.law.f_table))
     rows = [(n, *_mean_se(block.data[:, n])) for n in range(1, horizon + 1)]
@@ -957,17 +898,9 @@ def pipeline_lineage(cfg: ExperimentConfig, bundle: ModelBundle) -> RunResult:
         "final_stderr": final_se,
         "final_sigma": sigma,
         "matches_stationary": agrees,
-        "capped_replicates": block.n_capped,
-        "particle_total": block.particle_total,
     }
-    return RunResult(
-        "lineage",
-        cfg.raw,
-        results,
-        {"lineage": (("n", "estimate", "stderr"), rows)},
-        exit_code=3 if block.n_capped else 0,
-        verdicts=[_agreement_verdict(agrees, block)],
-    )
+    series = {"lineage": (("n", "estimate", "stderr"), rows)}
+    return results, series, [_agreement_verdict(agrees, block)], block
 
 
 _GRID_KINDS = ("cascade", "two_type_flip", "markov_chain", "lineage_chain", "ifs")
@@ -995,4 +928,8 @@ def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
         raise ConfigError(f"{command} runs on {', '.join(kinds)} models, not {kind}")
     if cfg.replicates < least:
         raise ConfigError(f"{command} needs at least {least} replicates, got {cfg.replicates}")
-    return pipeline(cfg, make_model(cfg.raw["model"]))
+    results, series, verdicts, block = pipeline(cfg, make_model(cfg.model))
+    if block is not None:
+        results.update(capped_replicates=block.n_capped, particle_total=block.particle_total)
+    exit_code = 3 if block is not None and block.n_capped else 0
+    return RunResult(command, cfg.raw, results, series, exit_code, verdicts)

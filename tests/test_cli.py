@@ -11,7 +11,7 @@ import pytest
 from wbp import harness
 from wbp.cli import _COMMANDS, main
 from wbp.finite_type import MixtureFiniteTypeLaw
-from wbp.harness import SCHEMA_VERSION, _jsonable, run_replicates
+from wbp.harness import SCHEMA_VERSION, ExperimentConfig, _jsonable, run_replicates
 from wbp.martingale import LpErrorReport, mean_agrees
 from wbp.population import Generation
 from wbp.spectral import TypeGrid
@@ -75,6 +75,11 @@ def _config(tmp_path, model, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _bundle(model):
+    """The bundle of a model mapping, read as a config's model."""
+    return harness.make_model(ExperimentConfig.from_dict({"model": model}).model)
 
 
 def _run(pipeline, config, out, threads=1):
@@ -161,7 +166,7 @@ MALFORMED = [
     ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [0, 1], "n": [2, 3]}}),
     ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [1, 2], "n": [0, 3]}}),
     ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": [], "n": [2]}}),
-    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"n": [2]}}),
+    ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"n": [5]}}),  # m defaults to (2,) at proxy 6
     ("verify-theorem1", MODELS["cascade-split"], {"mn_grid": {"m": ["a"], "n": [2]}}),
     ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 0}),
     ("certify", MODELS["cascade-split-indep"], {"dispersion_budget": 1}),
@@ -322,6 +327,39 @@ def test_llogl_probe_without_n_probes_generation_n_max(tmp_path):
     assert results["probe_n"] == 6 and results["probe_epsilon"] == 0.01
 
 
+def _model_only(tmp_path, **extra):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": MODELS["cascade-mixture"], **extra}))
+    return str(path)
+
+
+def test_model_only_config_runs_verify_theorem1_on_a_grid_from_its_horizon(tmp_path):
+    # proxy 12 gives the axes 2, 4, 6: nine (m, n) rows, each with m + n <= 12
+    out = tmp_path / "out"
+    assert _run("verify-theorem1", _model_only(tmp_path), out) == 0
+    lines = (out / "series_theorem1.csv").read_text().splitlines()
+    assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == [
+        (m, n) for m in (2, 4, 6) for n in (2, 4, 6)
+    ]
+
+
+def test_empty_default_grid_is_refused_by_verify_theorem1_alone(tmp_path, capsys):
+    config = _model_only(tmp_path, replicates=100, horizons={"n_max": 3})
+    assert _run("verify-theorem1", config, tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "config error: the default mn_grid 2, 4, ... needs a proxy horizon of at least 4, got 3\n"
+    )
+    assert _run("simulate", config, tmp_path / "out") == 0
+
+
+def test_unwritable_output_directory_is_refused_with_exit_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    assert _run("simulate", _config(tmp_path, MODELS["cascade-split"]), out) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write to {out}: ")
+    assert out.read_text() == "a file, not a directory"
+
+
 def test_capped_lp_error_exits_3_with_an_inconclusive_result(tmp_path, capsys):
     config = _config(tmp_path, MODELS["cascade-split"], caps={"particles": 6})
     out = tmp_path / "out"
@@ -357,7 +395,7 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    bundle = harness.make_model(MODELS["cascade-split-indep"])
+    bundle = _bundle(MODELS["cascade-split-indep"])
     serial = run_replicates(bundle, Generation.total_mass, 3, 20, seed=1, threads=1)
     assert pools == []
     pooled = run_replicates(bundle, Generation.total_mass, 3, 20, seed=1, threads=64)
@@ -370,7 +408,7 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
 def test_replicate_rows_match_for_any_worker_count_with_capped_replicates():
     # one or two children per parent: the cap catches some replicates and not others;
     # 13 replicates split into uneven chunks for 2 and for 3 workers
-    cascade = harness.make_model(
+    cascade = _bundle(
         {"kind": "cascade", "spec": "mixture", "atoms": [[0.5, 0.5], [1.0]], "probs": [0.5, 0.5]}
     )
     # the same brood sizes on two types, observed as the mass on each type

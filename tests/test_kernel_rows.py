@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dense_kernels import dense, from_dense
 from wbp.cascades import CascadeLaw, UniformSplitCascade
 from wbp.finite_type import MixtureFiniteTypeLaw
-from wbp.harness import _grid_law, make_model
+from wbp.harness import ExperimentConfig, _grid_law, make_model
 from wbp.ifs import IfsLaw, ifs_weighted_law
 from wbp.martingale import mean_agrees
 from wbp.spectral import MeanKernel, TypeGrid, build_mean_kernel, power_iteration, support_period
@@ -50,6 +50,10 @@ GRID_MODELS = {
 }
 
 
+def bundle_of(name):
+    return make_model(ExperimentConfig.from_dict({"model": GRID_MODELS[name]}).model)
+
+
 def dense_rows(law, grid, order):
     """Reference: the per-row dense moment kernel the sparse rows replaced."""
     d = grid.size
@@ -73,7 +77,7 @@ def dense_rows(law, grid, order):
 @pytest.mark.parametrize("order", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("name", sorted(GRID_MODELS))
 def test_sparse_kernel_equals_dense_build_for_every_grid_model(name, order):
-    bundle = make_model(GRID_MODELS[name])
+    bundle = bundle_of(name)
     law = _grid_law(bundle)
     k = build_mean_kernel(law, bundle.grid, order)
     m = dense_rows(law, bundle.grid, order)
@@ -87,7 +91,7 @@ def test_sparse_kernel_equals_dense_build_for_every_grid_model(name, order):
 @pytest.mark.parametrize("name", sorted(GRID_MODELS))
 def test_moment_rows_agree_with_the_sampler(name, order):
     # each cell's closed-form mass against the mean of sum u**order over sampled parents
-    bundle = make_model(GRID_MODELS[name])
+    bundle = bundle_of(name)
     law, grid = _grid_law(bundle), bundle.grid
     d = grid.size
     m = dense(build_mean_kernel(law, grid, order))
@@ -106,7 +110,7 @@ def test_moment_rows_agree_with_the_sampler(name, order):
 
 
 def test_maps_landing_in_one_cell_share_its_slot():
-    bundle = make_model(GRID_MODELS["ifs-overlap"])
+    bundle = bundle_of("ifs-overlap")
     k = build_mean_kernel(bundle.law, bundle.grid, 1.0)
     assert set(np.count_nonzero(k.matrix, axis=1).tolist()) == {2, 3}
     assert k.matrix.shape == (bundle.grid.size, 3)

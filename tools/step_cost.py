@@ -33,7 +33,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wbp.harness import make_model  # noqa: E402
+from wbp.harness import ExperimentConfig, make_model  # noqa: E402
 from wbp.population import Generation, advance_generation  # noqa: E402
 from wbp.streams import derive_stream  # noqa: E402
 
@@ -61,7 +61,7 @@ SLOTS_PER_BATCH = 10**6
 
 def step_cost(model: dict, parents: int, repeats: int) -> dict:
     """Best-of-``repeats`` cost of one ``advance_generation`` call from ``parents`` root copies."""
-    bundle = make_model(model)
+    bundle = make_model(ExperimentConfig.from_dict({"model": model}).model)
     root = bundle.g0
     g = Generation(np.repeat(root.weights, parents), np.repeat(root.types, parents, axis=0))
     rng = derive_stream(0, 0)

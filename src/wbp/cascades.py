@@ -48,9 +48,15 @@ class CascadeLaw(ReproductionLaw):
     def root_generation(self, weight: float = 1.0) -> Generation:
         return initial_generation([weight], np.zeros(1, dtype=np.int64))
 
-    def _batch(self, child_weights, brood):
-        types = np.zeros(child_weights.shape[0], dtype=np.int64)
-        return ProgenyBatch(child_weights, types, brood)
+    def sample_weights(self, weights, rng) -> tuple[np.ndarray, int]:
+        """``(child_weights, brood)``: the batch draw, parent ``i``'s children in
+        slots ``i*brood ..``. Besides the returned float64 array it allocates
+        only per-parent temporaries, never a second array of the slots' size."""
+        raise NotImplementedError
+
+    def sample_generation(self, weights, types, rng):
+        child_w, brood = self.sample_weights(weights, rng)
+        return ProgenyBatch(child_w, np.zeros(child_w.shape[0], dtype=np.int64), brood)
 
 
 @dataclass
@@ -67,10 +73,9 @@ class DeterministicCascade(CascadeLaw):
     def sample_progeny(self, x, rng):
         return [(float(u), 0) for u in self._v]
 
-    def sample_generation(self, weights, types, rng):
+    def sample_weights(self, weights, rng):
         w = np.asarray(weights, dtype=np.float64)
-        child_w = (w[:, None] * self._v).ravel()
-        return self._batch(child_w, self._v.size)
+        return (w[:, None] * self._v).ravel(), self._v.size
 
     def factor_moment(self, q):
         return float(np.sum(self._v[self._v > 0] ** q))
@@ -102,7 +107,7 @@ class UniformSplitCascade(CascadeLaw):
         u = rng.random()
         return [(u, 0), (1.0 - u, 0)]
 
-    def sample_generation(self, weights, types, rng):
+    def sample_weights(self, weights, rng):
         # parent i gets children at slots 2i and 2i+1, formed in place
         w = np.asarray(weights, dtype=np.float64)
         p = w.size
@@ -118,7 +123,7 @@ class UniformSplitCascade(CascadeLaw):
             np.multiply(w, u, out=child_w[0::2])
             np.subtract(1.0, u, out=u)
             np.multiply(w, u, out=child_w[1::2])
-        return self._batch(child_w, 2)
+        return child_w, 2
 
     def factor_moment(self, q):
         return 2.0 / (q + 1.0)
@@ -153,10 +158,9 @@ class ScaledUniformCascade(CascadeLaw):
         u = rng.random()
         return [(self.c * u, 0), (0.0, 0)]
 
-    def sample_generation(self, weights, types, rng):
-        w = np.asarray(weights, dtype=np.float64)
-        child_w = w * (self.c * rng.random(w.size))
-        return self._batch(child_w, 1)
+    def sample_weights(self, weights, rng):
+        u = rng.random(len(weights))
+        return np.multiply(weights, np.multiply(self.c, u, out=u), out=u), 1
 
     def factor_moment(self, q):
         return self.c**q / (q + 1.0)
@@ -197,11 +201,11 @@ class MixtureCascade(CascadeLaw):
         j = int(self._draw_atoms(1, rng)[0])
         return [(float(u), 0) for u in self.atoms[j]]
 
-    def sample_generation(self, weights, types, rng):
+    def sample_weights(self, weights, rng):
         w = np.asarray(weights, dtype=np.float64)
         child_w = self._padded.take(self._draw_atoms(w.size, rng), axis=0)
         child_w *= w[:, None]
-        return self._batch(child_w.ravel(), self._padded.shape[1])
+        return child_w.ravel(), self._padded.shape[1]
 
     def factor_moment(self, q):
         pr = np.asarray(self.probs)

@@ -75,14 +75,16 @@ class ConfigError(Exception):
 # value as the code uses it or raises a ConfigError
 
 
-def _integer(value, name: str, least: Optional[int] = None) -> int:
-    """``value`` as an int of at least ``least``; a bool, a non-number, a
-    non-integral number or a smaller value is a ``ConfigError``."""
+def _integer(value, name: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """``value`` as an int in ``[least, most]``; a bool, a non-number, a
+    non-integral number or a value out of range is a ``ConfigError``."""
     integral = isinstance(value, float) and value.is_integer()
     if not integral and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be <= {most}, got {value!r}")
     return int(value)
 
 
@@ -303,7 +305,7 @@ def make_model(model: dict) -> ModelBundle:
 _CONFIG_KEYS = {
     "schema_version": (_version, SCHEMA_VERSION),
     "model": (_read_model, _REQUIRED),
-    "seed": (_integer, 0),
+    "seed": (partial(_integer, least=0, most=2**64 - 1), 0),  # a root seed of derive_seed
     "replicates": (partial(_integer, least=1), 1000),
     "threads": (partial(_integer, least=1), 1),
     "p": (partial(_real, above=1.0, most=2.0), 2.0),
@@ -888,10 +890,7 @@ def pipeline_lineage(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     rows = [(n, *_mean_se(block.data[:, n])) for n in range(1, horizon + 1)]
     final_mean, final_se = rows[-1][1], rows[-1][2]
     agrees = mean_agrees(final_mean, final_se, target)
-    if final_se > 0:
-        sigma = abs(final_mean - target) / final_se
-    else:
-        sigma = 0.0 if agrees else np.inf
+    sigma = abs(final_mean - target) / final_se if final_se > 0 else (0.0 if agrees else np.inf)
     results = {
         "stationary_value": target,
         "final_mean": final_mean,

@@ -31,6 +31,10 @@ from .population import (
 )
 from .spectral import MeanKernel, SpectralData, power_iteration
 
+# children per block of the batch map draw: a block's uniforms, map indices,
+# coefficients and positions (about 1 MB) stay in L2 (tools/step_cost.py --blocks)
+_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -49,7 +53,14 @@ class AffineMap:
 
 @dataclass
 class IfsLaw(ReproductionLaw):
-    """Offspring weights from ``weights`` (type-independent), types from random maps."""
+    """Offspring weights from ``weights`` (type-independent), types from random maps.
+
+    The batch path draws every child weight, then the maps in blocks of
+    ``_BLOCK`` children (the uniforms of one ``rng.random(slots)``), moving
+    each block of positions in place. Besides the parents and the returned
+    weights and positions it holds one block's uniforms, map indices and
+    coefficients at a time, less than two blocks of children at 16 bytes each.
+    """
 
     maps: tuple[AffineMap, ...]
     map_probs: tuple[float, ...]
@@ -58,8 +69,8 @@ class IfsLaw(ReproductionLaw):
     def __post_init__(self):
         if len(self.maps) != len(self.map_probs):
             raise ValueError("maps and map_probs must align")
-        self._cum = cumulative_probs(self.map_probs, "map_probs")
-        self._thresholds = self._cum[self._cum < 1.0].tolist()
+        cum = cumulative_probs(self.map_probs, "map_probs")
+        self._thresholds = cum[cum < 1.0].tolist()
         self._probs = np.array(self.map_probs, dtype=np.float64)
         # the sampler's table ends at exactly 1.0; the mean kernel uses map_probs
         # as given, so the two may differ only by rounding
@@ -74,7 +85,7 @@ class IfsLaw(ReproductionLaw):
         self._a = np.array([m.a for m in self.maps])
         self._b = np.array([m.b for m in self.maps])
         # Python-scalar copies for the per-parent draw
-        self._cum_list = self._cum.tolist()
+        self._cum_list = cum.tolist()
         self._a_list = self._a.tolist()
         self._b_list = self._b.tolist()
 
@@ -94,12 +105,15 @@ class IfsLaw(ReproductionLaw):
         return out
 
     def sample_generation(self, weights, types, rng):
-        batch = self.weights.sample_generation(weights, np.zeros(len(weights), dtype=np.int64), rng)
-        zeta = count_thresholds(rng.random(batch.weights.shape[0]), self._thresholds)
-        child_types = np.repeat(np.asarray(types, dtype=np.float64), batch.brood)
-        child_types *= self._a.take(zeta)
-        child_types += self._b.take(zeta)
-        return ProgenyBatch(batch.weights, child_types, batch.brood)
+        child_w, brood = self.weights.sample_weights(weights, rng)
+        child_x = np.repeat(np.asarray(types, dtype=np.float64), brood)
+        for lo in range(0, child_x.size, _BLOCK):
+            block = child_x[lo : lo + _BLOCK]
+            zeta = count_thresholds(rng.random(block.size), self._thresholds)
+            block *= self._a.take(zeta)
+            block += self._b.take(zeta)
+            del zeta  # else it lives on beside the next block's uniforms
+        return ProgenyBatch(child_w, child_x, brood)
 
     def moment_rows(self, grid, order: float):
         # one cell per (grid point, map); two maps landing in one cell add in map order

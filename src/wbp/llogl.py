@@ -68,20 +68,8 @@ def liu_conditions(law: CascadeLaw, p: float) -> dict[str, LlogLReport]:
         "mass_loglog_moment": loglog,
         "p": p,
     }
-    finite_p = math.isfinite(sum_power)
-    finite_ll = math.isfinite(loglog)
-    return {
-        "p-moment-contraction": LlogLReport(
-            "p-moment-contraction",
-            contraction if finite_p else "fails",
-            numbers,
-        ),
-        "mass-LlogL": LlogLReport(
-            "mass-LlogL",
-            contraction if finite_ll else "fails",
-            numbers,
-        ),
-    }
+    finite = {"p-moment-contraction": math.isfinite(sum_power), "mass-LlogL": math.isfinite(loglog)}
+    return {name: LlogLReport(name, contraction if ok else "fails", numbers) for name, ok in finite.items()}
 
 
 def hfk_partial_sums(

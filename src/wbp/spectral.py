@@ -250,14 +250,7 @@ def power_iteration(k: MeanKernel, tol: float = 1e-12, max_iter: int = 100_000) 
     nu = nu / np.sum(nu)
     resid_r = float(np.max(np.abs(k.apply(eta) - theta * eta)) / np.max(np.abs(eta)))
     resid_l = float(np.sum(np.abs(k.apply_t(nu) - theta * nu)))
-    return SpectralData(
-        theta=float(theta),
-        beta=0,
-        eta=eta,
-        nu=nu,
-        residual_right=resid_r,
-        residual_left=resid_l,
-    )
+    return SpectralData(float(theta), 0, eta, nu, residual_right=resid_r, residual_left=resid_l)
 
 
 def support_period(k: MeanKernel) -> Optional[int]:

@@ -25,10 +25,12 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(root_seed: int, index: int) -> int:
-    """64-bit stream seed for replicate ``index`` under ``root_seed``."""
+    """64-bit stream seed for replicate ``index`` under a ``root_seed`` in [0, 2^64)."""
     if index < 0:
         raise ValueError("replicate index must be non-negative")
-    mixed = splitmix64(root_seed & _MASK64) ^ (((index + 1) * _GOLDEN) & _MASK64)
+    if not 0 <= root_seed <= _MASK64:
+        raise ValueError(f"root seed {root_seed} is outside [0, 2^64)")
+    mixed = splitmix64(root_seed) ^ (((index + 1) * _GOLDEN) & _MASK64)
     return splitmix64(mixed)
 
 

@@ -39,17 +39,53 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
     (tmp_path / "head" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
     order = []
 
-    def fake_run(tree, workload, seconds):
-        order.append(tree.name)
+    def fake_run(tree, workload, seconds, seed):
+        order.append((tree.name, seed))
         return _record(5.0 if tree.name == "head" else 7.0)
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "bushy", "--pairs", "3"]
     assert bench_pairs.main(argv + ["--json", str(tmp_path / "pairs.json")]) == 0
-    assert order == ["base", "head", "head", "base", "base", "head"]
+    assert order == [(side, 0) for side in ("base", "head", "head", "base", "base", "head")]
     assert "head better in 3/3" in capsys.readouterr().out
     summary = json.loads((tmp_path / "pairs.json").read_text())
-    assert summary["workload"] == "bushy" and summary["pairs"] == 3
+    assert summary["workload"] == "bushy" and summary["pairs"] == 3 and summary["seed"] == 0
     wall = summary["metrics"][0]
     assert wall["metric"] == "wall_s" and wall["head_wins"] == 3
     assert wall["base_q1_median_q3"] == [7.0, 7.0, 7.0]
+
+
+def test_seed_reaches_both_sides_runs_and_the_summary(tmp_path, monkeypatch):
+    for side in ("base", "head"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "head" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    seeds = []
+
+    def fake_run(tree, workload, seconds, seed):
+        seeds.append((tree.name, seed))
+        return _record(7.0)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "swarm", "--pairs", "2"]
+    assert bench_pairs.main(argv + ["--seed", "7", "--json", str(tmp_path / "pairs.json")]) == 0
+    assert sorted(seeds) == [("base", 7), ("base", 7), ("head", 7), ("head", 7)]
+    assert json.loads((tmp_path / "pairs.json").read_text())["seed"] == 7
+
+
+def test_run_bench_passes_the_seed_to_bench_run(tmp_path, monkeypatch):
+    calls = []
+
+    class Done:
+        returncode = 0
+        stdout = json.dumps(_record(1.0)) + "\n"
+        stderr = ""
+
+    def fake_subprocess_run(cmd, **kwargs):
+        calls.append((cmd, kwargs["cwd"]))
+        return Done()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.run_bench(tmp_path, "bushy", 30.0, 11)["correct"]
+    (cmd, cwd), = calls
+    assert cwd == tmp_path and cmd[1] == "bench/run.py"
+    assert cmd[cmd.index("--seed") + 1] == "11" and cmd[cmd.index("--seconds") + 1] == "30.0"

@@ -311,6 +311,26 @@ def test_config_that_is_not_a_json_object_is_refused_with_exit_2(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**64 + 5, 2**64 - 3 + 2**64])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_seed_outside_64_bits_is_refused_with_exit_2(tmp_path, capsys, seed, where):
+    # such a seed used to wrap modulo 2^64: 5 and 2^64 + 5 wrote the same series
+    extra = {"seed": seed} if where == "config" else {}
+    flags = ["--seed", str(seed)] if where == "flag" else []
+    config = _config(tmp_path, MODELS["cascade-split"], **extra)
+    assert main(["simulate", "--config", config, *flags, "--out", str(tmp_path / "out")]) == 2
+    bound = ">= 0" if seed < 0 else f"<= {2**64 - 1}"
+    assert capsys.readouterr().err == f"config error: seed must be {bound}, got {seed}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_both_ends_of_64_bits_run(tmp_path, seed):
+    config = _config(tmp_path, MODELS["cascade-split"], replicates=2, horizons={"n_max": 2})
+    assert main(["simulate", "--config", config, "--seed", str(seed), "--out", str(tmp_path / "out")]) == 0
+    assert _result(tmp_path / "out")["config"]["seed"] == seed
+
+
 @pytest.mark.parametrize("threads", [0, -2])
 def test_threads_flag_below_one_is_refused_with_exit_2(tmp_path, capsys, threads):
     assert _run("simulate", _config(tmp_path, MODELS["cascade-split"]), tmp_path / "out", threads) == 2

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dense_kernels import dense, from_dense
-from wbp.cascades import DeterministicCascade, UniformSplitCascade
+from wbp.cascades import DeterministicCascade, ScaledUniformCascade, UniformSplitCascade
 from wbp.harness import ExperimentConfig, run_experiment
-from wbp.ifs import doob_transition, ifs_convergence_probe, ifs_weighted_law
+from wbp.ifs import _BLOCK, doob_transition, ifs_convergence_probe, ifs_weighted_law
 from wbp.population import advance_generation, count_thresholds, cumulative_probs
 from wbp.spectral import TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
@@ -87,6 +89,59 @@ def test_batch_map_draw_equals_searchsorted(n_maps):
     assert np.array_equal(batch.types, b[expected])
 
 
+def _one_pass_generation(law, weights, types, rng):
+    # every weight, then every map uniform in one draw, then the gathers over all children
+    child_w, brood = law.weights.sample_weights(weights, rng)
+    zeta = count_thresholds(rng.random(child_w.size), law._thresholds)
+    return child_w, np.repeat(types, brood) * law._a.take(zeta) + law._b.take(zeta)
+
+
+@pytest.mark.parametrize("children", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize(
+    "maps,probs",
+    [
+        ([(0.5, 0.25)], (1.0,)),
+        ([(0.5, 0.0), (0.5, 0.5)], (0.5, 0.5)),
+        # the middle map is never drawn
+        ([(0.3, 0.0), (0.2, 0.4), (0.25, 0.75)], (0.3, 0.0, 0.7)),
+    ],
+)
+@pytest.mark.parametrize("weights,brood", [(ScaledUniformCascade(), 1), (UniformSplitCascade(independent=True), 2)])
+def test_blocked_map_draw_equals_one_pass(children, maps, probs, weights, brood):
+    # the blocks draw the map uniforms of one rng.random(n) and leave the stream where it would
+    law = ifs_weighted_law(maps, probs, weights)
+    parents = -(-children // brood)
+    x = derive_stream(5, children).random(parents)
+    w = np.linspace(0.5, 2.0, parents)
+    batch_rng, ref_rng = derive_stream(3, children), derive_stream(3, children)
+    batch = law.sample_generation(w, x, batch_rng)
+    ref_w, ref_x = _one_pass_generation(law, w, x, ref_rng)
+    assert batch.weights.tobytes() == ref_w.tobytes()
+    assert batch.types.dtype == np.float64 and batch.types.tobytes() == ref_x.tobytes()
+    assert batch.brood == brood and batch.types.size == brood * parents
+    assert batch_rng.random() == ref_rng.random()
+    if len(maps) == 3:  # the middle map's image [0.4, 0.6) stays empty
+        assert not np.any((batch.types >= 0.4) & (batch.types < 0.6))
+
+
+def test_one_step_holds_parents_children_and_at_most_two_blocks():
+    # numpy reports its arrays to tracemalloc; the one-pass draw held the cascade's
+    # types, a full map index and two gathered coefficient arrays beside the children
+    law = halving_ifs(UniformSplitCascade(independent=True))
+    tracemalloc.start()
+    try:
+        weights, types = np.ones(2**17), np.full(2**17, 0.5)
+        batch = law.sample_generation(weights, types, derive_stream(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    parents = weights.nbytes + types.nbytes
+    children = batch.weights.nbytes + batch.types.nbytes
+    block = _BLOCK * 16  # a block of children, a weight and a position each
+    assert children == 2**18 * 16
+    assert peak < parents + children + 2 * block
+
+
 def test_map_validation():
     with pytest.raises(ValueError):
         ifs_weighted_law([(1.2, 0.0)], (1.0,), DeterministicCascade((1.0,)))
@@ -134,8 +189,8 @@ def test_map_probs_off_one_beyond_rounding_are_refused():
     with pytest.raises(ValueError, match="map_probs"):
         ifs_weighted_law([(0.5, 0.0), (0.5, 0.5)], (0.5, 0.49999999), UniformSplitCascade())
     # a sum off by rounding only is kept: ten maps of 0.1 add up to 0.9999999999999999
-    law = ifs_weighted_law([(0.5, 0.05 * i) for i in range(10)], (0.1,) * 10, UniformSplitCascade())
-    assert law._cum[-1] == 1.0
+    ifs_weighted_law([(0.5, 0.05 * i) for i in range(10)], (0.1,) * 10, UniformSplitCascade())
+    assert cumulative_probs((0.1,) * 10, "map_probs")[-1] == 1.0
 
 
 def test_pathwise_contraction_under_shared_randomness():

@@ -31,7 +31,7 @@ def test_small_table_is_written_with_the_pair_summaries(tmp_path, capsys):
     }
     pairs.write_text(json.dumps({"workload": "swarm", "pairs": 10, "seconds": 6.0, "metrics": [row]}))
     out = tmp_path / "bench.json"
-    argv = ["--sizes", "1", "7", "--repeats", "1", "--out", str(out), "--pairs", str(pairs)]
+    argv = ["--sizes", "1", "7", "--repeats", "1", "--out", str(out), "--pairs", str(pairs), "--blocks", "3"]
     assert step_cost.main(argv) == 0
     printed = capsys.readouterr().out
     payload = json.loads(out.read_text())
@@ -43,10 +43,16 @@ def test_small_table_is_written_with_the_pair_summaries(tmp_path, capsys):
         one, seven = sizes["1"], sizes["7"]
         assert one["slots"] >= 1 and seven["slots"] == 7 * one["slots"]
         assert one["us_per_call"] > 0 and seven["ns_per_slot"] > 0
+        # the peak counts the parents: a weight and a type of at least 8 bytes each
+        assert seven["peak_bytes_per_slot"] * seven["slots"] >= 7 * 16
     # two children per parent for the split cascade, brood padding counted as slots
     assert laws["cascade.uniform_split"]["7"]["slots"] == 14
     assert laws["kernel_product"]["1"]["slots"] == 2
+    # the sweep sets the IFS block size for its own rows only
+    assert payload["step_cost"]["block"] == step_cost.wbp.ifs._BLOCK
+    assert set(payload["step_cost"]["ifs_block_sweep"]["3"]) == {"1", "7"}
+    assert "ifs (block 3)" in printed
     swarm = payload["pairs"]["swarm"]
-    assert swarm["seconds"] == 6.0
+    assert swarm["seconds"] == 6.0 and swarm["workload"] == "swarm" and swarm["seed"] == 0
     assert swarm["metrics"]["wall_s"]["head_wins"] == 10
     assert payload["step_cost"]["machine"]["cpus"] >= 1

@@ -38,3 +38,13 @@ def test_negative_index_rejected():
 
     with pytest.raises(ValueError):
         derive_seed(1, -1)
+
+
+def test_root_seed_outside_64_bits_rejected():
+    import pytest
+
+    # such seeds used to be reduced modulo 2^64, so -3 and 2^64 - 3 shared a stream
+    for seed in (-1, -3, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="root seed"):
+            derive_seed(seed, 0)
+    assert derive_seed(2**64 - 1, 0) != derive_seed(0, 0)

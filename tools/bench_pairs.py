@@ -1,6 +1,7 @@
 """Paired end-to-end benchmark runs of two source trees.
 
     python3 tools/bench_pairs.py BASE HEAD --workload bushy --pairs 10
+    python3 tools/bench_pairs.py BASE HEAD --workload bushy --pairs 10 --seed 7
 
 BASE and HEAD are checkouts of this repository. Each pair runs every tree's
 own, unchanged ``bench/run.py --trace 0`` once, from that tree's root; pair
@@ -14,11 +15,12 @@ HEAD's run was strictly better, in the metric's own direction; ``--json
 PATH`` also writes that summary to ``PATH`` (``tools/step_cost.py --pairs``
 reads it).
 
-Every run uses ``bench/run.py``'s default seed, and ``--seconds`` (default:
-each tree's ``run_seconds``) sets the length of both sides' runs. Nothing is
-written under either tree's ``bench/``; ``bench/run.py`` keeps its scratch
-outputs in the tree's ``.bench_work/``. Exits 1 when a run ends
-``"correct": false``, and stops when one fails.
+Every run of both sides gets ``--seed`` (default 0), so a claim can be
+re-checked at a seed the change was not measured at, and ``--seconds``
+(default: each tree's ``run_seconds``) sets the length of both sides'
+runs. Nothing is written under either tree's ``bench/``; ``bench/run.py``
+keeps its scratch outputs in the tree's ``.bench_work/``. Exits 1 when a
+run ends ``"correct": false``, and stops when one fails.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import sys
 from pathlib import Path
 
 
-def run_bench(tree: Path, workload: str, seconds) -> dict:
+def run_bench(tree: Path, workload: str, seconds, seed: int) -> dict:
     """One ``bench/run.py`` run of ``tree``; returns its final JSON record."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0"]
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     # run.py imports wbp from its own tree; an inherited PYTHONPATH could shadow it
@@ -81,6 +83,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None, help="default: run_seconds of each tree")
+    parser.add_argument("--seed", type=int, default=0, help="bench/run.py --seed of every run")
     parser.add_argument("--json", type=Path, default=None, help="also write the summary to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -92,14 +95,14 @@ def main(argv=None) -> int:
     correct = True
     for k in range(args.pairs):
         for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
-            result = run_bench(trees[side], args.workload, args.seconds)
+            result = run_bench(trees[side], args.workload, args.seconds, args.seed)
             runs[side].append(result)
             correct = correct and result["correct"]
             values = "  ".join(f"{m['name']} {result['metrics'][m['name']]['value']:.4g}" for m in metrics)
             print(f"pair {k} {side}: correct={result['correct']}  {values}", flush=True)
 
     rows = summarize(metrics, runs)
-    print(f"\n{args.workload}: {args.pairs} pairs; quartiles q1 / median / q3")
+    print(f"\n{args.workload}: {args.pairs} pairs at seed {args.seed}; quartiles q1 / median / q3")
     for r in rows:
         b, h = r["base_q1_median_q3"], r["head_q1_median_q3"]
         print(
@@ -109,7 +112,13 @@ def main(argv=None) -> int:
             f"head better in {r['head_wins']}/{r['pairs']} ({r['better']} is better)"
         )
     if args.json is not None:
-        summary = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds, "metrics": rows}
+        summary = {
+            "workload": args.workload,
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "seed": args.seed,
+            "metrics": rows,
+        }
         args.json.write_text(json.dumps(summary, indent=1) + "\n")
     return 0 if correct else 1
 

@@ -2,6 +2,7 @@
 
     python3 tools/step_cost.py
     python3 tools/step_cost.py --out BENCH.json --pairs swarm.json bushy.json certify.json
+    python3 tools/step_cost.py --blocks 4096 16384 65536 262144 --sizes 1000 524288
 
 For each law a config can build (every cascade spec and every model kind),
 the tool times ``advance_generation`` on a population of ``n`` copies of the
@@ -11,12 +12,18 @@ model's root particle, for each ``n`` of ``--sizes`` (default 1, 10^3 and
 machine; a batch holds up to 2 000 calls and at most about 10^6 slots. It
 prints, per law and size, the microseconds per call and the nanoseconds
 per slot, a slot being one entry of the law's ``ProgenyBatch`` (children
-and brood padding alike).
+and brood padding alike), and the traced peak bytes per slot of one step:
+the ``tracemalloc`` peak of a further call, which numpy reports to, plus
+the bytes of the parent generation, divided by the slots.
+
+``--blocks`` times the IFS law once more at each given block size of its
+batch map draw (the module constant ``wbp.ifs._BLOCK``, set for the sweep
+only), with the same columns; the constant was picked from such a sweep.
 
 ``--out`` writes the table as JSON, with the machine it ran on. Each
 ``--pairs`` file is a ``tools/bench_pairs.py --json`` summary; its
-per-metric medians and quartiles are copied into the same file, under the
-summary's workload.
+workload, seed and per-metric medians and quartiles are copied into the
+same file, under the summary file's name without its suffix.
 """
 
 from __future__ import annotations
@@ -27,12 +34,14 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import wbp.ifs  # noqa: E402
 from wbp.harness import ExperimentConfig, make_model  # noqa: E402
 from wbp.population import Generation, advance_generation  # noqa: E402
 from wbp.streams import derive_stream  # noqa: E402
@@ -73,7 +82,17 @@ def step_cost(model: dict, parents: int, repeats: int) -> dict:
         for _ in range(calls):
             advance_generation(g, bundle.law, rng)
         best = min(best, (time.perf_counter() - t0) / calls)
-    return {"slots": slots, "calls": calls, "us_per_call": best * 1e6, "ns_per_slot": best * 1e9 / slots}
+    tracemalloc.start()
+    advance_generation(g, bundle.law, rng)
+    peak = tracemalloc.get_traced_memory()[1] + g.weights.nbytes + g.types.nbytes
+    tracemalloc.stop()
+    return {
+        "slots": slots,
+        "calls": calls,
+        "us_per_call": best * 1e6,
+        "ns_per_slot": best * 1e9 / slots,
+        "peak_bytes_per_slot": peak / slots,
+    }
 
 
 def machine() -> dict:
@@ -91,11 +110,13 @@ def machine() -> dict:
     }
 
 
-def pair_summary(path: Path) -> tuple:
-    """``(workload, {metric: quartiles and wins})`` from a ``bench_pairs.py --json`` file."""
+def pair_summary(path: Path) -> dict:
+    """Workload, seed and ``{metric: quartiles and wins}`` of a ``bench_pairs.py --json`` file."""
     summary = json.loads(path.read_text())
     rows = {r.pop("metric"): r for r in summary["metrics"]}
-    return summary["workload"], {"seconds": summary["seconds"], "metrics": rows}
+    # a summary written before bench_pairs.py had --seed ran at seed 0
+    seed = summary.get("seed", 0)
+    return {"workload": summary["workload"], "seconds": summary["seconds"], "seed": seed, "metrics": rows}
 
 
 def main(argv=None) -> int:
@@ -104,25 +125,43 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, default=None, help="write the table as JSON")
     parser.add_argument("--pairs", type=Path, nargs="*", default=[], help="bench_pairs.py --json summaries")
+    parser.add_argument("--blocks", type=int, nargs="*", default=[], help="IFS map-draw block sizes to sweep")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or min(args.sizes) < 1:
-        parser.error("--repeats and --sizes must be at least 1")
+    if args.repeats < 1 or min(args.sizes + args.blocks, default=1) < 1:
+        parser.error("--repeats, --sizes and --blocks must be at least 1")
 
-    table = {}
-    print(f"{'law':30s} {'parents':>9s} {'slots':>9s} {'us/call':>10s} {'ns/slot':>9s}")
-    for name, model in MODELS.items():
-        table[name] = {}
+    print(f"{'law':30s} {'parents':>9s} {'slots':>9s} {'us/call':>10s} {'ns/slot':>9s} {'peak B/slot':>11s}")
+
+    def rows(name, model):
+        table = {}
         for parents in args.sizes:
-            row = step_cost(model, parents, args.repeats)
-            table[name][str(parents)] = row
+            row = table[str(parents)] = step_cost(model, parents, args.repeats)
             print(
-                f"{name:30s} {parents:9d} {row['slots']:9d} {row['us_per_call']:10.2f} {row['ns_per_slot']:9.2f}",
+                f"{name:30s} {parents:9d} {row['slots']:9d} {row['us_per_call']:10.2f} "
+                f"{row['ns_per_slot']:9.2f} {row['peak_bytes_per_slot']:11.2f}",
                 flush=True,
             )
+        return table
+
+    table = {name: rows(name, model) for name, model in MODELS.items()}
+    sweep = {}
+    block = wbp.ifs._BLOCK
+    try:
+        for b in args.blocks:
+            wbp.ifs._BLOCK = b
+            sweep[str(b)] = rows(f"ifs (block {b})", MODELS["ifs"])
+    finally:
+        wbp.ifs._BLOCK = block
     if args.out is not None:
         payload = {
-            "step_cost": {"machine": machine(), "repeats": args.repeats, "laws": table},
-            "pairs": dict(pair_summary(p) for p in args.pairs),
+            "step_cost": {
+                "machine": machine(),
+                "repeats": args.repeats,
+                "block": block,
+                "laws": table,
+                "ifs_block_sweep": sweep,
+            },
+            "pairs": {p.stem: pair_summary(p) for p in args.pairs},
         }
         args.out.write_text(json.dumps(payload, indent=1) + "\n")
     return 0

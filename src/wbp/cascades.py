@@ -8,6 +8,7 @@ makes them exact reference models for the convergence machinery.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,8 @@ from .population import (
     Generation,
     ProgenyBatch,
     ReproductionLaw,
+    atom_thresholds,
     count_thresholds,
-    cumulative_probs,
     initial_generation,
 )
 
@@ -45,8 +46,8 @@ class CascadeLaw(ReproductionLaw):
             raise ValueError("cascade laws live on a one-point grid")
         return np.zeros((1, 1), dtype=np.int64), np.array([[self.factor_moment(order)]])
 
-    def root_generation(self, weight: float = 1.0) -> Generation:
-        return initial_generation([weight], np.zeros(1, dtype=np.int64))
+    def root_generation(self) -> Generation:
+        return initial_generation([1.0], np.zeros(1, dtype=np.int64))
 
     def sample_weights(self, weights, rng) -> tuple[np.ndarray, int]:
         """``(child_weights, brood)``: the batch draw, parent ``i``'s children in
@@ -185,39 +186,32 @@ class MixtureCascade(CascadeLaw):
     def __post_init__(self):
         if len(self.atoms) != len(self.probs):
             raise ValueError("atoms and probs must align")
-        cum = cumulative_probs(self.probs)
-        self._thresholds = cum[cum < 1.0].tolist()
+        self._thresholds = atom_thresholds(self.probs)
         width = max(len(a) for a in self.atoms)
         self._padded = np.zeros((len(self.atoms), width), dtype=np.float64)
         for j, a in enumerate(self.atoms):
             self._padded[j, : len(a)] = a
         if not np.all((self._padded >= 0) & (self._padded < np.inf)):
             raise ValueError(f"factors must be finite and non-negative, got {self.atoms}")
-
-    def _draw_atoms(self, n, rng):
-        return count_thresholds(rng.random(n), self._thresholds)
+        self._sums = np.array([np.sum(a) for a in self.atoms])  # each atom's total mass
 
     def sample_progeny(self, x, rng):
-        j = int(self._draw_atoms(1, rng)[0])
+        j = bisect_right(self._thresholds, rng.random())
         return [(float(u), 0) for u in self.atoms[j]]
 
     def sample_weights(self, weights, rng):
         w = np.asarray(weights, dtype=np.float64)
-        child_w = self._padded.take(self._draw_atoms(w.size, rng), axis=0)
+        child_w = self._padded.take(count_thresholds(rng.random(w.size), self._thresholds), axis=0)
         child_w *= w[:, None]
         return child_w.ravel(), self._padded.shape[1]
 
     def factor_moment(self, q):
-        pr = np.asarray(self.probs)
         vals = [float(np.sum(np.asarray(a)[np.asarray(a) > 0] ** q)) for a in self.atoms]
-        return float(np.dot(pr, vals))
+        return float(np.dot(np.asarray(self.probs), vals))
 
     def total_mass_power(self, p):
-        pr = np.asarray(self.probs)
-        sums = np.array([np.sum(a) for a in self.atoms])
-        return float(np.dot(pr, sums**p))
+        return float(np.dot(np.asarray(self.probs), self._sums**p))
 
     def total_mass_loglog(self):
-        pr = np.asarray(self.probs)
-        sums = np.array([np.sum(a) for a in self.atoms])
-        return float(np.dot(pr, sums * np.maximum(np.log(np.maximum(sums, 1e-300)), 0.0)))
+        logs = np.maximum(np.log(np.maximum(self._sums, 1e-300)), 0.0)
+        return float(np.dot(np.asarray(self.probs), self._sums * logs))

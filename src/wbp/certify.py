@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .population import ReproductionLaw
-from .spectral import MeanKernel, SpectralData, TypeGrid
+from .spectral import MeanKernel, SpectralData, TypeGrid, scaled_powers
 
 _Z99 = 2.3263478740408408  # one-sided 99% normal quantile
 
@@ -70,22 +70,14 @@ def gamma_witness(kp: MeanKernel, theta: float, n_max: int) -> np.ndarray:
     ``gamma_0 = 1``.
     """
     p = kp.order
-    scale = theta**p
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    w = np.ones(kp.size)
-    for n in range(1, n_max + 1):
-        w = kp.apply(w) / scale
-        out[n] = float(np.max(w)) ** (1.0 / p)
-    return out
+    powers = scaled_powers(kp.apply, np.ones(kp.size), theta**p, n_max)
+    return np.array([1.0] + [float(np.max(w)) ** (1.0 / p) for w in powers])
 
 
 def estimate_c1(k1: MeanKernel, sd: SpectralData, n_max: int) -> float:
     """``c1 = max_{n <= n_max, x} n^-beta theta^-n (Q^n 1)(x)``."""
     c1 = 1.0  # n = 0 term
-    w = np.ones(k1.size)
-    for n in range(1, n_max + 1):
-        w = k1.apply(w) / sd.theta
+    for n, w in enumerate(scaled_powers(k1.apply, np.ones(k1.size), sd.theta, n_max), 1):
         scaled = w / float(n) ** sd.beta if sd.beta else w
         c1 = max(c1, float(np.max(scaled)))
     return c1

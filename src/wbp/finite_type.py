@@ -8,6 +8,7 @@ any finite-support test law, with all moment kernels in closed form.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .population import (
     Generation,
     ProgenyBatch,
     ReproductionLaw,
-    cumulative_probs,
+    atom_thresholds,
     initial_generation,
 )
 
@@ -33,18 +34,15 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
 
     def __post_init__(self):
         self.n_types = len(self.atoms_per_type)
-        cums = []
-        width = 1
-        for atoms in self.atoms_per_type:
-            cums.append(cumulative_probs([a[0] for a in atoms], "atom probabilities"))
-            width = max(width, max(len(a[1]) for a in atoms))
-        max_atoms = max(len(a) for a in self.atoms_per_type)
-        # +inf padding: a short row never counts as "<= u"
-        self._cum_table = np.full((self.n_types, max_atoms), np.inf)
-        for t, cum in enumerate(cums):
-            self._cum_table[t, : cum.size] = cum
-        # a column of entries >= 1.0 never counts either, as u < 1
-        self._cum_cols = [col.copy() for col in self._cum_table.T if np.any(col < 1.0)]
+        probs = [[a[0] for a in atoms] for atoms in self.atoms_per_type]
+        self._thresholds = [atom_thresholds(pr, "atom probabilities") for pr in probs]
+        # the batch draw's columns: every type's c-th threshold, 1.0 (never counted) past its last
+        self._columns = [
+            np.array([ts[c] if c < len(ts) else 1.0 for ts in self._thresholds])
+            for c in range(max(map(len, self._thresholds)))
+        ]
+        self._width = width = max(1, max(len(a[1]) for atoms in self.atoms_per_type for a in atoms))
+        self._max_atoms = max_atoms = max(len(a) for a in self.atoms_per_type)
         # offspring lists as rows: atom j of type t is row t * max_atoms + j
         self._fac = np.zeros((self.n_types * max_atoms, width))
         self._typ = np.zeros((self.n_types * max_atoms, width), dtype=np.int64)
@@ -57,22 +55,20 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
                         raise ValueError("offspring type outside the type space")
                     self._fac[t * max_atoms + j, c] = u
                     self._typ[t * max_atoms + j, c] = y
-        self._max_atoms = max_atoms
-        self._width = width
 
     def sample_progeny(self, x, rng):
         t = int(x)
         # with no random atom choice in any type, neither path draws a uniform
-        j = int(np.searchsorted(self._cum_table[t], rng.random(), side="right")) if self._cum_cols else 0
+        j = bisect_right(self._thresholds[t], rng.random()) if self._columns else 0
         return [(float(u), int(y)) for u, y in self.atoms_per_type[t][j][1]]
 
     def sample_generation(self, weights, types, rng):
         t = np.asarray(types, dtype=np.int64)
         row = t * self._max_atoms
-        if self._cum_cols:
+        if self._columns:
             u = rng.random(t.shape[0])
-            # counting cum <= u is searchsorted(cum, u, side="right") per row
-            for col in self._cum_cols:
+            # count_thresholds on each parent's own list, summed into row in place
+            for col in self._columns:
                 row += col.take(t) <= u
         child_w = self._fac.take(row, axis=0)
         child_w *= np.asarray(weights, dtype=np.float64)[:, None]
@@ -96,8 +92,8 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
                 cols[t, : len(row)], vals[t, : len(row)] = zip(*row)
         return cols, vals
 
-    def root_generation(self, type_index: int = 0, weight: float = 1.0) -> Generation:
-        return initial_generation([weight], np.array([type_index], dtype=np.int64))
+    def root_generation(self, type_index: int = 0) -> Generation:
+        return initial_generation([1.0], np.array([type_index], dtype=np.int64))
 
 
 def two_type_flip_law() -> MixtureFiniteTypeLaw:

@@ -24,7 +24,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
@@ -40,7 +39,7 @@ from .cascades import (
 )
 from .certify import certify_md, proxy_gap_bound, theorem1_rhs
 from .finite_type import markov_chain_law, stationary_distribution, two_type_flip_law
-from .ifs import doob_transition, ifs_convergence_probe, ifs_weighted_law
+from .ifs import IfsLaw, doob_transition, ifs_convergence_probe
 from .kernel_products import KernelProductLaw, kernel_norm, kernel_product_observable
 from .lineage import LineageLaw, lineage_average_increment
 from .llogl import default_rho, hfk_partial_sums, liu_conditions
@@ -262,13 +261,13 @@ def make_model(model: dict) -> ModelBundle:
             law = _cascade_law(model)
             return ModelBundle(law, TypeGrid.finite(1), law.root_generation())
         if kind == "ifs":
-            maps = [tuple(mb) for mb in model["maps"]]
+            maps = tuple(tuple(mb) for mb in model["maps"])
             if not maps:
                 raise ConfigError("model.maps must list at least one map")
             map_probs = model["map_probs"]
             if map_probs is None:
                 map_probs = [1.0 / len(maps)] * len(maps)
-            law = ifs_weighted_law(maps, tuple(map_probs), _cascade_law(model["weights"]))
+            law = IfsLaw(maps, tuple(map_probs), _cascade_law(model["weights"]))
             grid = TypeGrid.interval(0.0, 1.0, model["h"])
             if not 0.0 <= model["x0"] <= 1.0:
                 raise ConfigError(f"model.x0 = {model['x0']!r} is not a point of the type space [0, 1]")
@@ -465,6 +464,7 @@ def run_replicates(
     if n_chunks <= 1:
         out = _replicate_rows(bundle, observe, horizon, 0, replicates, seed, cap)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here: importing it slows start-up
         bounds = np.linspace(0, replicates, n_chunks + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
@@ -552,8 +552,8 @@ def _mean_se(col: np.ndarray) -> tuple[float, float]:
 
 
 def _agreement_verdict(agrees: bool, block: ReplicateBlock) -> str:
-    if block.n_capped == block.replicates:
-        return "inconclusive"  # every replicate hit the cap: no mean to compare
+    if block.replicates - block.n_capped < 2:
+        return "inconclusive"  # fewer than two uncapped replicates give no standard error
     return "holds" if agrees else "fails"
 
 

@@ -14,9 +14,9 @@ the certificate of a run is the job of ``harness``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .population import (
     Generation,
     ProgenyBatch,
     ReproductionLaw,
+    atom_thresholds,
     count_thresholds,
-    cumulative_probs,
     initial_generation,
 )
 from .spectral import MeanKernel, SpectralData, power_iteration
@@ -36,24 +36,12 @@ from .spectral import MeanKernel, SpectralData, power_iteration
 _BLOCK = 2**15
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """``x -> a x + b`` on [0, 1]; must contract and stay inside the interval."""
-
-    a: float
-    b: float
-
-    def __call__(self, x):
-        return self.a * np.asarray(x, dtype=np.float64) + self.b
-
-    @property
-    def lipschitz(self) -> float:
-        return abs(self.a)
-
-
 @dataclass
 class IfsLaw(ReproductionLaw):
     """Offspring weights from ``weights`` (type-independent), types from random maps.
+
+    ``maps`` holds the ``(a, b)`` pairs of the maps ``x -> a x + b``, also kept
+    as the arrays ``_a`` and ``_b``: finite, ``|a| < 1``, sending [0, 1] into itself.
 
     The batch path draws every child weight, then the maps in blocks of
     ``_BLOCK`` children (the uniforms of one ``rng.random(slots)``), moving
@@ -62,46 +50,41 @@ class IfsLaw(ReproductionLaw):
     coefficients at a time, less than two blocks of children at 16 bytes each.
     """
 
-    maps: tuple[AffineMap, ...]
+    maps: tuple[tuple[float, float], ...]
     map_probs: tuple[float, ...]
     weights: CascadeLaw
 
     def __post_init__(self):
         if len(self.maps) != len(self.map_probs):
             raise ValueError("maps and map_probs must align")
-        cum = cumulative_probs(self.map_probs, "map_probs")
-        self._thresholds = cum[cum < 1.0].tolist()
+        self._thresholds = atom_thresholds(self.map_probs, "map_probs")
         self._probs = np.array(self.map_probs, dtype=np.float64)
         # the sampler's table ends at exactly 1.0; the mean kernel uses map_probs
         # as given, so the two may differ only by rounding
         if abs(self._probs.sum() - 1.0) > len(self._probs) * np.finfo(np.float64).eps:
             raise ValueError("map_probs must sum to 1 up to rounding")
         for m in self.maps:
-            if m.lipschitz >= 1.0:
+            # finiteness first: min(0.0, nan) is 0.0, so a NaN would pass the interval test
+            if len(m) != 2 or not all(math.isfinite(c) for c in m):
+                raise ValueError(f"map {m} is not a pair (a, b) of finite numbers")
+            a, b = m
+            if abs(a) >= 1.0:
                 raise ValueError(f"map {m} is not a strict contraction")
-            lo, hi = m(0.0), m(1.0)
-            if not (0.0 <= min(lo, hi) and max(lo, hi) <= 1.0):
+            if not (0.0 <= min(b, a + b) and max(b, a + b) <= 1.0):
                 raise ValueError(f"map {m} leaves [0, 1]")
-        self._a = np.array([m.a for m in self.maps])
-        self._b = np.array([m.b for m in self.maps])
-        # Python-scalar copies for the per-parent draw
-        self._cum_list = cum.tolist()
-        self._a_list = self._a.tolist()
-        self._b_list = self._b.tolist()
+        self._a, self._b = np.array(self.maps, dtype=np.float64).T
 
     @property
     def max_contraction(self) -> float:
-        return float(max(m.lipschitz for m in self.maps))
+        return float(np.abs(self._a).max())
 
     def sample_progeny(self, x, rng):
-        # one map per child: rng.random() is the double random(1) would
-        # draw, and bisect_right picks the index searchsorted would
         offspring = self.weights.sample_progeny(0, rng)
         x = float(x)
         out = []
         for u, _ in offspring:
-            z = bisect_right(self._cum_list, rng.random())
-            out.append((u, self._a_list[z] * x + self._b_list[z]))
+            a, b = self.maps[bisect_right(self._thresholds, rng.random())]
+            out.append((u, a * x + b))
         return out
 
     def sample_generation(self, weights, types, rng):
@@ -122,13 +105,8 @@ class IfsLaw(ReproductionLaw):
         cells = grid.locate(self._a * x + self._b)
         return cells, np.broadcast_to(mass * self._probs, cells.shape)
 
-    def root_generation(self, x0: float = 0.5, weight: float = 1.0) -> Generation:
-        return initial_generation([weight], np.array([x0], dtype=np.float64))
-
-
-def ifs_weighted_law(maps: Sequence[tuple[float, float]], map_probs, weights: CascadeLaw) -> IfsLaw:
-    """Build the branching law from ``(a, b)`` map coefficients."""
-    return IfsLaw(tuple(AffineMap(a, b) for a, b in maps), tuple(map_probs), weights)
+    def root_generation(self, x0: float = 0.5) -> Generation:
+        return initial_generation([1.0], np.array([x0], dtype=np.float64))
 
 
 @dataclass

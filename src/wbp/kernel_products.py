@@ -9,6 +9,7 @@ mean matrix summed over one progeny draw.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,8 @@ from .population import (
     Generation,
     ProgenyBatch,
     ReproductionLaw,
+    atom_thresholds,
     count_thresholds,
-    cumulative_probs,
     initial_generation,
 )
 
@@ -55,8 +56,7 @@ class KernelProductLaw(ReproductionLaw):
     def __post_init__(self):
         if len(self.atom_lists) != len(self.probs):
             raise ValueError("atom_lists and probs must align")
-        self._cum = cumulative_probs(self.probs)
-        self._thresholds = self._cum[self._cum < 1.0].tolist()
+        self._thresholds = atom_thresholds(self.probs)
         dims = {np.asarray(a).shape for lst in self.atom_lists for a in lst}
         if len(dims) != 1:
             raise ValueError("all matrices must share one square shape")
@@ -76,7 +76,7 @@ class KernelProductLaw(ReproductionLaw):
             raise ValueError("matrix entries must be finite")
 
     def sample_progeny(self, x, rng):
-        j = int(np.searchsorted(self._cum, rng.random(), side="right"))
+        j = bisect_right(self._thresholds, rng.random())
         out = []
         for a in self.atom_lists[j]:
             prod = np.asarray(x, dtype=np.float64) @ np.asarray(a, dtype=np.float64)

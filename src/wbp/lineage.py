@@ -44,10 +44,8 @@ class LineageLaw(ReproductionLaw):
         child_types[:, 1] += self.f_table.take(child_base)
         return ProgenyBatch(batch.weights, child_types, brood)
 
-    def root_generation(self, type_index: int = 0, weight: float = 1.0) -> Generation:
-        return initial_generation(
-            [weight], np.array([[float(type_index), 0.0]], dtype=np.float64)
-        )
+    def root_generation(self, type_index: int = 0) -> Generation:
+        return initial_generation([1.0], np.array([[float(type_index), 0.0]], dtype=np.float64))
 
 
 def lineage_average_increment(g: Generation) -> float:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .cascades import CascadeLaw
 from .population import DEFAULT_PARTICLE_CAP, Generation, ReproductionLaw, simulate_trajectory
-from .spectral import MeanKernel, TypeGrid, kernel_power_apply
+from .spectral import MeanKernel, TypeGrid, kernel_power_apply, scaled_powers
 
 # expected particles that one block of hfk trajectories holds, all generations together
 BLOCK_PARTICLES = 2**20
@@ -84,7 +83,8 @@ def hfk_partial_sums(
     kernel1: MeanKernel,
     kernelp: MeanKernel,
     mc_budget: int = 2000,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
     cap: int = DEFAULT_PARTICLE_CAP,
 ) -> LlogLReport:
     """Partial sums of the truncated-moment series behind uniform integrability.
@@ -110,8 +110,6 @@ def hfk_partial_sums(
     tree, as it bounds one replicate: a generation in which one tree holds
     more than ``cap`` particles raises ``PopulationCapError``.
     """
-    if rng is None:
-        raise ValueError("needs an rng for the centered-functional samples")
     if rho <= 1.0:
         raise ValueError("truncation base rho must exceed 1")
     d = grid.size
@@ -132,12 +130,10 @@ def hfk_partial_sums(
     terms2 = np.empty(n_max)
     ses1 = np.empty(n_max)
     ses2 = np.empty(n_max)
-    row1 = np.zeros(d)
-    row1[0] = 1.0
-    rowp = row1.copy()
-    for n in range(1, n_max + 1):
-        row1 = kernel1.apply_t(row1) / theta1
-        rowp = kernelp.apply_t(rowp) / theta1**p
+    start = np.eye(1, d)[0]  # the unit mass at grid point 0
+    rows1 = scaled_powers(kernel1.apply_t, start, theta1, n_max)
+    rowsp = scaled_powers(kernelp.apply_t, start, theta1**p, n_max)
+    for n, (row1, rowp) in enumerate(zip(rows1, rowsp), 1):
         cut = rho**n
         big = absx > cut
         g1 = np.where(big, absx, 0.0).mean(axis=1)
@@ -191,6 +187,8 @@ def _one_series_verdict(terms, ses, window: int = 5) -> str:
     tiny = 1e-14
     if np.all(np.abs(terms) <= tiny):
         return "holds"
+    if n < 2:
+        return "inconclusive"  # one term shows no tail trend
     w = min(window, n - 1)
     tail = terms[-w - 1 :]
     tail_se = ses[-w - 1 :]

@@ -14,6 +14,8 @@ from typing import Optional
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
+_SIGMAS = 4.0  # standard errors a Monte Carlo value may stray before a check flags it
+_N_BOOT = 200  # bootstrap resamples behind the standard error of lp_error
 
 
 class TooFewReplicatesError(ValueError):
@@ -50,7 +52,7 @@ class IncrementReport:
     flagged: list[int]
 
 
-def martingale_increment_test(tracks, sigmas: float = 4.0) -> IncrementReport:
+def martingale_increment_test(tracks) -> IncrementReport:
     """Mean of ``W_{n+1} - W_n`` per step; flags steps drifting beyond 4 SE."""
     w = track_matrix(tracks)
     if w.shape[0] < 100:
@@ -58,7 +60,7 @@ def martingale_increment_test(tracks, sigmas: float = 4.0) -> IncrementReport:
     inc = np.diff(w, axis=1)
     means = inc.mean(axis=0)
     stderrs = inc.std(axis=0, ddof=1) / np.sqrt(w.shape[0])
-    flagged = [int(n) for n in range(inc.shape[1]) if abs(means[n]) > sigmas * stderrs[n]]
+    flagged = [int(n) for n in range(inc.shape[1]) if abs(means[n]) > _SIGMAS * stderrs[n]]
     return IncrementReport(means, stderrs, flagged)
 
 
@@ -75,11 +77,11 @@ class LpErrorReport:
     replicates: int
     rhs_bound: Optional[float] = None
 
-    def bound_holds(self, sigmas: float = 4.0) -> Optional[bool]:
+    def bound_holds(self) -> Optional[bool]:
         if self.rhs_bound is None:
             return None
         slack = rounding_slack(self.rhs_bound)
-        return self.lhs_estimate - sigmas * self.stderr <= self.rhs_bound + slack
+        return self.lhs_estimate - _SIGMAS * self.stderr <= self.rhs_bound + slack
 
 
 def lp_error(
@@ -89,10 +91,10 @@ def lp_error(
     m: int,
     n: int,
     proxy_horizon: int,
-    rng: Optional[np.random.Generator] = None,
-    n_boot: int = 200,
+    rng: np.random.Generator,
 ) -> LpErrorReport:
-    """L^p error estimate ``(E|value_{m+n} - W_N|^p)^(1/p)`` with bootstrap SE.
+    """L^p error estimate ``(E|value_{m+n} - W_N|^p)^(1/p)``, its SE from
+    ``_N_BOOT`` bootstrap resamples drawn from ``rng``.
 
     ``fvals`` holds the per-replicate scaled integrals
     ``k^-beta theta^-k G_k(f)`` and ``tracks`` the martingale values whose
@@ -115,11 +117,9 @@ def lp_error(
         )
     devs = np.abs(diff) ** p
     lhs = float(devs.mean() ** (1.0 / p))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    boots = np.empty(n_boot)
+    boots = np.empty(_N_BOOT)
     r = devs.shape[0]
-    for b in range(n_boot):
+    for b in range(_N_BOOT):
         boots[b] = devs[rng.integers(0, r, size=r)].mean() ** (1.0 / p)
     return LpErrorReport(
         p=p,

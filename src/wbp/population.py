@@ -65,7 +65,7 @@ class ProgenyBatch:
 
 
 def cumulative_probs(probs, name: str = "probs") -> np.ndarray:
-    """Cumulative table of a probability vector, for ``searchsorted(side="right")``.
+    """Cumulative table of a probability vector: atom ``j`` owns ``[cum[j-1], cum[j])``.
 
     The entries from the last positive probability on are set to exactly
     1.0: a sum that reaches 1 only up to rounding (ten atoms of 0.1 add up
@@ -80,15 +80,25 @@ def cumulative_probs(probs, name: str = "probs") -> np.ndarray:
     return cum
 
 
+def atom_thresholds(probs, name: str = "probs") -> list:
+    """A law's one atom table: the :func:`cumulative_probs` entries below 1.0, as a list.
+
+    A batch draw counts them with :func:`count_thresholds`; a per-parent draw
+    takes ``bisect_right(thresholds, rng.random())``, the same count for the
+    double that ``rng.random(1)`` would draw.
+    """
+    cum = cumulative_probs(probs, name)
+    return cum[cum < 1.0].tolist()
+
+
 def count_thresholds(u: np.ndarray, thresholds) -> np.ndarray:
     """Atom index of each uniform in ``u``: how many ``thresholds`` are ``<= u``.
 
-    ``thresholds`` are the entries of a :func:`cumulative_probs` table
-    below 1.0, in order. A uniform ``u < 1`` never reaches the entries at
-    1.0, so the count equals ``searchsorted(cum, u, side="right")``. It
-    makes one comparison pass over ``u`` per threshold, which beats a binary
-    search per draw for tables of a few atoms, such as every bench model's;
-    its cost grows with the number of atoms.
+    ``thresholds`` is a law's :func:`atom_thresholds` list. A uniform
+    ``u < 1`` never reaches the entries at 1.0, so this is
+    ``searchsorted(cum, u, side="right")``.
+    One comparison pass over ``u`` per threshold beats a binary search per
+    draw for tables of a few atoms, such as every bench model's.
     """
     j = np.zeros(u.shape, dtype=np.intp)
     for c in thresholds:
@@ -110,14 +120,16 @@ class ReproductionLaw:
       for numpy's per-call overhead more than for arithmetic, so the batch
       paths share three idioms: a table row is gathered with
       ``take(idx, axis=0)``, never with fancy indexing; an atom is drawn
-      with :func:`count_thresholds`, never with ``searchsorted``; and the
-      arrays built are handed to ``ProgenyBatch`` as they are.
+      with :func:`count_thresholds` on the law's :func:`atom_thresholds`
+      list (a multi-type law counts each parent's own list in place); and
+      the arrays built are handed to ``ProgenyBatch`` as they are.
     - ``sample_progeny(x, rng)`` returns the finite list of ``(u, y)``
       children of one parent of type ``x``. It is the per-parent draw of
       the dispersion estimate in ``certify``, so every law that lives on a
-      grid has one. On the same stream it gives the children of the batch
-      path, except for ``IfsLaw``, whose batch path draws all weights
-      before all maps.
+      grid has one, and draws an atom with ``bisect_right`` on the list
+      that the batch path counts. On the same stream it gives the children
+      of the batch path, except for ``IfsLaw``, whose batch path draws all
+      weights before all maps.
     - ``moment_rows(grid, order)`` gives the closed-form moment measures
       that grid kernels are built from. Every law that lives on a grid
       has them; the base version raises ``NotImplementedError``.

@@ -17,6 +17,9 @@ where a dense kernel would take 2 GiB. The masses keep the attribute name
 ``matrix`` of the dense layout, so readers of ``kernel.matrix`` (row
 sums, the benchmark tracer's count of stored cells) keep working.
 
+One loop, :func:`scaled_powers`, gives the scaled powers ``theta^-n Q^n v``
+behind ``alpha_n``, ``c1``, the ``gamma_n`` witnesses and the L log L series.
+
 Each product rounds every ``mass * v[cell]`` on its own and then sums a
 row in slot order (``apply``) or a cell's column in row order
 (``apply_t``). That equals the dense BLAS product it replaced bit for bit
@@ -31,11 +34,14 @@ or a single type) give byte-identical output files either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .population import ReproductionLaw
+
+
+_BURN_IN_SLACK = 1e-9  # relative rise of alpha_n that alpha_burn_in still reads as non-increasing
 
 
 class SpectralConvergenceError(Exception):
@@ -184,13 +190,25 @@ def build_mean_kernel(law: ReproductionLaw, grid: TypeGrid, order: float = 1.0) 
     return k
 
 
+def scaled_powers(step, v, scale: float, n: int) -> Iterator[np.ndarray]:
+    """The iterates ``v_j = step(v_{j-1}) / scale`` for j = 1..n, from ``v_0 = v``.
+
+    ``step`` is a kernel's ``apply`` or ``apply_t``. ``_power_iterate`` and
+    ``log_sup_norms`` keep their own loops: they divide by the running sup norm.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    for _ in range(n):
+        v = step(v) / scale
+        yield v
+
+
 def kernel_power_apply(k: MeanKernel, f, n: int) -> np.ndarray:
     """``Q^n f`` by ``n`` matrix-vector products."""
     if n < 0:
         raise ValueError("n must be non-negative")
     v = np.array(f, dtype=np.float64)
-    for _ in range(n):
-        v = k.apply(v)
+    for v in scaled_powers(k.apply, v, 1.0, n):
+        pass
     return v
 
 
@@ -379,21 +397,19 @@ def alpha_sequence(k: MeanKernel, f, sd: SpectralData, n_max: int) -> np.ndarray
     n = 1..n_max, with the rank-one limit ``eta_f = eta * nu(f)``.
     """
     eta_f = sd.eta_f(f)
-    v = np.asarray(f, dtype=np.float64).astype(np.float64, copy=True)
     out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        v = k.apply(v) / sd.theta
+    for n, v in enumerate(scaled_powers(k.apply, f, sd.theta, n_max), 1):
         scaled = v / float(n) ** sd.beta if sd.beta else v
         out[n - 1] = float(np.max(np.abs(scaled - eta_f)))
     return out
 
 
-def alpha_burn_in(alpha: np.ndarray, rel_slack: float = 1e-9) -> int:
-    """Smallest index from which the sequence is non-increasing."""
+def alpha_burn_in(alpha: np.ndarray) -> int:
+    """Smallest index from which the sequence is non-increasing, up to ``_BURN_IN_SLACK``."""
     n = alpha.shape[0]
     b = n - 1
     for i in range(n - 2, -1, -1):
-        if alpha[i] >= alpha[i + 1] - rel_slack * max(alpha[i + 1], 1.0):
+        if alpha[i] >= alpha[i + 1] - _BURN_IN_SLACK * max(alpha[i + 1], 1.0):
             b = i
         else:
             break

@@ -13,7 +13,7 @@ from wbp.certify import (
     proxy_gap_bound,
     theorem1_rhs,
 )
-from wbp.ifs import ifs_weighted_law
+from wbp.ifs import IfsLaw
 from wbp.population import ReproductionLaw
 from wbp.spectral import TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
@@ -125,7 +125,7 @@ def random_kernel(d, seed):
 
 @pytest.mark.parametrize("p", [2.0, 1.5])
 def test_c3_bit_identical_to_per_draw_loop_on_halving_ifs(p):
-    law = ifs_weighted_law([(0.5, 0.0), (0.5, 0.5)], (0.5, 0.5), UniformSplitCascade())
+    law = IfsLaw(((0.5, 0.0), (0.5, 0.5)), (0.5, 0.5), UniformSplitCascade())
     grid = TypeGrid.interval(0.0, 1.0, 2.0**-6)
     k1 = build_mean_kernel(law, grid, 1.0)
     assert_c3_matches_per_draw(law, k1, p, seed=7, budget=150)

@@ -1,7 +1,10 @@
 """Exit-code contract of ``wbp.cli.main`` over every pipeline and model kind."""
 
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from functools import partial
 
@@ -82,9 +85,10 @@ def _bundle(model):
     return harness.make_model(ExperimentConfig.from_dict({"model": model}).model)
 
 
-def _run(pipeline, config, out, threads=1):
+def _run(pipeline, config, out, threads=1, strict=False):
     """Run the CLI; ``threads=None`` leaves the worker count to the config."""
     flags = [] if threads is None else ["--threads", str(threads)]
+    flags += ["--strict"] if strict else []
     return main([pipeline, "--config", config, *flags, "--out", str(out)])
 
 
@@ -118,6 +122,42 @@ def test_pipeline_ends_with_documented_exit_and_worker_invariant_output(
     assert series == sorted(p.name for p in two.iterdir() if p.name != "result.json")
     for name in series:
         assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("pipeline", _COMMANDS)
+def test_pipeline_at_the_smallest_sizes_ends_with_a_documented_exit(tmp_path, pipeline, model):
+    # one generation and one replicate: every run ends in an exit code, never a traceback
+    config = _config(tmp_path, MODELS[model], replicates=1, horizons={"n_max": 1})
+    out = tmp_path / "out"
+    code = _run(pipeline, config, out, strict=True)
+    assert code in (0, 2, 3, 4)
+    assert (out / "result.json").exists() == (code != 2)
+
+
+@pytest.mark.parametrize("model", ["cascade-mixture", "cascade-scaled", "cascade-split-indep"])
+def test_llogl_series_of_one_term_is_inconclusive(tmp_path, capsys, model):
+    # one term shows no tail trend; the ratio of its tail once divided by zero
+    config = _config(tmp_path, MODELS[model], horizons={"n_max": 1})
+    assert _run("llogl", config, tmp_path / "out") == 0
+    assert _result(tmp_path / "out")["results"]["series_verdict"] == "inconclusive"
+    assert capsys.readouterr().out.endswith("verdict: inconclusive\n")
+    assert _run("llogl", config, tmp_path / "strict", strict=True) == 4
+
+
+@pytest.mark.parametrize(
+    "pipeline,model,result",
+    [
+        ("lineage", "lineage_chain", "matches_stationary"),
+        ("kernel-products", "kernel_product", "matches_mean_matrix"),
+    ],
+)
+def test_agreement_on_one_replicate_is_inconclusive(tmp_path, capsys, pipeline, model, result):
+    # one replicate has no standard error, so its mean can neither agree nor disagree
+    config = _config(tmp_path, MODELS[model], replicates=1)
+    assert _run(pipeline, config, tmp_path / "out", strict=True) == 4
+    assert "verdict: inconclusive" in capsys.readouterr().out
+    assert result in _result(tmp_path / "out")["results"]
 
 
 def test_periodic_kernel_is_refused_with_exit_2(tmp_path, capsys):
@@ -413,7 +453,7 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     bundle = _bundle(MODELS["cascade-split-indep"])
     serial = run_replicates(bundle, Generation.total_mass, 3, 20, seed=1, threads=1)
@@ -423,6 +463,15 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
     assert pool.max_workers == 2
     assert pool.jobs == 8  # four chunks per worker
     assert np.array_equal(pooled.data, serial.data)
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # the pool's module costs every run's start-up, and only threads > 1 needs it
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = "import sys, wbp.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_replicate_rows_match_for_any_worker_count_with_capped_replicates():

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,28 +6,27 @@ import pytest
 
 from dense_kernels import dense, from_dense
 from wbp.cascades import DeterministicCascade, ScaledUniformCascade, UniformSplitCascade
+from wbp.cli import main
 from wbp.harness import ExperimentConfig, run_experiment
-from wbp.ifs import _BLOCK, doob_transition, ifs_convergence_probe, ifs_weighted_law
+from wbp.ifs import _BLOCK, IfsLaw, doob_transition, ifs_convergence_probe
 from wbp.population import advance_generation, count_thresholds, cumulative_probs
 from wbp.spectral import TypeGrid, attach_alpha, build_mean_kernel, power_iteration
 from wbp.streams import derive_stream
 
 
 def halving_ifs(weights=None):
-    return ifs_weighted_law(
-        [(0.5, 0.0), (0.5, 0.5)], (0.5, 0.5), weights or UniformSplitCascade()
-    )
+    return IfsLaw([(0.5, 0.0), (0.5, 0.5)], (0.5, 0.5), weights or UniformSplitCascade())
 
 
 def test_single_map_single_child():
-    law = ifs_weighted_law([(0.5, 0.0)], (1.0,), DeterministicCascade((1.0,)))
+    law = IfsLaw([(0.5, 0.0)], (1.0,), DeterministicCascade((1.0,)))
     assert law.sample_progeny(1.0, derive_stream(0, 0)) == [(1.0, 0.5)]
 
 
 def test_sample_progeny_stream_matches_array_map_draw():
     # the scalar map draw consumes the same double and picks the same map
     # as the array draw it replaced
-    law = ifs_weighted_law(
+    law = IfsLaw(
         [(0.5, 0.0), (0.25, 0.5), (0.3, 0.7)], (0.2, 0.3, 0.5), UniformSplitCascade()
     )
 
@@ -79,7 +79,7 @@ def test_batch_map_draw_equals_searchsorted(n_maps):
     probs /= probs.sum()
     # map k sends 0 to b[k], so a child's type names its map
     b = np.arange(n_maps) / (2 * n_maps)
-    law = ifs_weighted_law([(0.5, bk) for bk in b], probs, DeterministicCascade((1.0,)))
+    law = IfsLaw([(0.5, bk) for bk in b], probs, DeterministicCascade((1.0,)))
     cum = cumulative_probs(probs)
     # fresh uniforms, every table entry below 1 exactly, and both ends of [0, 1)
     u = np.concatenate([rng.random(4000), cum[cum < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
@@ -109,7 +109,7 @@ def _one_pass_generation(law, weights, types, rng):
 @pytest.mark.parametrize("weights,brood", [(ScaledUniformCascade(), 1), (UniformSplitCascade(independent=True), 2)])
 def test_blocked_map_draw_equals_one_pass(children, maps, probs, weights, brood):
     # the blocks draw the map uniforms of one rng.random(n) and leave the stream where it would
-    law = ifs_weighted_law(maps, probs, weights)
+    law = IfsLaw(maps, probs, weights)
     parents = -(-children // brood)
     x = derive_stream(5, children).random(parents)
     w = np.linspace(0.5, 2.0, parents)
@@ -143,10 +143,29 @@ def test_one_step_holds_parents_children_and_at_most_two_blocks():
 
 
 def test_map_validation():
-    with pytest.raises(ValueError):
-        ifs_weighted_law([(1.2, 0.0)], (1.0,), DeterministicCascade((1.0,)))
-    with pytest.raises(ValueError):
-        ifs_weighted_law([(0.5, 0.9)], (1.0,), DeterministicCascade((1.0,)))  # leaves [0,1]
+    with pytest.raises(ValueError, match=r"map \(1.2, 0.0\) is not a strict contraction"):
+        IfsLaw([(1.2, 0.0)], (1.0,), DeterministicCascade((1.0,)))
+    with pytest.raises(ValueError, match=r"map \(0.5, 0.9\) leaves"):
+        IfsLaw([(0.5, 0.9)], (1.0,), DeterministicCascade((1.0,)))
+
+
+@pytest.mark.parametrize(
+    "bad,named",
+    [
+        # [NaN, 0] passes a check of the images b and a + b alone, as min(0.0, nan) is 0.0
+        ([float("nan"), 0.0], "(nan, 0.0)"),
+        ([0.25, float("inf")], "(0.25, inf)"),
+        ([0.5, 0.0, 0.25], "(0.5, 0.0, 0.25)"),
+        ([0.5], "(0.5,)"),
+    ],
+)
+def test_map_that_is_not_a_pair_of_finite_numbers_exits_2_naming_it(tmp_path, capsys, bad, named):
+    config = tmp_path / "config.json"
+    model = {"kind": "ifs", "maps": [[0.5, 0.0], bad]}
+    config.write_text(json.dumps({"model": model, "horizons": {"n_max": 2}}))
+    assert main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"map {named} is not a pair (a, b) of finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_progeny_functionals_uniform_split():
@@ -169,7 +188,7 @@ def test_moment_row_splits_between_map_images():
 
 def test_three_map_row_weights_each_map_by_its_probability():
     # equal thirds: the differenced sampling table weighted the last map 0.33333333333333337
-    law = ifs_weighted_law(
+    law = IfsLaw(
         [(0.25, 0.0), (0.25, 0.375), (0.25, 0.75)], (1 / 3, 1 / 3, 1 / 3), UniformSplitCascade()
     )
     grid = TypeGrid.interval(0.0, 1.0, 2.0**-4)
@@ -187,9 +206,9 @@ def test_map_probs_off_one_beyond_rounding_are_refused():
     # the sampler's table ends at 1.0, so such a last map would be drawn with 0.5
     # while the mean kernel gives it 0.49999999
     with pytest.raises(ValueError, match="map_probs"):
-        ifs_weighted_law([(0.5, 0.0), (0.5, 0.5)], (0.5, 0.49999999), UniformSplitCascade())
+        IfsLaw([(0.5, 0.0), (0.5, 0.5)], (0.5, 0.49999999), UniformSplitCascade())
     # a sum off by rounding only is kept: ten maps of 0.1 add up to 0.9999999999999999
-    ifs_weighted_law([(0.5, 0.05 * i) for i in range(10)], (0.1,) * 10, UniformSplitCascade())
+    IfsLaw([(0.5, 0.05 * i) for i in range(10)], (0.1,) * 10, UniformSplitCascade())
     assert cumulative_probs((0.1,) * 10, "map_probs")[-1] == 1.0
 
 
@@ -265,7 +284,7 @@ def position_spectral(law, h, n_max):
 
 def test_single_map_alpha_collapses_in_one_step():
     # one map with slope 0: all mass jumps to a point, alpha_n = 0 for n >= 1
-    law = ifs_weighted_law([(0.0, 0.25)], (1.0,), UniformSplitCascade())
+    law = IfsLaw([(0.0, 0.25)], (1.0,), UniformSplitCascade())
     sd = position_spectral(law, 2.0**-5, 10)
     probe = ifs_convergence_probe(law, sd)
     assert sd.alpha[1] <= 1e-14

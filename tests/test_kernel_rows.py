@@ -11,7 +11,7 @@ from dense_kernels import dense, from_dense
 from wbp.cascades import CascadeLaw, UniformSplitCascade
 from wbp.finite_type import MixtureFiniteTypeLaw
 from wbp.harness import ExperimentConfig, _grid_law, make_model
-from wbp.ifs import IfsLaw, ifs_weighted_law
+from wbp.ifs import IfsLaw
 from wbp.martingale import mean_agrees
 from wbp.spectral import MeanKernel, TypeGrid, build_mean_kernel, power_iteration, support_period
 from wbp.streams import derive_stream
@@ -189,7 +189,7 @@ def test_random_float_kernel_products_match_dense_to_rounding():
 
 def test_fine_ifs_grid_builds_and_solves_without_a_dense_kernel():
     # 16 384 cells: a dense kernel would take 2 GiB
-    law = ifs_weighted_law([(0.5, 0.0), (0.5, 0.5)], (0.5, 0.5), UniformSplitCascade(independent=True))
+    law = IfsLaw(((0.5, 0.0), (0.5, 0.5)), (0.5, 0.5), UniformSplitCascade(independent=True))
     grid = TypeGrid.interval(0.0, 1.0, 2.0**-14)
     t0 = time.perf_counter()
     k = build_mean_kernel(law, grid, 1.0)

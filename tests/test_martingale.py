@@ -50,7 +50,7 @@ def test_mis_scaled_theta_flags_drift():
 
 def test_lp_error_deterministic_zero():
     tracks = np.ones((150, 11))
-    rep = lp_error(tracks, tracks, 2.0, 3, 4, 10)
+    rep = lp_error(tracks, tracks, 2.0, 3, 4, 10, rng=np.random.default_rng(0))
     assert rep.lhs_estimate == 0.0
     assert rep.stderr == 0.0
     assert rep.bound_holds() is None
@@ -71,15 +71,15 @@ def test_lp_error_requires_survivors():
     tracks = np.full((150, 11), np.nan)
     tracks[:50] = 1.0
     with pytest.raises(ValueError):
-        lp_error(tracks, tracks, 2.0, 2, 2, 10)
+        lp_error(tracks, tracks, 2.0, 2, 2, 10, rng=np.random.default_rng(0))
 
 
 def test_lp_error_horizon_validation():
     tracks = np.ones((150, 5))
     with pytest.raises(ValueError):
-        lp_error(tracks, tracks, 2.0, 3, 3, 4)  # m + n > proxy? 6 > 4
+        lp_error(tracks, tracks, 2.0, 3, 3, 4, rng=np.random.default_rng(0))  # m + n > proxy? 6 > 4
     with pytest.raises(ValueError):
-        lp_error(tracks, tracks, 2.0, 1, 1, 9)  # proxy beyond track length
+        lp_error(tracks, tracks, 2.0, 1, 1, 9, rng=np.random.default_rng(0))  # proxy beyond track length
 
 
 def test_degeneracy_probe_trivial():

@@ -8,7 +8,7 @@ from wbp.cascades import (
     UniformSplitCascade,
 )
 from wbp.finite_type import MixtureFiniteTypeLaw, markov_chain_law, two_type_flip_law
-from wbp.ifs import AffineMap, IfsLaw
+from wbp.ifs import IfsLaw
 from wbp.kernel_products import KernelProductLaw
 from wbp.lineage import LineageLaw
 from wbp.population import (
@@ -339,7 +339,7 @@ def _tenths_kernel_product():
 
 
 def _tenths_ifs():
-    maps = tuple(AffineMap(0.5, 0.05 * j) for j in range(10))
+    maps = tuple((0.5, 0.05 * j) for j in range(10))
     law = IfsLaw(maps, (0.1,) * 10, DeterministicCascade((1.0,)))
     return law, np.zeros(1), lambda b: b.types.tolist() == [0.05 * 9]
 

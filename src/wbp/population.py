@@ -94,11 +94,11 @@ def atom_thresholds(probs, name: str = "probs") -> list:
 def count_thresholds(u: np.ndarray, thresholds) -> np.ndarray:
     """Atom index of each uniform in ``u``: how many ``thresholds`` are ``<= u``.
 
-    ``thresholds`` is a law's :func:`atom_thresholds` list. A uniform
-    ``u < 1`` never reaches the entries at 1.0, so this is
-    ``searchsorted(cum, u, side="right")``.
-    One comparison pass over ``u`` per threshold beats a binary search per
-    draw for tables of a few atoms, such as every bench model's.
+    ``thresholds`` is a law's :func:`atom_thresholds` list, the one its
+    per-parent draw bisects. A uniform ``u < 1`` never reaches the entries
+    at 1.0, so this is ``searchsorted(cum, u, side="right")``. One comparison
+    pass over ``u`` per threshold beats a binary search per draw for tables
+    of a few atoms, such as every bench model's.
     """
     j = np.zeros(u.shape, dtype=np.intp)
     for c in thresholds:

@@ -113,7 +113,7 @@ def estimate_c3(
 
     The underlying inequality is a supremum over all test functions of
     unit sup norm; it is probed over a finite dictionary (grid-cell
-    indicators and the constants ``+-1``) at a spread of grid points, and
+    indicators and the constant 1) at a spread of grid points, and
     the Monte Carlo mean of each ``E|sum_i u_i g(Y_i) - Qg(x)|^p`` is
     inflated by 2.33 standard errors. A non-finite bound (a budget below 2
     leaves no standard error) raises :class:`CertificationError`.
@@ -126,8 +126,9 @@ def estimate_c3(
 
     - an indicator column adds each child's factor to its cell in draw
       order (``np.add.at``);
-    - the ``+1`` column is the brood total, one ``np.bincount`` over the
-      draws; ``-1`` is that value negated, which is exact.
+    - the constant column is the brood total, one ``np.bincount`` over
+      the draws. The constant -1 is left out: negation is exact, so its
+      deviations would equal this column's bit for bit.
 
     ``|z - Qg(x)|^p`` is one array power, ``np.abs(z - Qg(x)) ** p``, over
     the ``(budget, tests)`` deviations of a probe point. ``np.power`` may
@@ -140,10 +141,9 @@ def estimate_c3(
     d = grid.size
     cells = np.unique(np.linspace(0, d - 1, min(d, max_cells)).astype(int))
     n_cells = cells.size
-    dictionary = np.zeros((n_cells + 2, d))
+    dictionary = np.zeros((n_cells + 1, d))
     dictionary[np.arange(n_cells), cells] = 1.0
     dictionary[n_cells] = 1.0
-    dictionary[n_cells + 1] = -1.0
     column = np.full(d, -1, dtype=np.int64)  # dictionary column of each grid cell
     column[cells] = np.arange(n_cells)
     points = np.unique(np.linspace(0, d - 1, min(d, max_points)).astype(int))
@@ -158,7 +158,6 @@ def estimate_c3(
         hit = col >= 0
         np.add.at(z, (owner[hit], col[hit]), us[hit])
         z[:, n_cells] = np.bincount(owner, weights=us, minlength=budget)
-        z[:, n_cells + 1] = -z[:, n_cells]
         devs = np.abs(z - qg[:, i]) ** p
         means = devs.mean(axis=0)
         ses = devs.std(axis=0, ddof=1) / np.sqrt(budget)

@@ -1,6 +1,8 @@
 """Command-line front end.
 
 One subcommand per pipeline; common flags override the config file.
+A run prints one ``verdict:`` line per verdict, and its ``result.json``
+records the same verdicts, in the same order, as ``verdicts``.
 Exit codes:
 
 - 0 success;

@@ -6,10 +6,11 @@ it read. A pipeline returns ``(results, series, verdicts, block)``: its
 own result fields, its series, its verdicts and its ``ReplicateBlock``
 (None if it runs no replicates). ``run_experiment`` alone adds the
 command name, the config echo, the block's cap and particle counts, and
-exit code 3 when a replicate hit the cap. Kernels, spectral data and
-certificates come from ``_spectral_for`` and ``_certificate_for``, which
-build each once per run; the law modules (``ifs``, ``llogl``, ...) only
-read what they are given.
+exit code 3 when a replicate hit the cap. ``result.json`` records the
+verdicts once, as its ``verdicts`` list; no result field restates one.
+Kernels, spectral data and certificates come from ``_spectral_for`` and
+``_certificate_for``, which build each once per run; the law modules
+(``ifs``, ``llogl``, ...) only read what they are given.
 
 Every run is fully determined by (config, seed): replicate ``i`` always
 draws from its own derived stream, aggregation touches per-replicate
@@ -44,12 +45,12 @@ from .kernel_products import KernelProductLaw, kernel_norm, kernel_product_obser
 from .lineage import LineageLaw, lineage_average_increment
 from .llogl import default_rho, hfk_partial_sums, liu_conditions
 from .martingale import (
+    _SIGMAS,
     TooFewReplicatesError,
     degeneracy_probe,
     lp_error,
     martingale_increment_test,
-    mean_agrees,
-    rounding_slack,
+    sigma_distance,
 )
 from .population import (
     DEFAULT_PARTICLE_CAP,
@@ -60,7 +61,7 @@ from .population import (
 from .spectral import TypeGrid, attach_alpha, build_mean_kernel, estimate_beta, power_iteration
 from .streams import derive_stream
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _REQUIRED = object()  # the default of a key that has none
 
@@ -498,7 +499,11 @@ def _jsonable(obj):
 
 @dataclass
 class RunResult:
-    """Reproducible outcome of one pipeline run."""
+    """Reproducible outcome of one pipeline run.
+
+    ``result.json`` records the result fields and the verdicts, in the
+    order the CLI prints them; each verdict is recorded there once.
+    """
 
     command: str
     config: dict
@@ -513,6 +518,7 @@ class RunResult:
             "command": self.command,
             "config": _jsonable(self.config),
             "results": _jsonable(self.results),
+            "verdicts": list(self.verdicts),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -551,10 +557,19 @@ def _mean_se(col: np.ndarray) -> tuple[float, float]:
     return float(col.mean()), se
 
 
-def _agreement_verdict(agrees: bool, block: ReplicateBlock) -> str:
+def _agreement(block: ReplicateBlock, cols, exact) -> tuple:
+    """Monte Carlo means of the columns ``cols`` of ``block`` against ``exact``.
+
+    Returns the rows ``(n, mean, se, exact)``, the worst of their
+    :func:`sigma_distance` values and the verdict. With fewer than two
+    uncapped replicates there is no standard error: the worst sigma is
+    None and the verdict ``inconclusive``.
+    """
+    rows = [(n, *_mean_se(block.data[:, n]), e) for n, e in zip(cols, exact)]
     if block.replicates - block.n_capped < 2:
-        return "inconclusive"  # fewer than two uncapped replicates give no standard error
-    return "holds" if agrees else "fails"
+        return rows, None, "inconclusive"
+    worst = float(np.max([sigma_distance(abs(m - e), se, e) for _, m, se, e in rows]))
+    return rows, worst, "holds" if worst <= _SIGMAS else "fails"
 
 
 def _mean_se_rows(values: np.ndarray) -> list:
@@ -702,24 +717,19 @@ def pipeline_verify_theorem1(cfg: ExperimentConfig, bundle: ModelBundle) -> tupl
     init_mass = float(np.sum(bundle.g0.weights) ** cert.p)
     gap = proxy_gap_bound(cert, sd, eta_norm, init_p, horizon)
     rows = []
-    all_hold = True
     boot_rng = derive_stream(cfg.seed, 2**32 + 1)
     try:
         for m in ms:
             for n in ns:
-                rep = lp_error(tracks, fvals, cert.p, m, n, horizon, rng=boot_rng)
-                rep.rhs_bound = theorem1_rhs(cert, sd, f_norm, eta_norm, init_p, init_mass, m, n)
-                holds = rep.bound_holds()
-                all_hold = all_hold and holds
-                rows.append(
-                    (m, n, rep.lhs_estimate, rep.stderr, rep.rhs_bound, "yes" if holds else "no")
-                )
-        verdict = "holds" if all_hold else "fails"
+                estimate, se = lp_error(tracks, fvals, cert.p, m, n, horizon, rng=boot_rng)
+                bound = theorem1_rhs(cert, sd, f_norm, eta_norm, init_p, init_mass, m, n)
+                holds = sigma_distance(estimate - bound, se, bound) <= _SIGMAS
+                rows.append((m, n, estimate, se, bound, "yes" if holds else "no"))
+        verdict = "holds" if all(row[-1] == "yes" for row in rows) else "fails"
     except TooFewReplicatesError:
         # capped replicates are NaN rows; too few left to estimate the L^p error
-        rows, all_hold, verdict = [], None, "inconclusive"
+        rows, verdict = [], "inconclusive"
     results = {
-        "bound_holds_everywhere": all_hold,
         "replicates": cfg.replicates,
         "proxy_horizon": horizon,
         "proxy_gap_bound": gap,
@@ -770,7 +780,6 @@ def pipeline_llogl(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     probe = degeneracy_probe(_scaled_tracks(block, theta1), cfg.probe["epsilon"], probe_n)
     results = {
         "conditions": _conditions(reports),
-        "series_verdict": hfk.verdict,
         "rho": rho,
         "theta1": theta1,
         "theta2": theta2,
@@ -797,7 +806,7 @@ def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     tracks = _scaled_tracks(block, theta1)
     finite = np.all(np.isfinite(tracks), axis=1)
     try:
-        flagged = martingale_increment_test(tracks[finite]).flagged
+        flagged = martingale_increment_test(tracks[finite])
     except TooFewReplicatesError:
         flagged = None  # capped replicates left too few tracks; the run exits 3
     reports = liu_conditions(bundle.law, cfg.p)
@@ -823,23 +832,11 @@ def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> tupl
     f = bundle.f
     block = _replicates(cfg, bundle, partial(kernel_product_observable, x_index=x, f=f), horizon)
     pmat = bundle.law.mean_matrix()
-    rows = []
-    worst_sigma = 0.0
-    agrees = True
-    for n in range(horizon + 1):
-        mean, se = _mean_se(block.data[:, n])
-        exact = float((np.linalg.matrix_power(pmat, n) @ f)[x])
-        # in units of SE plus a quarter of the rounding slack: <= 4 is agreement
-        worst_sigma = max(worst_sigma, abs(mean - exact) / (se + rounding_slack(exact) / 4.0))
-        agrees = agrees and mean_agrees(mean, se, exact)
-        rows.append((n, mean, se, exact))
-    results = {
-        "worst_sigma": worst_sigma,
-        "matches_mean_matrix": agrees,
-        "mean_matrix_norm": kernel_norm(pmat),
-    }
+    exact = [float((np.linalg.matrix_power(pmat, n) @ f)[x]) for n in range(horizon + 1)]
+    rows, worst_sigma, verdict = _agreement(block, range(horizon + 1), exact)
+    results = {"worst_sigma": worst_sigma, "mean_matrix_norm": kernel_norm(pmat)}
     series = {"kernel_products": (("n", "estimate", "stderr", "exact"), rows)}
-    return results, series, [_agreement_verdict(agrees, block)], block
+    return results, series, [verdict], block
 
 
 def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
@@ -865,10 +862,8 @@ def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     results = {
         "alpha_slope": probe.slope,
         "alpha_slope_bound": probe.slope_bound,
-        "contraction_ok": probe.contraction_ok,
         "gamma_bar": probe.gamma_bar,
         "gamma_bar_ok": probe.gamma_bar_ok,
-        "verdict": probe.verdict,
         "fit_window": list(probe.fit_window),
         "theta": sd.theta,
         "doob_theta0": doob.theta0,
@@ -888,18 +883,15 @@ def pipeline_lineage(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     pi = stationary_distribution(cfg.model["transition"])
     target = float(np.dot(pi, bundle.law.f_table))
     rows = [(n, *_mean_se(block.data[:, n])) for n in range(1, horizon + 1)]
-    final_mean, final_se = rows[-1][1], rows[-1][2]
-    agrees = mean_agrees(final_mean, final_se, target)
-    sigma = abs(final_mean - target) / final_se if final_se > 0 else (0.0 if agrees else np.inf)
+    [(_, final_mean, final_se, _)], sigma, verdict = _agreement(block, [horizon], [target])
     results = {
         "stationary_value": target,
         "final_mean": final_mean,
         "final_stderr": final_se,
         "final_sigma": sigma,
-        "matches_stationary": agrees,
     }
     series = {"lineage": (("n", "estimate", "stderr"), rows)}
-    return results, series, [_agreement_verdict(agrees, block)], block
+    return results, series, [verdict], block
 
 
 _GRID_KINDS = ("cascade", "two_type_flip", "markov_chain", "lineage_chain", "ifs")

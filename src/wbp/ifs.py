@@ -154,7 +154,6 @@ class IfsProbeReport:
 
     slope: float
     slope_bound: float
-    contraction_ok: bool
     gamma_bar: float
     gamma_bar_ok: bool
     verdict: str
@@ -186,20 +185,17 @@ def ifs_convergence_probe(
         window = (0, 0)
         slope = 0.0
         verdict = "inconclusive"
-        contraction_ok = False
     else:
         ns = usable + 1
         coeffs = np.polyfit(ns, np.log(alpha[usable]), 1)
         slope = float(coeffs[0])
         window = (int(ns[0]), int(ns[-1]))
-        contraction_ok = bool(slope <= slope_bound)
-        verdict = "holds" if contraction_ok else "fails"
+        verdict = "holds" if slope <= slope_bound else "fails"
 
     gamma_bar = law.weights.factor_moment(p) / (sd.theta ** (p - 1.0) * law.weights.factor_moment(1.0))
     return IfsProbeReport(
         slope=slope,
         slope_bound=slope_bound,
-        contraction_ok=contraction_ok,
         gamma_bar=float(gamma_bar),
         gamma_bar_ok=bool(gamma_bar < 1.0),
         verdict=verdict,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascades import CascadeLaw
+from .martingale import _SIGMAS
 from .population import DEFAULT_PARTICLE_CAP, Generation, ReproductionLaw, simulate_trajectory
 from .spectral import MeanKernel, TypeGrid, kernel_power_apply, scaled_powers
 
@@ -195,7 +196,7 @@ def _one_series_verdict(terms, ses, window: int = 5) -> str:
     if np.any(tail_se > np.maximum(np.abs(tail), tiny)):
         return "inconclusive"
     # growing tail, beyond noise: divergent
-    if tail[-1] - 4 * tail_se[-1] > tail[0] + 4 * tail_se[0] and tail[-1] > tiny:
+    if tail[-1] - _SIGMAS * tail_se[-1] > tail[0] + _SIGMAS * tail_se[0] and tail[-1] > tiny:
         return "fails"
     positive = tail > tiny
     if not positive.any():

@@ -4,12 +4,16 @@ The normalized track ``W_n = theta^-n G_n(eta_f)`` is a martingale when
 ``eta_f`` is a right eigenfunction of the mean kernel. Its increments,
 L^p distances and small-value fractions are the observable faces of the
 convergence theory this package verifies.
+
+Every Monte Carlo check follows one rule, :func:`sigma_distance`: a
+value that exceeds its exact value or bound by ``excess``, with standard
+error ``se``, passes when ``excess <= 4 se + 64 eps max(1, |exact|)``.
+The rounding term makes deterministic values work both ways: an SE at
+rounding level does not turn a last-bit difference into a failure, and
+an SE of 0 does not pass a value that is simply wrong.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,66 +26,26 @@ class TooFewReplicatesError(ValueError):
     """Fewer than the required replicate rows are finite (capped ones are NaN)."""
 
 
-def rounding_slack(exact: float) -> float:
-    """Allowance for float rounding in a Monte Carlo check: ``64 eps max(1, |exact|)``."""
-    return 64.0 * _EPS * max(1.0, abs(exact))
+def sigma_distance(excess, se, exact):
+    """``excess`` in standard errors, with rounding: ``excess / (se + 64 eps max(1, |exact|) / 4)``.
 
-
-def mean_agrees(mean: float, se: float, exact: float) -> bool:
-    """Monte Carlo mean against an exact value: within 4 SE plus rounding.
-
-    ``|mean - exact| <= 4 SE + 64 eps max(1, |exact|)``. The rounding term
-    makes deterministic rows work both ways: an SE at rounding level no
-    longer turns a last-bit difference into a failure, and an SE of 0 no
-    longer passes a mean that is simply wrong. A NaN mean never agrees.
+    A check passes when this is at most ``_SIGMAS``. ``excess`` is
+    ``|mean - exact|`` for an agreement, ``estimate - bound`` for a
+    one-sided bound; a NaN never passes. ``excess`` and ``se`` may be
+    arrays over one ``exact``.
     """
-    return bool(abs(mean - exact) <= 4.0 * se + rounding_slack(exact))
+    return excess / (se + 64.0 * _EPS * max(1.0, abs(exact)) / _SIGMAS)
 
 
-def track_matrix(tracks: np.ndarray) -> np.ndarray:
-    """Tracks as a (replicates, horizon+1) array; a single track is one row."""
-    return np.atleast_2d(tracks)
-
-
-@dataclass
-class IncrementReport:
-    """Replicate-mean increments with standard errors and 4-sigma flags."""
-
-    means: np.ndarray
-    stderrs: np.ndarray
-    flagged: list[int]
-
-
-def martingale_increment_test(tracks) -> IncrementReport:
-    """Mean of ``W_{n+1} - W_n`` per step; flags steps drifting beyond 4 SE."""
-    w = track_matrix(tracks)
+def martingale_increment_test(tracks) -> list[int]:
+    """The steps ``n`` whose mean increment ``W_{n+1} - W_n`` fails to agree with 0."""
+    w = np.atleast_2d(tracks)
     if w.shape[0] < 100:
         raise TooFewReplicatesError("need at least 100 tracks for the increment test")
     inc = np.diff(w, axis=1)
-    means = inc.mean(axis=0)
     stderrs = inc.std(axis=0, ddof=1) / np.sqrt(w.shape[0])
-    flagged = [int(n) for n in range(inc.shape[1]) if abs(means[n]) > _SIGMAS * stderrs[n]]
-    return IncrementReport(means, stderrs, flagged)
-
-
-@dataclass
-class LpErrorReport:
-    """Monte Carlo L^p distance of the scaled integral from the limit proxy."""
-
-    p: float
-    m: int
-    n: int
-    proxy_horizon: int
-    lhs_estimate: float
-    stderr: float
-    replicates: int
-    rhs_bound: Optional[float] = None
-
-    def bound_holds(self) -> Optional[bool]:
-        if self.rhs_bound is None:
-            return None
-        slack = rounding_slack(self.rhs_bound)
-        return self.lhs_estimate - _SIGMAS * self.stderr <= self.rhs_bound + slack
+    sigmas = sigma_distance(np.abs(inc.mean(axis=0)), stderrs, 0.0)
+    return np.flatnonzero(~(sigmas <= _SIGMAS)).tolist()
 
 
 def lp_error(
@@ -92,8 +56,8 @@ def lp_error(
     n: int,
     proxy_horizon: int,
     rng: np.random.Generator,
-) -> LpErrorReport:
-    """L^p error estimate ``(E|value_{m+n} - W_N|^p)^(1/p)``, its SE from
+) -> tuple[float, float]:
+    """L^p error estimate ``(E|value_{m+n} - W_N|^p)^(1/p)`` and its SE from
     ``_N_BOOT`` bootstrap resamples drawn from ``rng``.
 
     ``fvals`` holds the per-replicate scaled integrals
@@ -102,8 +66,8 @@ def lp_error(
     entries (capped replicates) are dropped; fewer than 100 survivors is
     an error.
     """
-    w = track_matrix(tracks)
-    fv = track_matrix(fvals)
+    w = np.atleast_2d(tracks)
+    fv = np.atleast_2d(fvals)
     if m + n > proxy_horizon:
         raise ValueError("need m + n <= proxy horizon")
     if proxy_horizon >= w.shape[1] or m + n >= fv.shape[1]:
@@ -121,20 +85,12 @@ def lp_error(
     r = devs.shape[0]
     for b in range(_N_BOOT):
         boots[b] = devs[rng.integers(0, r, size=r)].mean() ** (1.0 / p)
-    return LpErrorReport(
-        p=p,
-        m=m,
-        n=n,
-        proxy_horizon=proxy_horizon,
-        lhs_estimate=lhs,
-        stderr=float(boots.std(ddof=1)),
-        replicates=int(diff.shape[0]),
-    )
+    return lhs, float(boots.std(ddof=1))
 
 
 def degeneracy_probe(tracks, epsilon: float, n: int) -> float:
     """Fraction of replicates with ``W_n < epsilon`` (limit-degeneracy probe)."""
-    w = track_matrix(tracks)
+    w = np.atleast_2d(tracks)
     if n >= w.shape[1]:
         raise ValueError("tracks are shorter than the probed generation")
     col = w[:, n]

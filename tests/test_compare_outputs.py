@@ -75,3 +75,26 @@ def test_exit_code_and_listed_differences(
         assert f"differs: {path}\n" in out
     if head_version != "1" and listed:
         assert "SCHEMA_VERSION 1 -> 2: differences expected" in out
+
+
+def test_schema_bump_names_the_keys_that_moved(tmp_path, monkeypatch, capsys):
+    def result(version, payload):
+        return {"result.json": json.dumps({"schema_version": version, **payload}, sort_keys=True, indent=2)}
+
+    base = result(1, {"results": {"kept": 1, "moved": 0.5, "old": True, "nested": {"a": "nan"}}})
+    head = result(2, {"results": {"kept": 1, "moved": 0.25, "nested": {"a": "nan", "b": []}}, "verdicts": []})
+    assert _compare(tmp_path, monkeypatch, {"base": base, "head": head}, {"base": "1", "head": "2"}) == 0
+    out = capsys.readouterr().out
+    for seed in compare_outputs.SEEDS:
+        assert (
+            f"differs: op/seed{seed}/result.json\n"
+            "  added: results.nested.b, verdicts\n"
+            "  removed: results.old\n"
+            "  changed: results.moved\n"
+        ) in out
+
+
+def test_same_version_lists_no_keys(tmp_path, monkeypatch, capsys):
+    files = {"base": _versioned(1, 0.5), "head": _versioned(1, 0.25)}
+    assert _compare(tmp_path, monkeypatch, files, {"base": "1", "head": "1"}) == 1
+    assert "changed:" not in capsys.readouterr().out

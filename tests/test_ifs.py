@@ -295,7 +295,7 @@ def test_convergence_probe_halving_maps():
     law = halving_ifs()
     sd = position_spectral(law, 2.0**-7, 16)
     probe = ifs_convergence_probe(law, sd)
-    assert probe.contraction_ok
+    assert probe.verdict == "holds"
     assert probe.slope <= np.log(0.5) + 0.1
     assert probe.gamma_bar == pytest.approx(2.0 / 3.0)
     assert probe.gamma_bar_ok
@@ -312,8 +312,9 @@ def test_convergence_probe_halving_maps():
             "dispersion_budget": 300,
         }
     )
-    results = run_experiment(cfg, "ifs").results
-    assert results["verdict"] == probe.verdict and results["theta"] == sd.theta
+    run = run_experiment(cfg, "ifs")
+    results = run.results
+    assert run.verdicts == [probe.verdict] and results["theta"] == sd.theta
     assert results["c0"] > 0
     assert sorted(results["rhs_samples"]) == ["10,10", "5,5"]
     for rhs in results["rhs_samples"].values():
@@ -323,5 +324,4 @@ def test_convergence_probe_halving_maps():
 def test_probe_flags_wrong_contraction_claim():
     law = halving_ifs()
     probe = ifs_convergence_probe(law, position_spectral(law, 2.0**-7, 16), slack=-0.8)
-    assert not probe.contraction_ok
     assert probe.verdict == "fails"

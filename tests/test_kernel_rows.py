@@ -12,7 +12,7 @@ from wbp.cascades import CascadeLaw, UniformSplitCascade
 from wbp.finite_type import MixtureFiniteTypeLaw
 from wbp.harness import ExperimentConfig, _grid_law, make_model
 from wbp.ifs import IfsLaw
-from wbp.martingale import mean_agrees
+from wbp.martingale import _SIGMAS, sigma_distance
 from wbp.spectral import MeanKernel, TypeGrid, build_mean_kernel, power_iteration, support_period
 from wbp.streams import derive_stream
 
@@ -105,7 +105,8 @@ def test_moment_rows_agree_with_the_sampler(name, order):
         sums = np.bincount(slot, weights=batch.weights**order, minlength=d * parents).reshape(d, parents)
         mean = sums.mean(axis=1)
         se = sums.std(axis=1, ddof=1) / np.sqrt(parents)
-        off = [(j, mean[j], se[j], m[i, j]) for j in range(d) if not mean_agrees(mean[j], se[j], m[i, j])]
+        sigmas = [sigma_distance(abs(mean[j] - m[i, j]), se[j], m[i, j]) for j in range(d)]
+        off = [(j, mean[j], se[j], m[i, j]) for j in range(d) if not sigmas[j] <= _SIGMAS]
         assert not off, f"grid point {i}: (cell, mean, se, exact) {off}"
 
 

@@ -14,7 +14,8 @@ output format is then expected to change the files, and the differences
 are listed but do not fail the check. Every ``result.json`` records the
 version, so across a bump each one is compared with its
 ``schema_version`` key removed, and only files that changed otherwise
-are listed.
+are listed, each ``result.json`` with the keys that were added, removed
+or changed, as dotted paths (``results.final_sigma``).
 """
 
 from __future__ import annotations
@@ -65,19 +66,47 @@ def write_outputs(tree: Path, bench: Path, ops: list, out: Path) -> None:
             (outdir / "exit").write_text(f"{proc.returncode}\n")
 
 
-def _content(path: Path, drop_schema: bool):
-    """The bytes of ``path``; a ``result.json`` without its ``schema_version`` if ``drop_schema``."""
-    data = path.read_bytes()
-    if not drop_schema or path.name != "result.json":
-        return data
+def _payload(path: Path):
+    """The JSON of ``path`` without its ``schema_version``; None if it is not JSON."""
     try:
-        payload = json.loads(data)
+        payload = json.loads(path.read_bytes())
     except ValueError:
-        return data
+        return None
     if isinstance(payload, dict):
         payload.pop("schema_version", None)
+    return payload
+
+
+def _content(path: Path, drop_schema: bool):
+    """The bytes of ``path``; a ``result.json`` without its ``schema_version`` if ``drop_schema``."""
+    payload = _payload(path) if drop_schema and path.name == "result.json" else None
+    if payload is None:
+        return path.read_bytes()
     # re-serialised as the CLI writes it, so a NaN compares equal to itself
     return json.dumps(payload, sort_keys=True, indent=2).encode()
+
+
+def _leaves(payload, prefix: str = "") -> dict:
+    """Every value of ``payload`` that is not a non-empty mapping, keyed by its dotted path."""
+    if not isinstance(payload, dict) or not payload:
+        return {prefix[:-1]: payload}
+    return {
+        path: leaf
+        for key, value in payload.items()
+        for path, leaf in _leaves(value, f"{prefix}{key}.").items()
+    }
+
+
+def key_changes(a, b) -> dict:
+    """The dotted paths added, removed and changed from JSON payload ``a`` to ``b``."""
+    leaves_a, leaves_b = _leaves(a), _leaves(b)
+    shared = leaves_a.keys() & leaves_b.keys()
+    return {
+        "added": sorted(leaves_b.keys() - leaves_a.keys()),
+        "removed": sorted(leaves_a.keys() - leaves_b.keys()),
+        # compared as JSON text, so a NaN equals itself
+        "changed": sorted(k for k in shared if json.dumps(leaves_a[k]) != json.dumps(leaves_b[k])),
+    }
 
 
 def differences(a: Path, b: Path, drop_schema: bool = False) -> tuple[int, list]:
@@ -114,9 +143,14 @@ def main(argv=None) -> int:
             write_outputs(tree, bench, ops, work / name)
         bumped = versions["base"] != versions["head"]
         n_files, diffs = differences(work / "base", work / "head", drop_schema=bumped)
-
-    for d in diffs:
-        print(f"differs: {d}")
+        for d in diffs:
+            print(f"differs: {d}")
+            if bumped and d.endswith("result.json"):
+                payloads = [_payload(work / side / d) for side in ("base", "head")]
+                if None not in payloads:
+                    for kind, keys in key_changes(*payloads).items():
+                        if keys:
+                            print(f"  {kind}: {', '.join(keys)}")
     outputs = n_files - len(ops) * len(SEEDS)  # not counting the exit-code files
     print(
         f"{len(ops)} ops x {len(SEEDS)} seeds: {outputs} output files and "

@@ -33,6 +33,10 @@ class CascadeLaw(ReproductionLaw):
         """``E(sum_i u_i^q)`` over one progeny draw."""
         raise NotImplementedError
 
+    def factor_log_moment(self) -> float:
+        """``E(sum_i u_i log u_i)`` over the non-zero factors: the derivative of ``factor_moment`` at 1."""
+        raise NotImplementedError
+
     def total_mass_power(self, p: float) -> float:
         """``E((sum_i u_i)^p)``."""
         raise NotImplementedError
@@ -80,6 +84,9 @@ class DeterministicCascade(CascadeLaw):
 
     def factor_moment(self, q):
         return float(np.sum(self._v[self._v > 0] ** q))
+
+    def factor_log_moment(self):
+        return float(sum(u * np.log(u) for u in self._v if u > 0))
 
     def total_mass_power(self, p):
         return float(np.sum(self._v) ** p)
@@ -129,6 +136,9 @@ class UniformSplitCascade(CascadeLaw):
     def factor_moment(self, q):
         return 2.0 / (q + 1.0)
 
+    def factor_log_moment(self):
+        return -0.5
+
     def total_mass_power(self, p):
         if not self.independent:
             return 1.0
@@ -165,6 +175,9 @@ class ScaledUniformCascade(CascadeLaw):
 
     def factor_moment(self, q):
         return self.c**q / (q + 1.0)
+
+    def factor_log_moment(self):
+        return (self.c / 2.0) * (np.log(self.c) - 0.5) if self.c > 0 else 0.0
 
     def total_mass_power(self, p):
         return self.c**p / (p + 1.0)
@@ -207,6 +220,10 @@ class MixtureCascade(CascadeLaw):
 
     def factor_moment(self, q):
         vals = [float(np.sum(np.asarray(a)[np.asarray(a) > 0] ** q)) for a in self.atoms]
+        return float(np.dot(np.asarray(self.probs), vals))
+
+    def factor_log_moment(self):
+        vals = [sum(u * np.log(u) for u in a if u > 0) for a in self.atoms]
         return float(np.dot(np.asarray(self.probs), vals))
 
     def total_mass_power(self, p):

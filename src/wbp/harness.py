@@ -61,7 +61,7 @@ from .population import (
 from .spectral import TypeGrid, attach_alpha, build_mean_kernel, estimate_beta, power_iteration
 from .streams import derive_stream
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _REQUIRED = object()  # the default of a key that has none
 
@@ -280,7 +280,7 @@ def make_model(model: dict) -> ModelBundle:
             if x >= law.dim:
                 raise ConfigError(f"model.x_index = {x} is not a row of the {law.dim}x{law.dim} matrices")
             f = _table(np.ones(law.dim) if model["f"] is None else model["f"], law.dim, "model.f")
-            return ModelBundle(law, None, law.root_generation(), f)
+            return ModelBundle(law, None, law.root_generation(x), f)
         # a finite-type kind
         if kind == "two_type_flip":
             law, d = two_type_flip_law(), 2
@@ -830,7 +830,7 @@ def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> tupl
     horizon = cfg.horizons["n_max"]
     x = cfg.model["x_index"]
     f = bundle.f
-    block = _replicates(cfg, bundle, partial(kernel_product_observable, x_index=x, f=f), horizon)
+    block = _replicates(cfg, bundle, partial(kernel_product_observable, f=f), horizon)
     pmat = bundle.law.mean_matrix()
     exact = [float((np.linalg.matrix_power(pmat, n) @ f)[x]) for n in range(horizon + 1)]
     rows, worst_sigma, verdict = _agreement(block, range(horizon + 1), exact)
@@ -840,7 +840,7 @@ def pipeline_kernel_products(cfg: ExperimentConfig, bundle: ModelBundle) -> tupl
 
 
 def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
-    """Contraction-rate probe, certificate and killing-profile identity for an IFS model.
+    """Contraction-rate probe, certificate and killing profile for an IFS model.
 
     The observable is the position ``f(x) = x``; the certificate runs to
     ``n_max`` on its own stream, with 200 dispersion draws by default.
@@ -868,7 +868,6 @@ def pipeline_ifs(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
         "theta": sd.theta,
         "doob_theta0": doob.theta0,
         "doob_sup_mass": doob.sup_mass,
-        "doob_identity_residual": doob.identity_residual,
         "c0": cert.c0,
         "Gamma0": cert.Gamma(0),
         "rhs_samples": rhs_samples,

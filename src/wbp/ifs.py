@@ -6,8 +6,8 @@ has Lipschitz constant below 1, the mean kernel contracts in Wasserstein
 distance and the deviation sequence of its iterates decays at the
 contraction rate.
 
-This module holds the law, the Doob (killing-profile) check of a kernel
-and the IFS-specific reading of spectral data it is given: the
+This module holds the law, the Doob (killing-profile) normalisation of a
+kernel and the IFS-specific reading of spectral data it is given: the
 contraction-rate fit and the dispersion ratio. Building the kernels and
 the certificate of a run is the job of ``harness``.
 """
@@ -29,7 +29,7 @@ from .population import (
     count_thresholds,
     initial_generation,
 )
-from .spectral import MeanKernel, SpectralData, power_iteration
+from .spectral import MeanKernel, SpectralData
 
 # children per block of the batch map draw: a block's uniforms, map indices,
 # coefficients and positions (about 1 MB) stay in L2 (tools/step_cost.py --blocks)
@@ -116,27 +116,16 @@ class DoobData:
     profile: np.ndarray
     sup_mass: float
     theta0: float
-    theta1_direct: float
     chain: MeanKernel
 
-    @property
-    def theta1_product(self) -> float:
-        return self.theta0 * self.sup_mass
 
-    @property
-    def identity_residual(self) -> float:
-        return abs(self.theta1_product - self.theta1_direct)
-
-
-def doob_transition(k: MeanKernel, theta1: float, tol: float = 1e-12) -> DoobData:
+def doob_transition(k: MeanKernel, theta1: float) -> DoobData:
     """Normalize a non-conservative kernel by its largest row mass.
 
     Returns the killing profile ``p(x) = rowmass(x) / sup rowmass``, the
-    normalized sub-Markov chain kernel, its dominant eigenvalue
-    ``theta0``, and the independently computed dominant eigenvalue of the
-    original kernel (the two must satisfy
-    ``theta1 = theta0 * sup rowmass``). ``theta1`` is that eigenvalue as
-    the caller computed it, e.g. ``power_iteration(k).theta``.
+    sub-Markov chain ``k / sup rowmass`` and its dominant eigenvalue
+    ``theta0 = theta1 / sup rowmass``, from the dominant eigenvalue
+    ``theta1`` of ``k`` (e.g. ``power_iteration(k).theta``).
     """
     masses = k.matrix.sum(axis=1)
     sup_mass = float(masses.max())
@@ -144,8 +133,7 @@ def doob_transition(k: MeanKernel, theta1: float, tol: float = 1e-12) -> DoobDat
         raise ValueError("kernel has zero total mass")
     profile = masses / sup_mass
     chain = MeanKernel(k.cols, k.matrix / sup_mass, k.grid, k.order)
-    theta0 = power_iteration(chain, tol=tol).theta
-    return DoobData(profile, sup_mass, theta0, theta1, chain)
+    return DoobData(profile, sup_mass, theta1 / sup_mass, chain)
 
 
 @dataclass

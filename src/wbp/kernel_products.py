@@ -1,10 +1,12 @@
-"""Products of random matrices indexed by branching trees.
+"""Products of random matrices indexed by branching trees, as a process on the simplex.
 
-Each particle's type is the running product of the matrices met along
-its ancestry; weights stay at 1 (magnitudes live in the matrices). The
-observable contracts a start coordinate and a test vector through that
-product, and its expectation over the tree is driven by the deterministic
-mean matrix summed over one progeny draw.
+A particle carries the row ``e_x A_1 ... A_n`` of the matrices along its
+ancestry as a type, the row over its l1 norm, and a weight, the norm: a
+child by ``A`` of type ``u`` has type ``u A / |u A|_1`` and weight factor
+``|u A|_1``, the projective action of matrix products (Furstenberg & Kesten
+1960). With ``P`` the mean matrix summed over one progeny draw,
+``G_n(phi)`` for ``phi(u) = u . f`` has mean ``(P^n f)[x]``. Signed
+matrices are allowed, as the l1 norm of a signed row is a valid weight.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .population import (
     initial_generation,
 )
 
-_RESCALE_THRESHOLD = 2.0**512
-
 
 def kernel_norm(a) -> float:
     """Row-sup norm ``max_x sum_y |A[x, y]|`` (sub-multiplicative)."""
@@ -34,20 +34,16 @@ def kernel_norm(a) -> float:
 
 @dataclass
 class KernelProductLaw(ReproductionLaw):
-    """Finite-support distribution over lists of d x d matrices.
+    """Finite-support distribution over lists of d x d matrices, acting on rows.
 
-    A parent carrying product ``T`` begets one child per matrix ``A`` in
-    the drawn list, carrying ``T @ A``. When a product's magnitude
-    explodes, the excess scale is moved into the weight channel so the
-    weighted observable stays exact (see ``kernel_product_observable``).
-
-    ``sample_generation`` is the batch path: one uniform per parent, the
-    drawn lists read from a ``(atoms, max_len, d, d)`` table padded with
-    zero matrices, all child products in one stacked ``matmul``, and the
-    rescale applied to every child at once. Every parent gets a brood of
-    ``max_len`` slots; the slots past its list carry weight 0 and are
-    dropped on advance. ``sample_progeny`` is its per-parent reference; on
-    the same stream both give bit-identical surviving children.
+    A parent of type ``u`` begets one child per matrix ``A`` in the drawn
+    list, of row ``r = u A``. A zero row has weight 0 and is dropped on
+    advance; a product that outgrows float64 ends in a ``ProgenyError``.
+    ``sample_generation`` draws one uniform per parent and sums ``u[x]``
+    times rows ``x`` of the drawn list over ``x``, from a table whose entry
+    ``[x, j, k]`` is row ``x`` of matrix ``k`` of list ``j``, padded with
+    zero rows that give weight-0 slots. ``sample_progeny`` is its
+    per-parent reference: on one stream both give bit-identical children.
     """
 
     atom_lists: tuple
@@ -65,70 +61,51 @@ class KernelProductLaw(ReproductionLaw):
             raise ValueError("matrices must be square")
         self.dim = shape[0]
         self._brood = max(len(lst) for lst in self.atom_lists)
-        self._table = np.zeros((len(self.atom_lists), self._brood, self.dim, self.dim))
-        # 1.0 on the slots of a list, 0.0 on its padding
-        self._live = np.zeros((len(self.atom_lists), self._brood))
+        self._rows = np.zeros((self.dim, len(self.atom_lists), self._brood, self.dim))
         for j, lst in enumerate(self.atom_lists):
-            self._live[j, : len(lst)] = 1.0
             for k, a in enumerate(lst):
-                self._table[j, k] = a
-        if not np.all(np.isfinite(self._table)):
+                self._rows[:, j, k] = a
+        if not np.all(np.isfinite(self._rows)):
             raise ValueError("matrix entries must be finite")
 
     def sample_progeny(self, x, rng):
         j = bisect_right(self._thresholds, rng.random())
-        out = []
-        for a in self.atom_lists[j]:
-            prod = np.asarray(x, dtype=np.float64) @ np.asarray(a, dtype=np.float64)
-            scale = 1.0
-            mag = float(np.max(np.abs(prod)))
-            if mag > _RESCALE_THRESHOLD:
-                scale = 2.0 ** np.ceil(np.log2(mag))
-                prod = prod / scale
-            out.append((scale, prod))
-        return out
+        mats = self._rows[:, j, : len(self.atom_lists[j])]
+        rows = x[0] * mats[0]
+        for ux, r in zip(x[1:], mats[1:]):
+            rows = rows + ux * r
+        norms = [sum(np.abs(r)) for r in rows]
+        return [(n, r / n if n > 0 else r) for n, r in zip(norms, rows)]
 
     def sample_generation(self, weights, types, rng):
-        w = np.asarray(weights, dtype=np.float64)
-        p = w.shape[0]
+        u = np.asarray(types, dtype=np.float64)
+        p = u.shape[0]
         j = count_thresholds(rng.random(p), self._thresholds)
-        k, d = self._brood, self.dim
-        prod = np.matmul(
-            np.repeat(np.asarray(types, dtype=np.float64), k, axis=0),
-            self._table.take(j, axis=0).reshape(p * k, d, d),
-        )
-        child_w = self._live.take(j, axis=0)
-        child_w *= w[:, None]
-        child_w = child_w.ravel()
-        entries = np.abs(prod)
-        # a rescale is rare, and one flat max rules it out far faster than
-        # a max over each child's small trailing d x d axes
-        if entries.max(initial=0.0) > _RESCALE_THRESHOLD:
-            mag = entries.max(axis=(1, 2))
-            big = mag > _RESCALE_THRESHOLD
-            scale = 2.0 ** np.ceil(np.log2(mag[big]))
-            prod[big] /= scale[:, None, None]
-            child_w[big] *= scale
-        return ProgenyBatch(child_w, prod, k)
+        rows = self._rows[0].take(j, axis=0) * u[:, 0, None, None]
+        for x in range(1, self.dim):
+            term = self._rows[x].take(j, axis=0)
+            term *= u[:, x, None, None]
+            rows += term
+        rows = rows.reshape(p * self._brood, self.dim)
+        norm = np.abs(rows[:, 0])  # column by column: a sum over short rows is slow
+        for y in range(1, self.dim):
+            norm += np.abs(rows[:, y])
+        rows /= np.maximum(norm, 5e-324)[:, None]  # the least positive double: zero rows stay 0
+        child_w = norm.reshape(p, self._brood) * np.asarray(weights, dtype=np.float64)[:, None]
+        return ProgenyBatch(child_w.ravel(), rows, self._brood)
 
     def mean_matrix(self) -> np.ndarray:
         """``P = E(sum_i A_i)`` over one progeny draw."""
-        p = np.zeros((self.dim, self.dim))
-        for prob, lst in zip(self.probs, self.atom_lists):
-            for a in lst:
-                p += prob * np.asarray(a, dtype=np.float64)
-        return p
+        pairs = zip(self.probs, self.atom_lists)
+        return sum(prob * np.asarray(a, dtype=np.float64) for prob, lst in pairs for a in lst)
 
-    def root_generation(self) -> Generation:
-        return initial_generation([1.0], np.eye(self.dim)[None, :, :])
+    def root_generation(self, x_index: int) -> Generation:
+        """One particle of weight 1 on the row ``e_x``."""
+        return initial_generation([1.0], np.eye(self.dim)[x_index : x_index + 1])
 
 
-def kernel_product_observable(g: Generation, x_index: int, f: np.ndarray) -> float:
-    """Generation sum of ``<e_x, (product along ancestry) f>`` for a float64 ``f``.
-
-    Each particle contributes ``w_e * (T_e f)[x]``; the weight carries any
-    magnitude factored out of the stored product, so the value is exact.
-    """
+def kernel_product_observable(g: Generation, f: np.ndarray) -> float:
+    """``G_n(phi) = sum_e w_e (u_e . f)`` for a float64 ``f``."""
     if g.size == 0:
         return 0.0
-    return float(np.dot(g.weights, g.types[:, x_index, :] @ f))
+    return float(np.dot(g.weights, g.types @ f))

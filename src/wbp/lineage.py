@@ -18,6 +18,9 @@ import numpy as np
 
 from .population import Generation, ProgenyBatch, ReproductionLaw, initial_generation
 
+# parents per call of the base law, so that one block's temporaries at a time live beside the output
+_BLOCK = 2**15
+
 
 @dataclass
 class LineageLaw(ReproductionLaw):
@@ -34,15 +37,22 @@ class LineageLaw(ReproductionLaw):
         self.f_table = np.asarray(self.f_table, dtype=np.float64)
 
     def sample_generation(self, weights, types, rng):
-        # column 0 only ever holds base types written from integers, so the cast is exact
-        batch = self.base_law.sample_generation(weights, types[:, 0].astype(np.int64), rng)
-        child_base, brood = batch.types, batch.brood
-        child_types = np.empty((child_base.shape[0], 2))
-        child_types[:, 0] = child_base
-        # each child starts from its parent's running sum and adds f of its own type
-        child_types.reshape(types.shape[0], brood, 2)[:, :, 1] = types[:, 1, None]
-        child_types[:, 1] += self.f_table.take(child_base)
-        return ProgenyBatch(batch.weights, child_types, brood)
+        # blocks of parents draw what one batch would, as base laws draw parent by parent
+        p = types.shape[0]
+        for lo in range(0, p or 1, _BLOCK):
+            hi = lo + _BLOCK
+            # column 0 only ever holds base types written from integers, so the cast is exact
+            batch = self.base_law.sample_generation(weights[lo:hi], types[lo:hi, 0].astype(np.int64), rng)
+            k = batch.brood
+            if not lo:
+                child_w, child_types = np.empty(p * k), np.empty((p * k, 2))
+            child_w[lo * k : hi * k] = batch.weights
+            block = child_types[lo * k : hi * k]
+            block[:, 0] = batch.types
+            # each child starts from its parent's running sum and adds f of its own type
+            block.reshape(-1, k, 2)[:, :, 1] = types[lo:hi, 1, None]
+            block[:, 1] += self.f_table.take(batch.types)
+        return ProgenyBatch(child_w, child_types, k)
 
     def root_generation(self, type_index: int = 0) -> Generation:
         return initial_generation([1.0], np.array([[float(type_index), 0.0]], dtype=np.float64))

@@ -1,11 +1,11 @@
 """L log L machinery: truncated-moment series and moment-condition checkers.
 
 Uniform integrability of the mass martingale hinges on moment conditions
-of ``x log x`` type. This module evaluates the classical cascade moment
-conditions exactly, from the cascade laws' closed forms, and probes the
-truncated second-moment series of centered generation functionals by
-Monte Carlo, returning tri-state verdicts (holds / fails / inconclusive)
-driven by confidence intervals.
+of ``x log x`` type. This module evaluates the cascade moment conditions
+of the factors scaled by their mean mass exactly, from the cascade laws'
+closed forms, and probes the truncated second-moment series of centered
+generation functionals by Monte Carlo, returning tri-state verdicts
+(holds / fails / inconclusive) driven by confidence intervals.
 """
 
 from __future__ import annotations
@@ -47,29 +47,37 @@ class LlogLReport:
 
 
 def liu_conditions(law: CascadeLaw, p: float) -> dict[str, LlogLReport]:
-    """Classical cascade moment conditions on a one-point type space.
+    """Cascade moment conditions of the factors ``u_i / theta1``, from the law's closed forms.
 
-    Evaluates ``E((sum u_i)^p)``, ``E(sum u_i^p)`` and
-    ``E((sum u_i) log_+(sum u_i))`` from the law's closed forms. Returns
-    two reports:
+    ``theta1 = E(sum u_i)`` scales the mass martingale ``theta1^-n G_n(1)``.
+    Returns two reports, both ``fails`` when ``theta1 = 0``:
 
-    - ``p-moment-contraction``: finite p-th mass moment and
-      ``E(sum u_i^p) < 1`` (geometric L^p convergence regime);
-    - ``mass-LlogL``: finite ``L log L`` mass moment and
-      ``E(sum u_i^p) < 1`` (uniform integrability regime).
+    - ``p-moment-contraction``: finite ``E(S^p)``, ``S = sum u_i``, and
+      ``E(sum u_i^p) / theta1^p < 1`` (geometric L^p convergence regime);
+    - ``mass-LlogL``: Biggins' (1977) criterion for a non-degenerate limit,
+      finite ``E(S log_+ S)`` and ``E(sum (u_i/theta1) log(u_i/theta1)) < 0``.
     """
     sum_power = law.total_mass_power(p)
-    power_sum = law.factor_moment(p)
     loglog = law.total_mass_loglog()
-    contraction = "holds" if power_sum < 1.0 else "fails"
+    theta1 = law.mean_total_mass()
+    scaled_power = scaled_log = math.inf
+    if theta1 > 0:
+        scaled_power = law.factor_moment(p) / theta1**p
+        # E(sum (u/t) log(u/t)) = E(sum u log u) / t - log t, as E(sum u) = t
+        scaled_log = law.factor_log_moment() / theta1 - math.log(theta1)
     numbers = {
         "mass_p_moment": sum_power,
-        "offspring_p_moment": power_sum,
         "mass_loglog_moment": loglog,
         "p": p,
+        "theta1": theta1,
+        "scaled_p_moment": scaled_power,
+        "scaled_log_moment": scaled_log,
     }
-    finite = {"p-moment-contraction": math.isfinite(sum_power), "mass-LlogL": math.isfinite(loglog)}
-    return {name: LlogLReport(name, contraction if ok else "fails", numbers) for name, ok in finite.items()}
+    holds = {
+        "p-moment-contraction": math.isfinite(sum_power) and scaled_power < 1.0,
+        "mass-LlogL": math.isfinite(loglog) and scaled_log < 0.0,
+    }
+    return {name: LlogLReport(name, "holds" if ok else "fails", numbers) for name, ok in holds.items()}
 
 
 def hfk_partial_sums(

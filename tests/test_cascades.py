@@ -59,6 +59,30 @@ def test_factor_moments_closed_forms():
     assert det.factor_moment(2.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        UniformSplitCascade(independent=False),
+        UniformSplitCascade(independent=True),
+        ScaledUniformCascade(c=0.5),
+        ScaledUniformCascade(c=3.0),
+        DeterministicCascade((0.25, 0.0, 0.75)),
+        MixtureCascade(((0.6, 0.6), (0.8, 0.0)), (0.5, 0.5)),
+    ],
+)
+def test_factor_log_moment_is_the_derivative_of_factor_moment_at_one(law):
+    h = 1e-5
+    slope = (law.factor_moment(1.0 + h) - law.factor_moment(1.0 - h)) / (2.0 * h)
+    assert law.factor_log_moment() == pytest.approx(slope, rel=1e-8, abs=1e-10)
+
+
+def test_factor_log_moment_closed_forms():
+    assert UniformSplitCascade().factor_log_moment() == -0.5
+    assert ScaledUniformCascade(c=2.0).factor_log_moment() == pytest.approx(np.log(2.0) - 0.5)
+    assert ScaledUniformCascade(c=0.0).factor_log_moment() == 0.0
+    assert DeterministicCascade((0.5, 0.5)).factor_log_moment() == pytest.approx(-np.log(2.0))
+
+
 def test_total_mass_power_against_quadrature():
     # E((1 + U - U')^p) for independent uniforms, via 2-D quadrature
     law = UniformSplitCascade(independent=True)

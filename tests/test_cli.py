@@ -545,6 +545,21 @@ def test_deterministic_kernel_product_holds(tmp_path, capsys):
     assert _result(out)["verdicts"] == ["holds"]
 
 
+def test_signed_kernel_product_holds(tmp_path, capsys):
+    # entries of both signs: each child's weight is the l1 norm of a signed row
+    model = {
+        "kind": "kernel_product",
+        "atoms": [[[[0.5, -0.3], [0.2, 0.4]]], [[[-0.2, 0.6], [0.3, -0.1]], [[0.4, 0.1], [-0.3, 0.5]]]],
+        "probs": [0.5, 0.5],
+        "x_index": 1,
+        "f": [1.0, -2.0],
+    }
+    out = tmp_path / "out"
+    assert _run("kernel-products", _config(tmp_path, model), out) == 0
+    assert "verdict: holds" in capsys.readouterr().out
+    assert _result(out)["verdicts"] == ["holds"]
+
+
 def test_jsonable_turns_numpy_bools_into_json_bools():
     assert json.dumps(_jsonable({"ok": np.bool_(True), "bad": [np.bool_(False)]})) == (
         '{"ok": true, "bad": [false]}'

@@ -41,7 +41,7 @@ def count_calls(monkeypatch, *fns, record=None):
     [
         ("spectral", IFS, 1, 1),
         ("certify", IFS, 2, 1),
-        ("ifs", IFS, 2, 2),  # the second iteration is the Doob chain's
+        ("ifs", IFS, 2, 1),
         ("llogl", MIXTURE, 2, 0),
         ("verify-theorem1", MIXTURE, 2, 1),
     ],

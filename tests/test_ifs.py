@@ -236,27 +236,25 @@ def test_grid_kernel_row_masses_are_offspring_mass():
 
 
 def test_doob_conservative_kernel():
-    # constant row mass c: profile is identically 1 and theta0 * c = c
+    # constant row mass c = theta: profile is identically 1 and theta0 = 1
     m = np.array([[0.3, 0.4], [0.5, 0.2]])  # rows sum to 0.7
     k = from_dense(m, TypeGrid.finite(2))
     d = doob_transition(k, power_iteration(k).theta)
     assert np.allclose(d.profile, 1.0)
     assert d.sup_mass == pytest.approx(0.7)
-    assert d.theta1_product == pytest.approx(d.theta1_direct, abs=1e-10)
+    assert d.theta0 == pytest.approx(1.0, abs=1e-10)
 
 
-def test_doob_two_point_nonconservative_identity():
-    # acceptance-grade identity on a kernel with unequal row masses
+def test_doob_two_point_nonconservative_chain():
+    # unequal row masses: theta0 is the chain's own dominant eigenvalue
     m = np.array([[0.3, 0.4], [0.5, 0.4]])
     k = from_dense(m, TypeGrid.finite(2))
-    d = doob_transition(k, power_iteration(k, tol=1e-13).theta, tol=1e-13)
+    d = doob_transition(k, power_iteration(k, tol=1e-13).theta)
     assert d.profile[1] == 1.0
     assert d.profile[0] == pytest.approx(0.7 / 0.9)
-    assert d.identity_residual <= 1e-8
-    # oracle: both sides against the dense eigensolver
-    lam = np.max(np.abs(np.linalg.eigvals(m)))
-    assert d.theta1_direct == pytest.approx(lam, abs=1e-9)
-    assert d.theta1_product == pytest.approx(lam, abs=1e-9)
+    assert np.allclose(dense(d.chain), m / 0.9)
+    # oracle: the dense eigensolver on the normalized chain
+    assert d.theta0 == pytest.approx(np.max(np.abs(np.linalg.eigvals(m / 0.9))), abs=1e-9)
 
 
 def test_doob_uniform_split_mass_one():

@@ -95,6 +95,24 @@ def test_incremental_equals_tree_walk_when_siblings_differ():
         assert np.array_equal(g.types[:, 1], sums)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocks_of_parents_draw_what_one_batch_draws(monkeypatch, block):
+    # one batch over 300 parents against blocks of them, on the same stream: bitwise equal
+    base = MixtureFiniteTypeLaw(
+        ([(0.5, [(0.5, 0), (0.5, 1)]), (0.5, [(1.0, 1)])], [(0.3, [(0.75, 0)]), (0.7, [(0.2, 1), (0.4, 0)])])
+    )
+    law = LineageLaw(base, np.array([0.25, 1.5]))
+    rng = np.random.default_rng(2)
+    weights = rng.uniform(0.5, 2.0, 300)
+    types = np.column_stack([rng.integers(0, 2, 300), rng.uniform(0.0, 3.0, 300)])
+    whole = law.sample_generation(weights, types, derive_stream(6, 0))
+    monkeypatch.setattr("wbp.lineage._BLOCK", block)
+    blocks = law.sample_generation(weights, types, derive_stream(6, 0))
+    assert blocks.brood == whole.brood == 2
+    assert np.array_equal(blocks.weights, whole.weights)
+    assert np.array_equal(blocks.types, whole.types)
+
+
 def test_incremental_close_to_observable_route():
     f = np.array([0.3, 1.7])
     base = two_type_flip_law()

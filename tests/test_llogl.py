@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wbp import llogl
-from wbp.cascades import DeterministicCascade, ScaledUniformCascade, UniformSplitCascade
+from wbp.cascades import DeterministicCascade, MixtureCascade, ScaledUniformCascade, UniformSplitCascade
 from wbp.llogl import default_rho, hfk_partial_sums, liu_conditions
 from wbp.population import simulate_trajectory
 from wbp.spectral import TypeGrid, build_mean_kernel
@@ -21,27 +21,58 @@ def test_default_rho_formula_and_guard():
 def test_liu_conditions_deterministic_half_half():
     reports = liu_conditions(DeterministicCascade((0.5, 0.5)), 2.0)
     nums = reports["p-moment-contraction"].numbers
-    assert nums["offspring_p_moment"] == pytest.approx(0.5)
+    assert nums["scaled_p_moment"] == pytest.approx(0.5)
     assert nums["mass_p_moment"] == pytest.approx(1.0)
     # closed forms only: no standard-error fields
-    assert set(nums) == {"mass_p_moment", "offspring_p_moment", "mass_loglog_moment", "p"}
+    assert set(nums) == {
+        "mass_p_moment",
+        "mass_loglog_moment",
+        "p",
+        "theta1",
+        "scaled_p_moment",
+        "scaled_log_moment",
+    }
     assert reports["p-moment-contraction"].verdict == "holds"
     assert reports["mass-LlogL"].verdict == "holds"
 
 
 def test_liu_conditions_uniform_split():
     reports = liu_conditions(UniformSplitCascade(independent=True), 2.0)
-    assert reports["p-moment-contraction"].numbers["offspring_p_moment"] == pytest.approx(2 / 3)
+    assert reports["p-moment-contraction"].numbers["scaled_p_moment"] == pytest.approx(2 / 3)
     assert reports["p-moment-contraction"].verdict == "holds"
 
 
 def test_liu_conditions_scaled_uniform_fails():
     reports = liu_conditions(ScaledUniformCascade(c=2.0), 2.0)
-    assert reports["p-moment-contraction"].numbers["offspring_p_moment"] == pytest.approx(4 / 3)
+    assert reports["p-moment-contraction"].numbers["scaled_p_moment"] == pytest.approx(4 / 3)
     assert reports["p-moment-contraction"].verdict == "fails"
     assert reports["mass-LlogL"].verdict == "fails"
     # the L log L moment itself is finite
     assert np.isfinite(reports["mass-LlogL"].numbers["mass_loglog_moment"])
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_liu_conditions_scaled_uniform_fails_for_every_c(c, p):
+    # the factor scaled by theta1 = c/2 is 2U whatever c: E((2U)^p) = 2^p/(p+1) > 1
+    # and E(2U log 2U) = log 2 - 1/2 > 0, so W_n = prod 2U_i tends to 0; c = 0 kills the mass
+    reports = liu_conditions(ScaledUniformCascade(c=c), p)
+    assert [r.verdict for r in reports.values()] == ["fails", "fails"]
+    if c > 0:
+        nums = reports["mass-LlogL"].numbers
+        assert nums["scaled_p_moment"] == pytest.approx(2.0**p / (p + 1.0))
+        assert nums["scaled_log_moment"] == pytest.approx(np.log(2.0) - 0.5)
+
+
+def test_liu_conditions_galton_watson_tree_holds():
+    # two unit children with probability 0.6, none with 0.4: theta1 = 1.2 and
+    # W = lim 1.2^-n Z_n is non-degenerate (Kesten-Stigum)
+    reports = liu_conditions(MixtureCascade(((1.0, 1.0), (0.0, 0.0)), (0.6, 0.4)), 2.0)
+    assert [r.verdict for r in reports.values()] == ["holds", "holds"]
+    nums = reports["mass-LlogL"].numbers
+    assert nums["theta1"] == pytest.approx(1.2)
+    assert nums["scaled_p_moment"] == pytest.approx(1.2 / 1.44)
+    assert nums["scaled_log_moment"] == pytest.approx(-np.log(1.2))
 
 
 def hfk(law, k, rho, theta1, p, n_max, **kw):

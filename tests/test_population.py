@@ -248,7 +248,8 @@ def _ragged_kernel_product(p):
     rng = np.random.default_rng(8)
     lists = ((rng.normal(size=(2, 2)),) * 3, (rng.normal(size=(2, 2)),), (rng.normal(size=(2, 2)),) * 2)
     law = KernelProductLaw(lists, (0.2, 0.5, 0.3))
-    return law, rng.normal(size=(p, 2, 2)), law.sample_progeny
+    rows = rng.normal(size=(p, 2))
+    return law, rows / np.abs(rows).sum(axis=1)[:, None], law.sample_progeny
 
 
 def _lineage(p):
@@ -335,7 +336,7 @@ def _tenths_finite_type():
 
 def _tenths_kernel_product():
     law = KernelProductLaw(tuple((np.array([[j + 1.0]]),) for j in range(10)), (0.1,) * 10)
-    return law, np.eye(1)[None, :, :], lambda b: b.types.tolist() == [[[10.0]]]
+    return law, np.ones((1, 1)), lambda b: b.weights.tolist() == [10.0] and b.types.tolist() == [[1.0]]
 
 
 def _tenths_ifs():

@@ -10,9 +10,10 @@ Exit codes:
   value out of range, a model kind the pipeline does not run on, or an
   unknown key at any level of the config, named with its closest known
   key), spectral data that cannot be computed (for example a periodic
-  kernel) or a certificate that cannot be established, all with no result
-  files; or an output directory that cannot be written, named with the
-  path;
+  kernel), a certificate that cannot be established or a sampled weight
+  that is negative or not finite (one that overflowed, say), named with
+  the generation it was drawn for, all with no result files; or an output
+  directory that cannot be written, named with the path;
 - 3 particle cap exceeded by some replicates (result files are written);
 - 4 inconclusive verdict under --strict.
 """
@@ -25,6 +26,7 @@ import time
 
 from .certify import CertificationError
 from .harness import _PIPELINES, ConfigError, ExperimentConfig, run_experiment
+from .population import ProgenyError
 from .spectral import SpectralConvergenceError
 
 _COMMANDS = tuple(_PIPELINES)
@@ -71,6 +73,8 @@ def main(argv=None) -> int:
         return _refuse("no spectral data", exc)
     except CertificationError as exc:
         return _refuse("no certificate", exc)
+    except ProgenyError as exc:
+        return _refuse("invalid offspring", exc)
     elapsed = time.perf_counter() - t0
     try:
         paths = result.write(outdir)

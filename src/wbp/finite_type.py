@@ -44,6 +44,7 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
         self._width = width = max(1, max(len(a[1]) for atoms in self.atoms_per_type for a in atoms))
         self._max_atoms = max_atoms = max(len(a) for a in self.atoms_per_type)
         # offspring lists as rows: atom j of type t is row t * max_atoms + j
+        self._first_rows = np.arange(self.n_types, dtype=np.int64) * max_atoms
         self._fac = np.zeros((self.n_types * max_atoms, width))
         self._typ = np.zeros((self.n_types * max_atoms, width), dtype=np.int64)
         for t, atoms in enumerate(self.atoms_per_type):
@@ -64,12 +65,13 @@ class MixtureFiniteTypeLaw(ReproductionLaw):
 
     def sample_generation(self, weights, types, rng):
         t = np.asarray(types, dtype=np.int64)
-        row = t * self._max_atoms
+        row = self._first_rows.take(t)
         if self._columns:
             u = rng.random(t.shape[0])
-            # count_thresholds on each parent's own list, summed into row in place
+            # count_thresholds on each parent's own list; a new sum, as adding
+            # a bool array in place runs numpy's buffered cast
             for col in self._columns:
-                row += col.take(t) <= u
+                row = row + (col.take(t) <= u)
         child_w = self._fac.take(row, axis=0)
         child_w *= np.asarray(weights, dtype=np.float64)[:, None]
         return ProgenyBatch(child_w.ravel(), self._typ.take(row, axis=0).ravel(), self._width)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cascades import CascadeLaw
 from .martingale import _SIGMAS
-from .population import DEFAULT_PARTICLE_CAP, Generation, ReproductionLaw, simulate_trajectory
+from .population import DEFAULT_PARTICLE_CAP, Generation, ReproductionLaw, advance_generation
 from .spectral import MeanKernel, TypeGrid, kernel_power_apply, scaled_powers
 
 # expected particles that one block of hfk trajectories holds, all generations together
@@ -109,15 +109,16 @@ def hfk_partial_sums(
     The ``mc_budget`` trajectories of a grid point run as blocks of
     independent roots, each block one multi-root trajectory of ``k``
     generations, and ``X_k^f`` is reduced per root with
-    ``np.bincount(root, w * f[cell])``. A trajectory keeps all its
-    generations, so a block holds as many roots as keep the expected
-    particles of generations ``0..k`` together at most 2^20: one root
-    expects ``sum_{j <= k} m^j`` of them, where ``m`` (at least 1) bounds
-    the expected children per particle by the largest row sum of
-    ``law.moment_rows(grid, 0.0)``. ``rng`` is consumed grid point by grid
-    point and, within a point, block by block. ``cap`` bounds each root's
-    tree, as it bounds one replicate: a generation in which one tree holds
-    more than ``cap`` particles raises ``PopulationCapError``.
+    ``np.bincount(root, w * f[cell])``. A block is stepped ``k`` times and
+    keeps only its current generation. Its size, which fixes the order of
+    the draws, is the most roots whose generations ``0..k`` expect at most
+    2^20 particles together: one root expects ``sum_{j <= k} m^j`` of
+    them, where ``m`` (at least 1) bounds the expected children per
+    particle by the largest row sum of ``law.moment_rows(grid, 0.0)``.
+    ``rng`` is consumed grid point by grid point and, within a point,
+    block by block. ``cap`` bounds each root's tree, as it bounds one
+    replicate: a generation in which one tree holds more than ``cap``
+    particles raises ``PopulationCapError``.
     """
     if rho <= 1.0:
         raise ValueError("truncation base rho must exceed 1")
@@ -129,8 +130,9 @@ def hfk_partial_sums(
     for i in range(d):
         for start in range(0, mc_budget, block):
             roots = min(block, mc_budget - start)
-            g0 = Generation(np.ones(roots), np.full(roots, grid.points[i]), root=np.arange(roots))
-            g = simulate_trajectory(law, g0, k, rng, cap=cap)[-1]
+            g = Generation(np.ones(roots), np.full(roots, grid.points[i]), root=np.arange(roots))
+            for _ in range(k):
+                g = advance_generation(g, law, rng, cap=cap)
             values = g.weights * fvec.take(grid.locate(g.types))
             samples[i, start : start + roots] = np.bincount(g.root, values, roots) - exact[i]
     absx = np.abs(samples)

@@ -10,7 +10,11 @@ Generation advance multiplies factors into parent weights, drops the
 zero-weight children (padding included) and enforces a hard particle cap.
 Every progeny is finite, so no mass is ever truncated away. A generation
 may hold many independent trees at once, each particle tagged with the
-index of its tree (``Generation.root``).
+index of its tree (``Generation.root``). A ``Generation`` need not be a
+whole generation: the replicate runner (``harness._replicate_rows``)
+steps a tree depth-first in pieces of at most ``harness._PIECE``
+particles, each piece a slot-order slice of one generation, so a law and
+``advance_generation`` never see more parents than one piece holds there.
 """
 
 from __future__ import annotations
@@ -100,9 +104,14 @@ def count_thresholds(u: np.ndarray, thresholds) -> np.ndarray:
     pass over ``u`` per threshold beats a binary search per draw for tables
     of a few atoms, such as every bench model's.
     """
-    j = np.zeros(u.shape, dtype=np.intp)
-    for c in thresholds:
-        j += u >= c
+    if not thresholds:
+        return np.zeros(u.shape, dtype=np.intp)
+    # the first comparison is cast whole, not added into zeros: adding a bool
+    # array into an intp one runs numpy's buffered cast, about 1.5 us at one
+    # parent; later ones add in place, so a long ``u`` holds one intp array
+    j = (u >= thresholds[0]).astype(np.intp)
+    for c in thresholds[1:]:
+        np.add(j, u >= c, out=j)
     return j
 
 
@@ -195,6 +204,13 @@ class Generation:
             if self.root.shape != self.weights.shape:
                 raise ValueError("root must hold one tree index per particle")
 
+    @classmethod
+    def _of(cls, weights: np.ndarray, types: np.ndarray, index: int, root: Optional[np.ndarray]):
+        """A generation of arrays already checked, without ``__post_init__``."""
+        g = object.__new__(cls)
+        g.weights, g.types, g.index, g.root = weights, types, index, root
+        return g
+
     @property
     def size(self) -> int:
         return int(self.weights.shape[0])
@@ -222,28 +238,39 @@ def advance_generation(
     their parent's ``root``. Raises :class:`PopulationCapError` when the
     new generation would exceed ``cap`` particles in one tree: ``cap``
     bounds each tree of a multi-root generation, not their sum.
+
+    The result holds the law's arrays, or their survivors, as they are:
+    :class:`ProgenyBatch` already fixes their dtypes, so the layout is
+    checked here and ``Generation.__post_init__`` is not run again.
     """
     batch = law.sample_generation(g.weights, g.types, rng)
     w, types, root = batch.weights, batch.types, g.root
-    if w.shape[0] != batch.brood * g.size:
-        raise ProgenyError(f"{w.shape[0]} children from {g.size} parents in broods of {batch.brood}")
+    slots = w.shape[0]
+    n = g.index + 1
+    if slots != batch.brood * g.weights.shape[0]:
+        raise ProgenyError(
+            f"generation {n}: {slots} children from {g.size} parents in broods of {batch.brood}"
+        )
+    if types.shape[0] != slots:
+        raise ProgenyError(f"generation {n}: {types.shape[0]} child types for {slots} children")
     if root is not None:
         root = np.repeat(root, batch.brood)
-    lowest = w.min() if w.size else np.inf
-    # NaN fails both comparisons, so NaN, +-inf and negative weights are all rejected
-    if w.size and not (lowest >= 0.0 and w.max() < np.inf):
-        raise ProgenyError("sampled offspring produced a negative or non-finite weight")
-    if lowest == 0.0:
-        # one index array serves the weights and types of any rank
-        keep = (w > 0.0).nonzero()[0]
-        w, types = w.take(keep), types.take(keep, axis=0)
-        if root is not None:
-            root = root.take(keep)
-    if w.size > cap:
-        count = w.size if root is None else int(np.bincount(root).max())
+    if slots:
+        lowest = np.minimum.reduce(w)
+        # NaN fails both comparisons, so NaN, +-inf and negative weights are all rejected
+        if not (lowest >= 0.0 and np.maximum.reduce(w) < np.inf):
+            raise ProgenyError(f"generation {n}: a sampled weight is negative or not finite")
+        if lowest == 0.0:
+            # one index array serves the weights and types of any rank
+            keep = (w > 0.0).nonzero()[0]
+            w, types = w.take(keep), types.take(keep, axis=0)
+            if root is not None:
+                root = root.take(keep)
+    if w.shape[0] > cap:
+        count = w.shape[0] if root is None else int(np.bincount(root).max())
         if count > cap:
-            raise PopulationCapError(count, cap, g.index + 1)
-    return Generation(w, types, g.index + 1, root)
+            raise PopulationCapError(count, cap, n)
+    return Generation._of(w, types, n, root)
 
 
 def simulate_trajectory(

@@ -8,6 +8,15 @@ reproduced outside this package:
     seed(s, i) = splitmix64(splitmix64(s) XOR (i + 1) * 0x9E3779B97F4A7C15)
 
 and the stream itself is ``numpy.random.Generator(PCG64(seed(s, i)))``.
+
+Within its stream, a replicate draws in the order in which it walks its
+tree: depth-first, piece by piece (``harness._replicate_rows``). A piece
+holds at most ``harness._PIECE`` particles of one generation; each step
+draws the children of one piece, and the pieces of a generation that
+outgrew one piece are taken in slot order, each followed by all of its
+descendants before the next. A tree whose generations all fit in one
+piece therefore draws generation after generation, parents in slot order,
+as a breadth-first loop would.
 """
 
 import numpy as np

@@ -15,8 +15,12 @@ from wbp import harness
 from wbp.cli import _COMMANDS, main
 from wbp.finite_type import MixtureFiniteTypeLaw
 from wbp.harness import SCHEMA_VERSION, ExperimentConfig, _jsonable, run_replicates
-from wbp.population import Generation
+from wbp.cascades import DeterministicCascade
+from wbp.finite_type import two_type_flip_law
+from wbp.kernel_products import kernel_product_observable
+from wbp.population import Generation, PopulationCapError, advance_generation
 from wbp.spectral import TypeGrid
+from wbp.streams import derive_stream
 
 MODELS = {
     "cascade-split": {"kind": "cascade", "spec": "uniform_split"},
@@ -526,6 +530,130 @@ def test_replicate_rows_match_for_any_worker_count_with_capped_replicates():
             assert np.array_equal(pooled.data, serial.data, equal_nan=True)
             assert pooled.n_capped == serial.n_capped
             assert pooled.particle_total == serial.particle_total
+
+
+def _breadth_first_rows(bundle, observe, horizon, replicates, seed, cap):
+    """The reference runner: each replicate's generations one after another, whole."""
+    width = (horizon + 1) * np.size(observe(bundle.g0)) + 1
+    rows = np.empty((replicates, width))
+    for i, row in enumerate(rows):
+        rng = derive_stream(seed, i)
+        g, values, particles = bundle.g0, [], 0
+        try:
+            for n in range(horizon + 1):
+                if n:
+                    g = advance_generation(g, bundle.law, rng, cap=cap)
+                particles += g.size
+                values.append(np.atleast_1d(observe(g)))
+        except PopulationCapError:
+            row[:] = np.nan
+            continue
+        row[:] = np.concatenate(values + [[particles]])
+    return rows
+
+
+# (bundle, observer, horizon, cap): every observer of the pipelines, capped replicates included
+TRAVERSALS = {
+    "mixture-capped": (
+        _bundle(MODELS["cascade-mixture"] | {"atoms": [[0.5, 0.5], [1.0]]}),
+        Generation.total_mass,
+        6,
+        12,
+    ),
+    "split-indep": (_bundle(MODELS["cascade-split-indep"]), Generation.total_mass, 10, 10**7),
+    "flip-types": (_bundle(MODELS["two_type_flip"]), partial(harness._type_masses, d=2), 9, 10**7),
+    "ifs": (_bundle(MODELS["ifs"]), Generation.total_mass, 9, 10**7),
+    "kernel-product": (
+        _bundle(MODELS["kernel_product"]),
+        partial(kernel_product_observable, f=np.array([1.0, -0.5])),
+        7,
+        10**7,
+    ),
+    "lineage": (_bundle(MODELS["lineage_chain"]), harness._lineage_average, 12, 10**7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAVERSALS))
+def test_one_piece_per_generation_records_what_a_breadth_first_loop_records(monkeypatch, name):
+    bundle, observe, horizon, cap = TRAVERSALS[name]
+    monkeypatch.setattr(harness, "_PIECE", 10**9)
+    block = run_replicates(bundle, observe, horizon, 9, seed=4, cap=cap)
+    rows = _breadth_first_rows(bundle, observe, horizon, 9, 4, cap)
+    assert np.hstack([block.data, rows[:, -1:]]).tobytes() == rows.tobytes()
+    assert (block.n_capped > 0) == (name == "mixture-capped")
+
+
+@pytest.mark.parametrize("piece", [1, 3, 7])
+def test_small_pieces_add_up_to_the_exact_masses(monkeypatch, piece):
+    monkeypatch.setattr(harness, "_PIECE", piece)
+    horizon = 8
+    # factors 1/2 and 1/4: G_n(1) = (3/4)^n, a sum of dyadic weights that no order rounds
+    law = DeterministicCascade((0.5, 0.25))
+    cascade = harness.ModelBundle(law, TypeGrid.finite(1), law.root_generation())
+    block = run_replicates(cascade, Generation.total_mass, horizon, 2, seed=0)
+    assert np.array_equal(block.data, np.tile(0.75 ** np.arange(horizon + 1), (2, 1)))
+    assert block.particle_total == 2 * (2 ** (horizon + 1) - 1)
+    # two children of half weight on the other type: all the mass sits on type n mod 2
+    law = two_type_flip_law()
+    flip = harness.ModelBundle(law, TypeGrid.finite(2), law.root_generation(0))
+    block = run_replicates(flip, partial(harness._type_masses, d=2), horizon, 2, seed=0)
+    exact = [(1.0, 0.0) if n % 2 == 0 else (0.0, 1.0) for n in range(horizon + 1)]
+    assert np.array_equal(block.data, np.tile(np.ravel(exact), (2, 1)))
+
+
+def test_cap_counts_every_piece_of_a_generation(monkeypatch):
+    # pieces of 4 parents have at most 8 children, under the cap of 20; generation 5 holds 32
+    monkeypatch.setattr(harness, "_PIECE", 4)
+    law = DeterministicCascade((0.5, 0.5))
+    bundle = harness.ModelBundle(law, TypeGrid.finite(1), law.root_generation())
+    assert run_replicates(bundle, Generation.total_mass, 4, 3, seed=0, cap=20).n_capped == 0
+    block = run_replicates(bundle, Generation.total_mass, 5, 3, seed=0, cap=20)
+    assert block.n_capped == 3 and np.isnan(block.data).all()
+
+
+def test_replicate_memory_is_bounded_by_the_piece_not_the_generation():
+    # breadth-first, generations 19 and 20 of uniform_split (2^20 particles) need about 25 MB
+    import tracemalloc
+
+    horizon = 20
+    bundle = _bundle(MODELS["cascade-split"])
+    tracemalloc.start()
+    try:
+        block = run_replicates(bundle, Generation.total_mass, horizon, 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.particle_total == 2 ** (horizon + 1) - 1
+    # at most one piece's two broods per generation, 16 bytes a child (weight and type)
+    assert peak < 2 * 16 * harness._PIECE * horizon
+
+
+def test_overflowing_weight_is_refused_with_exit_2_and_its_generation(tmp_path, capsys):
+    model = {"kind": "kernel_product", "atoms": [[[[1e200, 0.0], [0.0, 1e200]]]], "probs": [1.0]}
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = _run("kernel-products", _config(tmp_path, model, horizons={"n_max": 3}), out)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid offspring: generation 2: a sampled weight is negative or not finite\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pipeline", ["cascade", "llogl"])
+def test_cascade_of_zero_mean_mass_is_refused_before_any_replicate(
+    tmp_path, capsys, monkeypatch, pipeline
+):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "run_replicates", no_replicates)
+    model = {"kind": "cascade", "spec": "scaled_uniform", "c": 0.0}
+    assert _run(pipeline, _config(tmp_path, model), tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "config error: the cascade's mean total mass theta1 = E(sum u) is 0.0, "
+        "so theta1^-n G_n(1) is undefined\n"
+    )
 
 
 def test_ifs_pipeline_writes_its_boolean_verdicts(tmp_path):

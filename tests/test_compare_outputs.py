@@ -14,8 +14,9 @@ spec.loader.exec_module(compare_outputs)
 RESULT = {"result.json": "{}\n"}
 
 
-def _compare(tmp_path, monkeypatch, files, versions):
-    """Exit code of the tool on two trees whose op writes ``files[side]`` at every seed."""
+def _compare(tmp_path, monkeypatch, files, versions, exits=None):
+    """Exit code of the tool on two trees whose op writes ``files[side]`` at every seed,
+    and exits with ``exits[side]`` (default 0)."""
     for side in ("base", "head"):
         (tmp_path / side).mkdir()
     (tmp_path / "head" / "bench").mkdir()
@@ -27,7 +28,7 @@ def _compare(tmp_path, monkeypatch, files, versions):
             for seed in compare_outputs.SEEDS:
                 outdir = out / op["name"] / f"seed{seed}"
                 outdir.mkdir(parents=True)
-                (outdir / "exit").write_text("0\n")
+                (outdir / "exit").write_text(f"{(exits or {}).get(tree.name, 0)}\n")
                 for name, text in files[tree.name].items():
                     (outdir / name).write_text(text)
 
@@ -98,3 +99,33 @@ def test_same_version_lists_no_keys(tmp_path, monkeypatch, capsys):
     files = {"base": _versioned(1, 0.5), "head": _versioned(1, 0.25)}
     assert _compare(tmp_path, monkeypatch, files, {"base": "1", "head": "1"}) == 1
     assert "changed:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("head_version", ["1", "2"])
+def test_changed_exit_codes_and_verdicts_are_named_on_their_own_lines(
+    tmp_path, monkeypatch, capsys, head_version
+):
+    def result(version, verdicts):
+        payload = {"schema_version": version, "verdicts": verdicts}
+        return {"result.json": json.dumps(payload, sort_keys=True, indent=2)}
+
+    files = {"base": result(1, ["holds"]), "head": result(int(head_version), ["fails"])}
+    exits = {"base": 0, "head": 3}
+    code = _compare(tmp_path, monkeypatch, files, {"base": "1", "head": head_version}, exits)
+    assert code == (0 if head_version == "2" else 1)  # the exit status is the byte check's
+    out = capsys.readouterr().out
+    for seed in compare_outputs.SEEDS:
+        assert f"exit code changed: op/seed{seed}: 0 -> 3\n" in out
+        assert f'verdicts changed: op/seed{seed}: ["holds"] -> ["fails"]\n' in out
+
+
+def test_equal_outcomes_are_not_named(tmp_path, monkeypatch, capsys):
+    def result(version, value):
+        payload = {"schema_version": version, "verdicts": ["holds"], "x": value}
+        return {"result.json": json.dumps(payload, sort_keys=True, indent=2)}
+
+    files = {"base": result(1, 0.5), "head": result(2, 0.25)}
+    assert _compare(tmp_path, monkeypatch, files, {"base": "1", "head": "2"}) == 0
+    out = capsys.readouterr().out
+    assert "differs: op/seed0/result.json" in out
+    assert "exit code changed" not in out and "verdicts changed" not in out

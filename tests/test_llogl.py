@@ -4,7 +4,7 @@ import pytest
 from wbp import llogl
 from wbp.cascades import DeterministicCascade, MixtureCascade, ScaledUniformCascade, UniformSplitCascade
 from wbp.llogl import default_rho, hfk_partial_sums, liu_conditions
-from wbp.population import simulate_trajectory
+from wbp.population import advance_generation
 from wbp.spectral import TypeGrid, build_mean_kernel
 from wbp.streams import derive_stream
 
@@ -99,12 +99,14 @@ def test_hfk_runs_in_blocks_of_at_most_2_20_expected_particles(monkeypatch):
     # take blocks of 256, 256, 256, 256 and 76 roots
     blocks = []
 
-    def recording_trajectory(law, g0, horizon, rng, cap):
-        traj = simulate_trajectory(law, g0, horizon, rng, cap)
-        blocks.append((g0.size, sum(g.size for g in traj)))
-        return traj
+    def recording_advance(g, law, rng, cap):
+        child = advance_generation(g, law, rng, cap=cap)
+        if g.index == 0:
+            blocks.append((g.size, g.size))
+        blocks[-1] = (blocks[-1][0], blocks[-1][1] + child.size)
+        return child
 
-    monkeypatch.setattr(llogl, "simulate_trajectory", recording_trajectory)
+    monkeypatch.setattr(llogl, "advance_generation", recording_advance)
     law = DeterministicCascade((0.5, 0.5))
     rep = hfk(law, 11, 2.0, 1.0, 2.0, 6, mc_budget=1100, rng=derive_stream(4, 1))
     assert blocks == [(256, 256 * 4095)] * 4 + [(76, 76 * 4095)]

@@ -15,7 +15,10 @@ are listed but do not fail the check. Every ``result.json`` records the
 version, so across a bump each one is compared with its
 ``schema_version`` key removed, and only files that changed otherwise
 are listed, each ``result.json`` with the keys that were added, removed
-or changed, as dotted paths (``results.final_sigma``).
+or changed, as dotted paths (``results.final_sigma``). Whatever the
+versions, every exit code that differs and every ``result.json`` whose
+``verdicts`` list differs is also named on its own line, with both values,
+so that a change of outcome stands out from the expected differences.
 """
 
 from __future__ import annotations
@@ -126,6 +129,26 @@ def differences(a: Path, b: Path, drop_schema: bool = False) -> tuple[int, list]
     return len(files_a), diffs
 
 
+def outcome_changes(a: Path, b: Path, diffs: list) -> list:
+    """One line per differing exit code and per ``result.json`` whose ``verdicts`` differ."""
+    lines = []
+    for d in diffs:
+        path = Path(d)
+        if not (a / path).is_file() or not (b / path).is_file():
+            continue  # only in one tree
+        if path.name == "exit":
+            old, new = ((side / path).read_text().strip() for side in (a, b))
+            lines.append(f"exit code changed: {path.parent}: {old} -> {new}")
+        elif path.name == "result.json":
+            old, new = (
+                payload.get("verdicts") if isinstance(payload, dict) else None
+                for payload in (_payload(a / path), _payload(b / path))
+            )
+            if old != new:
+                lines.append(f"verdicts changed: {path.parent}: {json.dumps(old)} -> {json.dumps(new)}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="checkout to compare against")
@@ -151,6 +174,8 @@ def main(argv=None) -> int:
                     for kind, keys in key_changes(*payloads).items():
                         if keys:
                             print(f"  {kind}: {', '.join(keys)}")
+        for line in outcome_changes(work / "base", work / "head", diffs):
+            print(line)
     outputs = n_files - len(ops) * len(SEEDS)  # not counting the exit-code files
     print(
         f"{len(ops)} ops x {len(SEEDS)} seeds: {outputs} output files and "

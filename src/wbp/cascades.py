@@ -3,47 +3,70 @@
 Children carry weight factors only; the total mass sequence ``G_n(1)`` is
 the classical cascade martingale when the mean total offspring mass is 1.
 All laws here expose closed-form moments of the offspring factors, which
-makes them exact reference models for the convergence machinery.
+makes them exact reference models for the convergence machinery. A law of
+finitely many factor lists, deterministic or not, is a
+:class:`FiniteCascade`: a ``MixtureFiniteTypeLaw`` on one type.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .finite_type import MixtureFiniteTypeLaw
 from .population import (
     Generation,
     ProgenyBatch,
     ReproductionLaw,
-    atom_thresholds,
     count_thresholds,
     initial_generation,
 )
 
 
+class MomentOverflowError(ArithmeticError):
+    """A closed-form cascade moment lies past the range of a float64."""
+
+
+def _in_range(name: str, order: float, moment, *args) -> float:
+    """``moment(*args)`` as a float, or a ``MomentOverflowError`` naming the
+    moment ``name`` and its ``order`` when it overflows float64."""
+    try:
+        with np.errstate(over="raise"):
+            value = float(moment(*args))
+    except (OverflowError, FloatingPointError):
+        value = math.inf
+    if math.isinf(value):
+        raise MomentOverflowError(f"the cascade moment {name} of order {order} overflows float64")
+    return value
+
+
 class CascadeLaw(ReproductionLaw):
-    """Base for laws whose type space is the single point ``{0}``."""
+    """Base for laws whose type space is the single point ``{0}``.
+
+    A law writes each closed-form moment as the method of its name with a
+    leading underscore; the public one refuses a value past float64's range.
+    """
 
     def mean_total_mass(self) -> float:
         return self.factor_moment(1.0)
 
     def factor_moment(self, q: float) -> float:
         """``E(sum_i u_i^q)`` over one progeny draw."""
-        raise NotImplementedError
+        return _in_range("E(sum u^q)", q, self._factor_moment, q)
 
     def factor_log_moment(self) -> float:
         """``E(sum_i u_i log u_i)`` over the non-zero factors: the derivative of ``factor_moment`` at 1."""
-        raise NotImplementedError
+        return _in_range("E(sum u log u)", 1, self._factor_log_moment)
 
     def total_mass_power(self, p: float) -> float:
         """``E((sum_i u_i)^p)``."""
-        raise NotImplementedError
+        return _in_range("E((sum u)^p)", p, self._total_mass_power, p)
 
     def total_mass_loglog(self) -> float:
         """``E((sum_i u_i) log_+(sum_i u_i))``."""
-        raise NotImplementedError
+        return _in_range("E((sum u) log+(sum u))", 1, self._total_mass_loglog)
 
     def moment_rows(self, grid, order: float):
         if grid.size != 1:
@@ -64,36 +87,52 @@ class CascadeLaw(ReproductionLaw):
         return ProgenyBatch(child_w, np.zeros(child_w.shape[0], dtype=np.int64), brood)
 
 
-@dataclass
-class DeterministicCascade(CascadeLaw):
-    """Fixed factor vector; no randomness."""
+class FiniteCascade(CascadeLaw, MixtureFiniteTypeLaw):
+    """A finite mixture of factor lists: a :class:`MixtureFiniteTypeLaw` on one type.
 
-    factors: tuple[float, ...] = (0.5, 0.5)
+    It keeps that law's table, checks, atom thresholds and ``sample_progeny``;
+    the cascade's batch draw, one-point moment rows and root come first in
+    the method order. A table of one atom, a deterministic cascade, draws no
+    uniform on either path. The moments are sums over the atoms, weighted by
+    their probabilities.
+    """
 
     def __post_init__(self):
-        self._v = np.asarray(self.factors, dtype=np.float64)
-        if not np.all((self._v >= 0) & (self._v < np.inf)):
-            raise ValueError(f"factors must be finite and non-negative, got {self.factors}")
-
-    def sample_progeny(self, x, rng):
-        return [(float(u), 0) for u in self._v]
+        super().__post_init__()
+        atoms = self.atoms_per_type[0]
+        self._probs = np.array([prob for prob, _ in atoms], dtype=np.float64)
+        # each atom's factors unpadded: a padded row of ``_fac`` may sum in another order
+        self._factors = [np.array([u for u, _ in kids], dtype=np.float64) for _, kids in atoms]
 
     def sample_weights(self, weights, rng):
         w = np.asarray(weights, dtype=np.float64)
-        return (w[:, None] * self._v).ravel(), self._v.size
+        if not self._columns:  # one atom
+            return (w[:, None] * self._fac[0]).ravel(), self._width
+        child_w = self._fac.take(count_thresholds(rng.random(w.size), self._thresholds[0]), axis=0)
+        child_w *= w[:, None]
+        return child_w.ravel(), self._width
 
-    def factor_moment(self, q):
-        return float(np.sum(self._v[self._v > 0] ** q))
+    def _factor_moment(self, q):
+        return np.dot(self._probs, [np.sum(a[a > 0] ** q) for a in self._factors])
 
-    def factor_log_moment(self):
-        return float(sum(u * np.log(u) for u in self._v if u > 0))
+    def _factor_log_moment(self):
+        return np.dot(self._probs, [sum(u * np.log(u) for u in a if u > 0) for a in self._factors])
 
-    def total_mass_power(self, p):
-        return float(np.sum(self._v) ** p)
+    def _total_mass_power(self, p):
+        return np.dot(self._probs, np.array([np.sum(a) for a in self._factors]) ** p)
 
-    def total_mass_loglog(self):
-        s = float(np.sum(self._v))
-        return s * max(np.log(s), 0.0)
+    def _total_mass_loglog(self):
+        sums = np.array([np.sum(a) for a in self._factors])
+        # the floor keeps log off 0, where s log+ s is 0 anyway
+        return np.dot(self._probs, sums * np.maximum(np.log(np.maximum(sums, 1e-300)), 0.0))
+
+
+def finite_cascade(atoms, probs=(1.0,)) -> FiniteCascade:
+    """The cascade whose parent has children of factors ``atoms[j]`` with
+    probability ``probs[j]``; by default the deterministic law of one atom."""
+    if len(atoms) != len(probs):
+        raise ValueError("atoms and probs must align")
+    return FiniteCascade(([(prob, [(u, 0) for u in factors]) for prob, factors in zip(probs, atoms)],))
 
 
 @dataclass
@@ -133,13 +172,13 @@ class UniformSplitCascade(CascadeLaw):
             np.multiply(w, u, out=child_w[1::2])
         return child_w, 2
 
-    def factor_moment(self, q):
+    def _factor_moment(self, q):
         return 2.0 / (q + 1.0)
 
-    def factor_log_moment(self):
+    def _factor_log_moment(self):
         return -0.5
 
-    def total_mass_power(self, p):
+    def _total_mass_power(self, p):
         if not self.independent:
             return 1.0
         # total mass is 1 + (U - U'), a triangular perturbation on (0, 2)
@@ -149,7 +188,7 @@ class UniformSplitCascade(CascadeLaw):
             - (2.0 ** (p + 2.0) - 1.0) / (p + 2.0)
         )
 
-    def total_mass_loglog(self):
+    def _total_mass_loglog(self):
         if not self.independent:
             return 0.0
         return (4.0 / 3.0) * np.log(2.0) - 13.0 / 18.0
@@ -173,62 +212,17 @@ class ScaledUniformCascade(CascadeLaw):
         u = rng.random(len(weights))
         return np.multiply(weights, np.multiply(self.c, u, out=u), out=u), 1
 
-    def factor_moment(self, q):
+    def _factor_moment(self, q):
         return self.c**q / (q + 1.0)
 
-    def factor_log_moment(self):
+    def _factor_log_moment(self):
         return (self.c / 2.0) * (np.log(self.c) - 0.5) if self.c > 0 else 0.0
 
-    def total_mass_power(self, p):
+    def _total_mass_power(self, p):
         return self.c**p / (p + 1.0)
 
-    def total_mass_loglog(self):
+    def _total_mass_loglog(self):
         c = self.c
         if c <= 1.0:
             return 0.0
         return (c / 2.0) * np.log(c) - c / 4.0 + 1.0 / (4.0 * c)
-
-
-@dataclass
-class MixtureCascade(CascadeLaw):
-    """Finite mixture of deterministic factor vectors (the escape hatch)."""
-
-    atoms: tuple[tuple[float, ...], ...] = ((0.5, 0.5),)
-    probs: tuple[float, ...] = (1.0,)
-
-    def __post_init__(self):
-        if len(self.atoms) != len(self.probs):
-            raise ValueError("atoms and probs must align")
-        self._thresholds = atom_thresholds(self.probs)
-        width = max(len(a) for a in self.atoms)
-        self._padded = np.zeros((len(self.atoms), width), dtype=np.float64)
-        for j, a in enumerate(self.atoms):
-            self._padded[j, : len(a)] = a
-        if not np.all((self._padded >= 0) & (self._padded < np.inf)):
-            raise ValueError(f"factors must be finite and non-negative, got {self.atoms}")
-        self._sums = np.array([np.sum(a) for a in self.atoms])  # each atom's total mass
-
-    def sample_progeny(self, x, rng):
-        j = bisect_right(self._thresholds, rng.random())
-        return [(float(u), 0) for u in self.atoms[j]]
-
-    def sample_weights(self, weights, rng):
-        w = np.asarray(weights, dtype=np.float64)
-        child_w = self._padded.take(count_thresholds(rng.random(w.size), self._thresholds), axis=0)
-        child_w *= w[:, None]
-        return child_w.ravel(), self._padded.shape[1]
-
-    def factor_moment(self, q):
-        vals = [float(np.sum(np.asarray(a)[np.asarray(a) > 0] ** q)) for a in self.atoms]
-        return float(np.dot(np.asarray(self.probs), vals))
-
-    def factor_log_moment(self):
-        vals = [sum(u * np.log(u) for u in a if u > 0) for a in self.atoms]
-        return float(np.dot(np.asarray(self.probs), vals))
-
-    def total_mass_power(self, p):
-        return float(np.dot(np.asarray(self.probs), self._sums**p))
-
-    def total_mass_loglog(self):
-        logs = np.maximum(np.log(np.maximum(self._sums, 1e-300)), 0.0)
-        return float(np.dot(np.asarray(self.probs), self._sums * logs))

@@ -7,13 +7,14 @@ Exit codes:
 
 - 0 success;
 - 2 refusal with a named reason on stderr: a configuration error (a
-  value out of range, a model kind the pipeline does not run on, or an
-  unknown key at any level of the config, named with its closest known
-  key), spectral data that cannot be computed (for example a periodic
-  kernel), a certificate that cannot be established or a sampled weight
-  that is negative or not finite (one that overflowed, say), named with
-  the generation it was drawn for, all with no result files; or an output
-  directory that cannot be written, named with the path;
+  value out of range, a cascade moment past float64's range, a model kind
+  the pipeline does not run on, or an unknown key at any level of the
+  config, named with its closest known key), spectral data that cannot be
+  computed (for example a periodic kernel), a certificate that cannot be
+  established or a sampled weight that is negative or not finite (one
+  that overflowed, say), named with the generation it was drawn for, all
+  with no result files; or an output directory that cannot be written,
+  named with the path;
 - 3 particle cap exceeded by some replicates (result files are written);
 - 4 inconclusive verdict under --strict.
 """
@@ -24,6 +25,7 @@ import argparse
 import sys
 import time
 
+from .cascades import MomentOverflowError
 from .certify import CertificationError
 from .harness import _PIPELINES, ConfigError, ExperimentConfig, run_experiment
 from .population import ProgenyError
@@ -67,7 +69,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         result = run_experiment(cfg, args.command)
-    except ConfigError as exc:
+    except (ConfigError, MomentOverflowError) as exc:
         return _refuse("config error", exc)
     except SpectralConvergenceError as exc:
         return _refuse("no spectral data", exc)

@@ -3,7 +3,9 @@
 Types are stored as integer indices. A law is a finite mixture, per
 parent type, of deterministic offspring lists; this covers multi-type
 splitting models, embedded Markov chains (single child, unit weight) and
-any finite-support test law, with all moment kernels in closed form.
+any finite-support test law, with all moment kernels in closed form. On
+one type it is also every finite cascade: ``cascades.FiniteCascade`` is
+this law with a cascade's batch draw and closed-form moments.
 """
 
 from __future__ import annotations

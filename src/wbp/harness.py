@@ -36,10 +36,9 @@ import numpy as np
 
 from .cascades import (
     CascadeLaw,
-    DeterministicCascade,
-    MixtureCascade,
     ScaledUniformCascade,
     UniformSplitCascade,
+    finite_cascade,
 )
 from .certify import certify_md, proxy_gap_bound, theorem1_rhs
 from .finite_type import markov_chain_law, stationary_distribution, two_type_flip_law
@@ -64,7 +63,7 @@ from .population import (
 from .spectral import TypeGrid, attach_alpha, build_mean_kernel, estimate_beta, power_iteration
 from .streams import derive_stream
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _REQUIRED = object()  # the default of a key that has none
 
@@ -178,7 +177,8 @@ class ModelBundle:
 
 
 # each cascade spec's keys, as (reader, default); a cascade model and the
-# weights of an ifs model take them
+# weights of an ifs model take them. ``deterministic`` and ``mixture`` build a
+# ``FiniteCascade``; ``factors`` is the table of one atom ``[(1.0, factors)]``
 _CASCADE_SPECS = {
     "uniform_split": {},
     "uniform_split_indep": {},
@@ -242,9 +242,7 @@ def _cascade_law(cascade: dict) -> CascadeLaw:
         return UniformSplitCascade(independent=True)
     if spec == "scaled_uniform":
         return ScaledUniformCascade(c=cascade["c"])
-    if spec == "deterministic":
-        return DeterministicCascade(tuple(cascade["factors"]))
-    return MixtureCascade(tuple(tuple(a) for a in cascade["atoms"]), tuple(cascade["probs"]))
+    return finite_cascade(cascade.get("atoms", [cascade.get("factors")]), cascade.get("probs", (1.0,)))
 
 
 def _table(values, d: int, name: str) -> np.ndarray:
@@ -857,6 +855,7 @@ def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
     eps = cfg.probe["epsilon"]
     horizon = cfg.horizons["n_max"]
     theta1 = _mass_scale(bundle.law.mean_total_mass())
+    reports = liu_conditions(bundle.law, cfg.p)  # closed forms, read before any replicate
     block = _replicates(cfg, bundle, Generation.total_mass, horizon)
     tracks = _scaled_tracks(block, theta1)
     finite = np.all(np.isfinite(tracks), axis=1)
@@ -864,7 +863,6 @@ def pipeline_cascade(cfg: ExperimentConfig, bundle: ModelBundle) -> tuple:
         flagged = martingale_increment_test(tracks[finite])
     except TooFewReplicatesError:
         flagged = None  # capped replicates left too few tracks; the run exits 3
-    reports = liu_conditions(bundle.law, cfg.p)
     probe_rows = [(n, degeneracy_probe(tracks, eps, n)) for n in range(horizon + 1)]
     rows = _mean_se_rows(tracks[finite])
     results = {

@@ -124,7 +124,9 @@ class ReproductionLaw:
       ``i*brood ..`` in draw order and weight-0 children padding a shorter
       list, so no per-child parent index is ever built. The base version
       loops ``sample_progeny`` over the parents and pads every list to the
-      longest; every law here overrides it with a vectorized path. At the
+      longest. Every law here has a vectorized path of its own, but the
+      cascades, ``FiniteCascade`` too, share ``CascadeLaw.sample_generation``
+      over their ``sample_weights``. At the
       populations of a typical replicate (one to 10^4 parents) a step pays
       for numpy's per-call overhead more than for arithmetic, so the batch
       paths share three idioms: a table row is gathered with

@@ -2,23 +2,18 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
-from wbp.cascades import (
-    DeterministicCascade,
-    MixtureCascade,
-    ScaledUniformCascade,
-    UniformSplitCascade,
-)
+from wbp.cascades import MomentOverflowError, ScaledUniformCascade, UniformSplitCascade, finite_cascade
 from wbp.population import advance_generation, simulate_trajectory
 from wbp.streams import derive_stream
 
 
 def test_deterministic_binary_progeny():
-    law = DeterministicCascade((0.5, 0.5))
+    law = finite_cascade([(0.5, 0.5)])
     assert law.sample_progeny(0, derive_stream(0, 0)) == [(0.5, 0), (0.5, 0)]
 
 
 def test_identity_progeny():
-    law = DeterministicCascade((1.0,))
+    law = finite_cascade([(1.0,)])
     assert law.sample_progeny(0, derive_stream(0, 0)) == [(1.0, 0)]
 
 
@@ -55,7 +50,7 @@ def test_factor_moments_closed_forms():
     scaled = ScaledUniformCascade(c=2.0)
     assert scaled.factor_moment(1.0) == pytest.approx(1.0)
     assert scaled.factor_moment(2.0) == pytest.approx(4.0 / 3.0)
-    det = DeterministicCascade((0.5, 0.5))
+    det = finite_cascade([(0.5, 0.5)])
     assert det.factor_moment(2.0) == pytest.approx(0.5)
 
 
@@ -66,8 +61,8 @@ def test_factor_moments_closed_forms():
         UniformSplitCascade(independent=True),
         ScaledUniformCascade(c=0.5),
         ScaledUniformCascade(c=3.0),
-        DeterministicCascade((0.25, 0.0, 0.75)),
-        MixtureCascade(((0.6, 0.6), (0.8, 0.0)), (0.5, 0.5)),
+        finite_cascade([(0.25, 0.0, 0.75)]),
+        finite_cascade(((0.6, 0.6), (0.8, 0.0)), (0.5, 0.5)),
     ],
 )
 def test_factor_log_moment_is_the_derivative_of_factor_moment_at_one(law):
@@ -80,7 +75,7 @@ def test_factor_log_moment_closed_forms():
     assert UniformSplitCascade().factor_log_moment() == -0.5
     assert ScaledUniformCascade(c=2.0).factor_log_moment() == pytest.approx(np.log(2.0) - 0.5)
     assert ScaledUniformCascade(c=0.0).factor_log_moment() == 0.0
-    assert DeterministicCascade((0.5, 0.5)).factor_log_moment() == pytest.approx(-np.log(2.0))
+    assert finite_cascade([(0.5, 0.5)]).factor_log_moment() == pytest.approx(-np.log(2.0))
 
 
 def test_total_mass_power_against_quadrature():
@@ -132,7 +127,7 @@ def test_scaled_uniform_martingale_expectation():
 
 
 def test_mixture_cascade_moments_and_sampling():
-    law = MixtureCascade(atoms=((0.5, 0.5), (1.5,)), probs=(0.5, 0.5))
+    law = finite_cascade(atoms=((0.5, 0.5), (1.5,)), probs=(0.5, 0.5))
     assert law.mean_total_mass() == pytest.approx(1.25)
     assert law.factor_moment(2.0) == pytest.approx(0.5 * 0.5 + 0.5 * 2.25)
     rng = derive_stream(0, 3)
@@ -160,12 +155,12 @@ def test_moment_row_one_point_grid():
         lambda: ScaledUniformCascade(c=-1.0),
         lambda: ScaledUniformCascade(c=float("nan")),
         lambda: ScaledUniformCascade(c=float("inf")),
-        lambda: DeterministicCascade((0.5, float("nan"))),
-        lambda: DeterministicCascade((0.5, float("inf"))),
-        lambda: DeterministicCascade((-0.1, 1.1)),
-        lambda: MixtureCascade(atoms=((0.5, float("nan")), (1.0,)), probs=(0.5, 0.5)),
-        lambda: MixtureCascade(atoms=((float("inf"),),), probs=(1.0,)),
-        lambda: MixtureCascade(atoms=((-0.5, 1.5),), probs=(1.0,)),
+        lambda: finite_cascade([(0.5, float("nan"))]),
+        lambda: finite_cascade([(0.5, float("inf"))]),
+        lambda: finite_cascade([(-0.1, 1.1)]),
+        lambda: finite_cascade(atoms=((0.5, float("nan")), (1.0,)), probs=(0.5, 0.5)),
+        lambda: finite_cascade(atoms=((float("inf"),),), probs=(1.0,)),
+        lambda: finite_cascade(atoms=((-0.5, 1.5),), probs=(1.0,)),
     ],
     ids=[
         "scaled-negative",
@@ -186,5 +181,40 @@ def test_bad_factors_refused_when_the_law_is_built(make):
 
 def test_zero_factors_are_accepted_at_construction():
     assert ScaledUniformCascade(c=0.0).mean_total_mass() == 0.0
-    assert DeterministicCascade((0.0, 1.0)).mean_total_mass() == 1.0
-    assert MixtureCascade(atoms=((0.0,), (1.0,)), probs=(0.5, 0.5)).mean_total_mass() == 0.5
+    assert finite_cascade([(0.0, 1.0)]).mean_total_mass() == 1.0
+    assert finite_cascade(atoms=((0.0,), (1.0,)), probs=(0.5, 0.5)).mean_total_mass() == 0.5
+
+
+def test_one_atom_table_draws_no_uniform():
+    # a deterministic law on both paths: the stream is left where it was
+    law = finite_cascade([(0.5, 0.25)])
+    rng = derive_stream(0, 0)
+    state = rng.bit_generator.state
+    batch = law.sample_generation(np.full(3, 2.0), np.zeros(3, dtype=np.int64), rng)
+    assert batch.weights.tolist() == [1.0, 0.5] * 3 and batch.types.tolist() == [0] * 6
+    assert law.sample_progeny(0, rng) == [(0.5, 0), (0.25, 0)]
+    assert rng.bit_generator.state == state
+
+
+def test_misaligned_atoms_and_probs_are_refused():
+    with pytest.raises(ValueError, match="atoms and probs must align"):
+        finite_cascade([(0.5,), (1.0,)], (1.0,))
+
+
+@pytest.mark.parametrize(
+    "moment,message",
+    [
+        (lambda: finite_cascade([(1e200, 1e200)]).factor_moment(2.0), r"E\(sum u\^q\) of order 2.0"),
+        (lambda: finite_cascade([(1e300, 1e300)]).total_mass_power(2.0), r"E\(\(sum u\)\^p\) of order 2.0"),
+        (
+            lambda: finite_cascade([(1e308, 1e308)]).total_mass_loglog(),
+            r"E\(\(sum u\) log\+\(sum u\)\) of order 1",
+        ),
+        (lambda: finite_cascade([(1e308,) * 300]).factor_log_moment(), r"E\(sum u log u\) of order 1"),
+        (lambda: ScaledUniformCascade(c=1e300).total_mass_power(2.0), r"E\(\(sum u\)\^p\) of order 2.0"),
+        (lambda: ScaledUniformCascade(c=1e200).factor_moment(2.0), r"E\(sum u\^q\) of order 2.0"),
+    ],
+)
+def test_moment_past_float64_is_refused_with_its_name_and_order(moment, message):
+    with pytest.raises(MomentOverflowError, match=message):
+        moment()

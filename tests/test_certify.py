@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dense_kernels import from_dense
-from wbp.cascades import DeterministicCascade, ScaledUniformCascade, UniformSplitCascade
+from wbp.cascades import ScaledUniformCascade, UniformSplitCascade, finite_cascade
 from wbp.certify import (
     CertificationError,
     MDCertificate,
@@ -161,7 +161,7 @@ def test_c3_bit_identical_to_per_draw_loop_on_one_point_cascade():
 
 def test_deterministic_one_child_certificate():
     # Q and Q^(p) are 1x1 scalars: all certificate numbers exact
-    law = DeterministicCascade((0.75,))
+    law = finite_cascade([(0.75,)])
     k1 = scalar_kernel(0.75)
     kp = scalar_kernel(0.75**2, order=2.0)
     sd = power_iteration(k1)

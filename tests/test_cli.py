@@ -15,7 +15,7 @@ from wbp import harness
 from wbp.cli import _COMMANDS, main
 from wbp.finite_type import MixtureFiniteTypeLaw
 from wbp.harness import SCHEMA_VERSION, ExperimentConfig, _jsonable, run_replicates
-from wbp.cascades import DeterministicCascade
+from wbp.cascades import finite_cascade
 from wbp.finite_type import two_type_flip_law
 from wbp.kernel_products import kernel_product_observable
 from wbp.population import Generation, PopulationCapError, advance_generation
@@ -333,6 +333,19 @@ MALFORMED = [
     ("simulate", MODELS["cascade-split"], {"pipeline": "simulate"}),
     ("simulate", _with("cascade-split", transition=[[1.0]]), {}),
     ("simulate", _with("cascade-split", c=2.0), {}),
+    # a closed-form cascade moment past float64's range
+    ("llogl", _with("cascade-scaled", c=1e300), {}),
+    ("llogl", _with("cascade-mixture", atoms=[[1e200, 1e200]], probs=[1.0]), {}),
+    ("llogl", _with("cascade-deterministic", factors=[1e300, 1e300]), {}),
+    ("cascade", _with("cascade-deterministic", factors=[1e300, 1e300]), {}),
+    ("certify", _with("cascade-scaled", c=1e200), {}),
+    ("certify", _with("ifs", weights={"spec": "scaled_uniform", "c": 1e200}), {}),
+    ("certify", _with("cascade-mixture", atoms=[[1e200, 1e200]], probs=[1.0]), {}),
+    ("certify", _with("cascade-deterministic", factors=[1e300, 1e300]), {}),
+    ("verify-theorem1", _with("cascade-mixture", atoms=[[1e200, 1e200]], probs=[1.0]), {}),
+    ("ifs", _with("ifs", weights={"spec": "deterministic", "factors": [1e200, 1e200]}), {}),
+    # a mean total mass of 0, whose log moments once warned of a division by zero
+    ("llogl", _with("cascade-deterministic", factors=[0, 0]), {}),
 ]
 
 
@@ -350,6 +363,40 @@ def test_malformed_input_is_refused_with_exit_2(tmp_path, capsys, monkeypatch, p
     monkeypatch.setattr(harness, "run_replicates", no_replicates)
     assert _run(pipeline, _config(tmp_path, model, **extra), tmp_path / "out", threads=None) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_overflowing_moment_is_refused_with_its_name_and_order(tmp_path, capsys):
+    model = _with("cascade-deterministic", factors=[1e300, 1e300])
+    assert _run("llogl", _config(tmp_path, model), tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "config error: the cascade moment E((sum u)^p) of order 2.0 overflows float64\n"
+    )
+
+
+# the pipelines that run on a cascade law: on a cascade model, or as an ifs model's weights
+CASCADE_RUNS = [
+    (pipeline, kind)
+    for pipeline, (_, kinds, _) in harness._PIPELINES.items()
+    for kind in ("cascade", "ifs")
+    if kind in kinds
+]
+
+
+@pytest.mark.parametrize("pipeline,kind", CASCADE_RUNS)
+def test_deterministic_factors_and_their_one_atom_mixture_write_the_same_files(tmp_path, pipeline, kind):
+    files = []
+    for weights in (
+        {"spec": "deterministic", "factors": [0.5, 0.0, 0.5]},
+        {"spec": "mixture", "atoms": [[0.5, 0.0, 0.5]], "probs": [1.0]},
+    ):
+        model = {"kind": "cascade", **weights} if kind == "cascade" else _with("ifs", weights=weights)
+        out = tmp_path / weights["spec"]
+        assert _run(pipeline, _config(tmp_path, model), out) == 0
+        payload = _result(out)
+        payload.pop("config")
+        series = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "result.json"}
+        files.append((payload, series))
+    assert files[0] == files[1]
 
 
 def test_unknown_key_is_named_with_its_path_and_closest_known_key(tmp_path, capsys):
@@ -588,7 +635,7 @@ def test_small_pieces_add_up_to_the_exact_masses(monkeypatch, piece):
     monkeypatch.setattr(harness, "_PIECE", piece)
     horizon = 8
     # factors 1/2 and 1/4: G_n(1) = (3/4)^n, a sum of dyadic weights that no order rounds
-    law = DeterministicCascade((0.5, 0.25))
+    law = finite_cascade([(0.5, 0.25)])
     cascade = harness.ModelBundle(law, TypeGrid.finite(1), law.root_generation())
     block = run_replicates(cascade, Generation.total_mass, horizon, 2, seed=0)
     assert np.array_equal(block.data, np.tile(0.75 ** np.arange(horizon + 1), (2, 1)))
@@ -604,7 +651,7 @@ def test_small_pieces_add_up_to_the_exact_masses(monkeypatch, piece):
 def test_cap_counts_every_piece_of_a_generation(monkeypatch):
     # pieces of 4 parents have at most 8 children, under the cap of 20; generation 5 holds 32
     monkeypatch.setattr(harness, "_PIECE", 4)
-    law = DeterministicCascade((0.5, 0.5))
+    law = finite_cascade([(0.5, 0.5)])
     bundle = harness.ModelBundle(law, TypeGrid.finite(1), law.root_generation())
     assert run_replicates(bundle, Generation.total_mass, 4, 3, seed=0, cap=20).n_capped == 0
     block = run_replicates(bundle, Generation.total_mass, 5, 3, seed=0, cap=20)

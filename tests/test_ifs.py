@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dense_kernels import dense, from_dense
-from wbp.cascades import DeterministicCascade, ScaledUniformCascade, UniformSplitCascade
+from wbp.cascades import ScaledUniformCascade, UniformSplitCascade, finite_cascade
 from wbp.cli import main
 from wbp.harness import ExperimentConfig, run_experiment
 from wbp.ifs import _BLOCK, IfsLaw, doob_transition, ifs_convergence_probe
@@ -19,7 +19,7 @@ def halving_ifs(weights=None):
 
 
 def test_single_map_single_child():
-    law = IfsLaw([(0.5, 0.0)], (1.0,), DeterministicCascade((1.0,)))
+    law = IfsLaw([(0.5, 0.0)], (1.0,), finite_cascade([(1.0,)]))
     assert law.sample_progeny(1.0, derive_stream(0, 0)) == [(1.0, 0.5)]
 
 
@@ -79,7 +79,7 @@ def test_batch_map_draw_equals_searchsorted(n_maps):
     probs /= probs.sum()
     # map k sends 0 to b[k], so a child's type names its map
     b = np.arange(n_maps) / (2 * n_maps)
-    law = IfsLaw([(0.5, bk) for bk in b], probs, DeterministicCascade((1.0,)))
+    law = IfsLaw([(0.5, bk) for bk in b], probs, finite_cascade([(1.0,)]))
     cum = cumulative_probs(probs)
     # fresh uniforms, every table entry below 1 exactly, and both ends of [0, 1)
     u = np.concatenate([rng.random(4000), cum[cum < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
@@ -144,9 +144,9 @@ def test_one_step_holds_parents_children_and_at_most_two_blocks():
 
 def test_map_validation():
     with pytest.raises(ValueError, match=r"map \(1.2, 0.0\) is not a strict contraction"):
-        IfsLaw([(1.2, 0.0)], (1.0,), DeterministicCascade((1.0,)))
+        IfsLaw([(1.2, 0.0)], (1.0,), finite_cascade([(1.0,)]))
     with pytest.raises(ValueError, match=r"map \(0.5, 0.9\) leaves"):
-        IfsLaw([(0.5, 0.9)], (1.0,), DeterministicCascade((1.0,)))
+        IfsLaw([(0.5, 0.9)], (1.0,), finite_cascade([(1.0,)]))
 
 
 @pytest.mark.parametrize(

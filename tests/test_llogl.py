@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wbp import llogl
-from wbp.cascades import DeterministicCascade, MixtureCascade, ScaledUniformCascade, UniformSplitCascade
+from wbp.cascades import ScaledUniformCascade, UniformSplitCascade, finite_cascade
 from wbp.llogl import default_rho, hfk_partial_sums, liu_conditions
 from wbp.population import advance_generation
 from wbp.spectral import TypeGrid, build_mean_kernel
@@ -19,7 +19,7 @@ def test_default_rho_formula_and_guard():
 
 
 def test_liu_conditions_deterministic_half_half():
-    reports = liu_conditions(DeterministicCascade((0.5, 0.5)), 2.0)
+    reports = liu_conditions(finite_cascade([(0.5, 0.5)]), 2.0)
     nums = reports["p-moment-contraction"].numbers
     assert nums["scaled_p_moment"] == pytest.approx(0.5)
     assert nums["mass_p_moment"] == pytest.approx(1.0)
@@ -67,7 +67,7 @@ def test_liu_conditions_scaled_uniform_fails_for_every_c(c, p):
 def test_liu_conditions_galton_watson_tree_holds():
     # two unit children with probability 0.6, none with 0.4: theta1 = 1.2 and
     # W = lim 1.2^-n Z_n is non-degenerate (Kesten-Stigum)
-    reports = liu_conditions(MixtureCascade(((1.0, 1.0), (0.0, 0.0)), (0.6, 0.4)), 2.0)
+    reports = liu_conditions(finite_cascade(((1.0, 1.0), (0.0, 0.0)), (0.6, 0.4)), 2.0)
     assert [r.verdict for r in reports.values()] == ["holds", "holds"]
     nums = reports["mass-LlogL"].numbers
     assert nums["theta1"] == pytest.approx(1.2)
@@ -84,7 +84,7 @@ def hfk(law, k, rho, theta1, p, n_max, **kw):
 @pytest.mark.parametrize("factors,k", [((0.5, 0.5), 1), ((0.25, 0.0, 0.75), 4)])
 def test_hfk_deterministic_all_zero_holds(factors, k):
     # every tree's mass after k steps is exactly 1, its mean: each sample is 0
-    law = DeterministicCascade(factors)
+    law = finite_cascade([factors])
     rep = hfk(law, k, 2.0, 1.0, 2.0, 10, mc_budget=200, rng=derive_stream(4, 0))
     assert rep.verdict == "holds"
     for name in ("terms_first_moment", "terms_p_moment", "terms_first_moment_se", "terms_p_moment_se"):
@@ -107,7 +107,7 @@ def test_hfk_runs_in_blocks_of_at_most_2_20_expected_particles(monkeypatch):
         return child
 
     monkeypatch.setattr(llogl, "advance_generation", recording_advance)
-    law = DeterministicCascade((0.5, 0.5))
+    law = finite_cascade([(0.5, 0.5)])
     rep = hfk(law, 11, 2.0, 1.0, 2.0, 6, mc_budget=1100, rng=derive_stream(4, 1))
     assert blocks == [(256, 256 * 4095)] * 4 + [(76, 76 * 4095)]
     assert 256 * 4095 <= 2**20 < 257 * 4095
@@ -116,10 +116,10 @@ def test_hfk_runs_in_blocks_of_at_most_2_20_expected_particles(monkeypatch):
 
 def test_hfk_block_size_survives_a_long_supercritical_horizon():
     # 2^k overflows a float long before k = 2000; the block is then one root
-    law = DeterministicCascade((0.5, 0.5))
+    law = finite_cascade([(0.5, 0.5)])
     assert llogl._block_roots(law, ONE_POINT, 2000) == 1
     assert llogl._block_roots(law, ONE_POINT, 0) == 2**20
-    assert llogl._block_roots(DeterministicCascade((1.0,)), ONE_POINT, 3) == 2**18
+    assert llogl._block_roots(finite_cascade([(1.0,)]), ONE_POINT, 3) == 2**18
 
 
 def test_hfk_uniform_split_exact_null_holds():
@@ -145,4 +145,4 @@ def test_hfk_scaled_uniform_diverges():
 
 def test_hfk_rho_must_exceed_one():
     with pytest.raises(ValueError):
-        hfk(DeterministicCascade((1.0,)), 1, 0.9, 1.0, 2.0, 5, mc_budget=10, rng=derive_stream(0, 0))
+        hfk(finite_cascade([(1.0,)]), 1, 0.9, 1.0, 2.0, 5, mc_budget=10, rng=derive_stream(0, 0))

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from wbp.cascades import (
-    DeterministicCascade,
-    MixtureCascade,
-    ScaledUniformCascade,
-    UniformSplitCascade,
-)
+from wbp.cascades import ScaledUniformCascade, UniformSplitCascade, finite_cascade
 from wbp.finite_type import MixtureFiniteTypeLaw, markov_chain_law, two_type_flip_law
 from wbp.ifs import IfsLaw
 from wbp.kernel_products import KernelProductLaw
@@ -96,7 +91,7 @@ def test_advance_drops_zero_slots_and_keeps_survivor_order_for_any_type_rank(sha
 
 def test_deterministic_binary_tree_enumeration():
     # after n steps: 2^n particles of weight 2^-n, total mass exactly 1
-    law = DeterministicCascade((0.5, 0.5))
+    law = finite_cascade([(0.5, 0.5)])
     g = law.root_generation()
     rng = derive_stream(1, 0)
     for n in range(1, 9):
@@ -109,7 +104,7 @@ def test_deterministic_binary_tree_enumeration():
 
 def test_brood_slots_address_previous_generation():
     # slot i * brood + k is child k of parent i, zero factors included; advance drops them
-    law = DeterministicCascade((0.7, 0.0, 0.3))
+    law = finite_cascade([(0.7, 0.0, 0.3)])
     traj = simulate_trajectory(law, law.root_generation(), 4, derive_stream(0, 0))
     for n in range(1, len(traj)):
         g, prev = traj[n], traj[n - 1]
@@ -120,7 +115,7 @@ def test_brood_slots_address_previous_generation():
         assert np.array_equal(g.weights, batch.weights[batch.weights > 0])
     # a law that drops nothing: particle i's parent is particle i // 2, so
     # particle 5 of generation 3 walks back 5 -> 2 -> 1 -> 0
-    law = DeterministicCascade((0.7, 0.3))
+    law = finite_cascade([(0.7, 0.3)])
     traj = simulate_trajectory(law, law.root_generation(), 3, derive_stream(0, 0))
     chain, i = [], 5
     for n in range(3, 0, -1):
@@ -165,7 +160,7 @@ def test_empty_generation_advance():
 def test_advance_carries_each_particle_root_through_zero_weight_filtering():
     # every atom's factors add up to 1 in dyadic arithmetic, so a tree keeps
     # its root weight exactly, however many of its children had factor 0
-    law = MixtureCascade(((0.5, 0.0, 0.5), (0.25, 0.75, 0.0), (1.0, 0.0, 0.0)), (0.25, 0.5, 0.25))
+    law = finite_cascade(((0.5, 0.0, 0.5), (0.25, 0.75, 0.0), (1.0, 0.0, 0.0)), (0.25, 0.5, 0.25))
     start = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
     g = Generation(start, np.zeros(5, dtype=np.int64), root=np.arange(5))
     rng = derive_stream(12, 0)
@@ -183,7 +178,7 @@ def test_advance_carries_each_particle_root_through_zero_weight_filtering():
 
 
 def test_zero_weight_children_are_dropped():
-    law = DeterministicCascade((0.7, 0.0, 0.3))
+    law = finite_cascade([(0.7, 0.0, 0.3)])
     g = law.root_generation()
     h = advance_generation(g, law, derive_stream(0, 0))
     assert h.size == 2
@@ -191,7 +186,7 @@ def test_zero_weight_children_are_dropped():
 
 
 def test_population_cap_raises():
-    law = DeterministicCascade((0.5, 0.5))
+    law = finite_cascade([(0.5, 0.5)])
     g = law.root_generation()
     rng = derive_stream(0, 0)
     with pytest.raises(PopulationCapError) as err:
@@ -202,7 +197,7 @@ def test_population_cap_raises():
 
 def test_population_cap_bounds_each_tree_of_a_multi_root_generation():
     # 50 trees of 2^n particles: together over the cap from n = 2, one tree only at n = 7
-    law = DeterministicCascade((0.5, 0.5))
+    law = finite_cascade([(0.5, 0.5)])
     g = Generation(np.ones(50), np.zeros(50, dtype=np.int64), root=np.arange(50))
     rng = derive_stream(0, 0)
     for _ in range(6):
@@ -265,12 +260,12 @@ def _lineage(p):
 
 
 BUILT_IN_LAWS = {
-    "deterministic": lambda p: _cascade(DeterministicCascade((0.7, 0.0, 0.3)), p),
+    "deterministic": lambda p: _cascade(finite_cascade([(0.7, 0.0, 0.3)]), p),
     "split": lambda p: _cascade(UniformSplitCascade(independent=False), p),
     "split-indep": lambda p: _cascade(UniformSplitCascade(independent=True), p),
     "scaled": lambda p: _cascade(ScaledUniformCascade(c=2.0), p),
     "mixture-cascade": lambda p: _cascade(
-        MixtureCascade(((0.25, 0.75), (1.0,), (0.8, 0.0)), (0.25, 0.5, 0.25)), p
+        finite_cascade(((0.25, 0.75), (1.0,), (0.8, 0.0)), (0.25, 0.5, 0.25)), p
     ),
     "flip": lambda p: _finite_type(two_type_flip_law(), p),
     "markov": lambda p: _finite_type(markov_chain_law([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.4, 0.0, 0.6]]), p),
@@ -319,7 +314,7 @@ class _AlmostOneRng:
 
 
 def _tenths_mixture_cascade():
-    law = MixtureCascade(tuple((0.05 * (j + 1),) for j in range(10)), (0.1,) * 10)
+    law = finite_cascade(tuple((0.05 * (j + 1),) for j in range(10)), (0.1,) * 10)
     return law, np.zeros(1, dtype=np.int64), lambda b: b.weights.tolist() == [0.5]
 
 
@@ -341,7 +336,7 @@ def _tenths_kernel_product():
 
 def _tenths_ifs():
     maps = tuple((0.5, 0.05 * j) for j in range(10))
-    law = IfsLaw(maps, (0.1,) * 10, DeterministicCascade((1.0,)))
+    law = IfsLaw(maps, (0.1,) * 10, finite_cascade([(1.0,)]))
     return law, np.zeros(1), lambda b: b.types.tolist() == [0.05 * 9]
 
 

@@ -46,7 +46,8 @@ from wbp.harness import ExperimentConfig, make_model  # noqa: E402
 from wbp.population import Generation, advance_generation  # noqa: E402
 from wbp.streams import derive_stream  # noqa: E402
 
-# one model per law class and cascade spec, with small tables
+# one model per cascade spec and model kind, with small tables; the
+# deterministic and mixture specs build one law class, FiniteCascade
 MODELS = {
     "cascade.uniform_split": {"kind": "cascade", "spec": "uniform_split"},
     "cascade.uniform_split_indep": {"kind": "cascade", "spec": "uniform_split_indep"},
